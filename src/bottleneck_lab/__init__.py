@@ -71,9 +71,7 @@ from .probability import (  # noqa: E402
     JointDistribution,
     NormalizationError,
     UndefinedDivergenceError,
-    bayes_decoder,
     entropy,
-    geometric_decoder,
     kl_divergence,
     mutual_information,
 )
@@ -90,8 +88,6 @@ from .solvers import (  # noqa: E402
     ib_distortion,
     information_point,
     solve,
-    solve_dual,
-    solve_ib,
 )
 from .stability import (  # noqa: E402
     ComplexEigenvalueWarning,
@@ -145,9 +141,7 @@ __all__ = [
     "JointDistribution",
     "NormalizationError",
     "UndefinedDivergenceError",
-    "bayes_decoder",
     "entropy",
-    "geometric_decoder",
     "kl_divergence",
     "mutual_information",
     "BottleneckState",
@@ -162,8 +156,6 @@ __all__ = [
     "ib_distortion",
     "information_point",
     "solve",
-    "solve_dual",
-    "solve_ib",
     "ComplexEigenvalueWarning",
     "CriticalPoint",
     "CriticalReport",

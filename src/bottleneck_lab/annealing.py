@@ -20,16 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .probability import JointDistribution, mutual_information
+# mutual_information is unused here; perfbench/tracing.py patches it by name.
+from .probability import JointDistribution, mutual_information  # noqa: F401
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    Framework,
     as_framework,
     derive_state,
-    expected_distortion,
-    encoder_information,
     solve,
+    state_observables,
 )
 
 #: Clusters whose merged marginal mass falls below this are dropped during
@@ -153,16 +152,7 @@ class TableBackend:
         return new_state, report.n_iterations, report.converged
 
     def observables(self, state) -> tuple[float, float, float]:
-        i_x = encoder_information(self.problem.p_x, state.encoder,
-                                  state.marginal)
-        joint_cy = state.marginal[:, None] * (state.weights
-                                              @ self.problem.rule)
-        i_y = mutual_information(joint_cy)
-        if self.framework is Framework.IB:
-            functional = i_x - state.beta * i_y
-        else:
-            functional = i_x + state.beta * expected_distortion(self.problem,
-                                                                state)
+        i_x, i_y, _, functional = state_observables(self.problem, state)
         return i_x, i_y, functional
 
 

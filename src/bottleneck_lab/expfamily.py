@@ -10,12 +10,13 @@ and its decoder row by the d expected multipliers
 ``lam_beta[c] = E_{p(y|c)} params[y]`` plus a scalar normalizer.  The
 alternating updates therefore close over d-dimensional aggregates: the
 iteration here costs ``O(n_x k d + k n_y d)`` per step and never forms the
-``n_x x n_y`` rule table (that table appears only in model construction
-and in post-solve reporting).
+``n_x x n_y`` rule table (the model builds it once, for reporting
+``I(Y;Xhat)``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -26,6 +27,7 @@ from .probability import (
     JointDistribution,
     entropy,
     mutual_information,
+    smooth_rows,
 )
 from .solvers import (
     DEAD_CLUSTER_MASS,
@@ -33,8 +35,11 @@ from .solvers import (
     DEFAULT_TOL,
     Framework,
     SolveReport,
+    cluster_label_joint,
     encoder_information,
     encoder_update,
+    inverse_encoder,
+    iterate,
     prepare_encoder,
 )
 
@@ -100,11 +105,25 @@ class ExpFamilyModel:
         """Per-input log-partition values (n_x,)."""
         return logsumexp(self.interactions(), axis=1)
 
-    def reconstruct(self) -> JointDistribution:
-        """Assemble the full-table problem this model describes."""
+    @cached_property
+    def rule(self) -> np.ndarray:
+        """The rule rows ``p(y|x)`` (n_x, n_y), built once per model.
+
+        Cells that underflow stay zero; only :meth:`reconstruct` rejects
+        them.
+        """
         inter = self.interactions()
-        table = np.exp(inter - logsumexp(inter, axis=1)[:, None])
-        return JointDistribution.from_conditional(table, p_x=self.p_x,
+        return smooth_rows(np.exp(inter - logsumexp(inter, axis=1)[:, None]),
+                           0.0)
+
+    @cached_property
+    def mean_log_normalizer(self) -> float:
+        """``E_{p_x}[log_normalizer(x)]``, built once per model."""
+        return float(self.p_x @ self.log_normalizers())
+
+    def reconstruct(self) -> JointDistribution:
+        """Assemble the validated full-table problem this model describes."""
+        return JointDistribution.from_conditional(self.rule, p_x=self.p_x,
                                                   smoothing_epsilon=0.0)
 
     @classmethod
@@ -151,9 +170,7 @@ class ExpState:
     All cluster quantities are derived from ``encoder``:
     ``cluster_features[c] = weights[c] @ features`` (expected statistics),
     ``cluster_params[c] = decoder[c] @ params`` (expected multipliers),
-    ``cluster_normalizers[c]`` the decoder log-partition, and
-    ``log_z_encoder[x]`` the log-normalizer of the encoder softmax at this
-    state.
+    and ``cluster_normalizers[c]`` the decoder log-partition.
     """
 
     beta: float
@@ -164,7 +181,6 @@ class ExpState:
     cluster_params: np.ndarray       # (k, d)
     cluster_normalizers: np.ndarray  # (k,)
     log_decoder: np.ndarray          # (k, n_y)
-    log_z_encoder: np.ndarray        # (n_x,)
 
     @property
     def n_clusters(self) -> int:
@@ -181,17 +197,16 @@ class ExpState:
         return int(np.count_nonzero(self.alive()))
 
 
-def _effective_distortion(features: np.ndarray, cluster_features: np.ndarray,
-                          cluster_params: np.ndarray,
-                          cluster_normalizers: np.ndarray) -> np.ndarray:
+def _effective_distortion(model: ExpFamilyModel,
+                          state: ExpState) -> np.ndarray:
     """The (n_x, k) encoder-update cost in reduced form.
 
     Differs from the true per-pair prediction cost only by a per-``x``
     constant (the rule's own log-partition), which the softmax cancels.
     """
-    offsets = cluster_normalizers + np.sum(cluster_params * cluster_features,
-                                           axis=1)
-    return features @ cluster_params.T - offsets[None, :]
+    offsets = state.cluster_normalizers + np.sum(
+        state.cluster_params * state.cluster_features, axis=1)
+    return model.features @ state.cluster_params.T - offsets[None, :]
 
 
 def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
@@ -201,41 +216,34 @@ def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
     Dead clusters get the prior as placeholder weights, exactly as in the
     full-table solver, so split/merge bookkeeping behaves identically.
     """
-    p_x = model.p_x
-    marginal = encoder.T @ p_x
-    weights = (encoder * p_x[:, None]).T
-    alive = marginal > 0.0
-    weights[alive] /= marginal[alive, None]
-    weights[~alive] = p_x
+    marginal, weights = inverse_encoder(encoder, model.p_x)
     cluster_features = weights @ model.features
     unnorm = -cluster_features @ model.params.T
     normalizers = logsumexp(unnorm, axis=1)
     log_decoder = unnorm - normalizers[:, None]
-    cluster_params = np.exp(log_decoder) @ model.params
-    d_eff = _effective_distortion(model.features, cluster_features,
-                                  cluster_params, normalizers)
-    with np.errstate(divide="ignore"):
-        logits = np.log(marginal)[None, :] - beta * d_eff
     return ExpState(beta=float(beta), encoder=encoder, marginal=marginal,
                     weights=weights, cluster_features=cluster_features,
-                    cluster_params=cluster_params,
+                    cluster_params=np.exp(log_decoder) @ model.params,
                     cluster_normalizers=normalizers,
-                    log_decoder=log_decoder,
-                    log_z_encoder=logsumexp(logits, axis=1))
+                    log_decoder=log_decoder)
 
 
-def exp_decoder(state: ExpState) -> np.ndarray:
-    """Decoder rows of a reduced state (k, n_y); rows sum to 1 by the
-    log-partition construction."""
-    return np.exp(state.log_decoder)
+def _reduced_functional(model: ExpFamilyModel,
+                        state: ExpState) -> tuple[float, float, float]:
+    """``(I(X;Xhat), E[d], functional)`` from reduced aggregates only."""
+    i_x = encoder_information(model.p_x, state.encoder, state.marginal)
+    mean_d = model.mean_log_normalizer - float(
+        state.marginal @ state.cluster_normalizers)
+    return i_x, mean_d, i_x + state.beta * mean_d
 
 
-def exp_encoder(state: ExpState, model: ExpFamilyModel) -> np.ndarray:
-    """One encoder update driven purely by the reduced quantities."""
-    d_eff = _effective_distortion(model.features, state.cluster_features,
-                                  state.cluster_params,
-                                  state.cluster_normalizers)
-    return encoder_update(state.marginal, d_eff, state.beta)
+def _reduced_observables(model: ExpFamilyModel, state: ExpState
+                         ) -> tuple[float, float, float, float]:
+    """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state;
+    ``I(Y;Xhat)`` is the one value that reads the rule rows."""
+    i_x, mean_d, functional = _reduced_functional(model, state)
+    i_y = mutual_information(cluster_label_joint(model, state))
+    return i_x, i_y, mean_d, functional
 
 
 @dataclass
@@ -267,14 +275,16 @@ def closed_information(model: ExpFamilyModel,
     kills the cross term in ``I_x``).
     """
     m = state.marginal
+    with np.errstate(divide="ignore"):
+        logits = (np.log(m)[None, :]
+                  - state.beta * _effective_distortion(model, state))
+    log_z_encoder = logsumexp(logits, axis=1)
     mean_cluster_norm = float(m @ state.cluster_normalizers)
-    i_x = (state.beta * mean_cluster_norm
-           - float(model.p_x @ state.log_z_encoder))
+    i_x = state.beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
     decoder_entropies = (np.sum(state.cluster_params * state.cluster_features,
                                 axis=1) + state.cluster_normalizers)
-    h_y = entropy(model.reconstruct().p_y)
-    i_y = h_y - float(m @ decoder_entropies)
-    mean_d = float(model.p_x @ model.log_normalizers()) - mean_cluster_norm
+    i_y = entropy(model.p_x @ model.rule) - float(m @ decoder_entropies)
+    mean_d = model.mean_log_normalizer - mean_cluster_norm
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
 
@@ -291,57 +301,30 @@ def exp_solve(model: ExpFamilyModel, beta: float, *,
     initialization precedence, stopping rule, and report fields — but the
     iteration touches only d-dimensional aggregates.  The report's ``i_y``
     is the mutual information through the cluster variable, assembled from
-    the reconstructed table once, after the loop.
+    the model's rule rows once, after the loop.
     """
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     enc = prepare_encoder(model.n_x, n_clusters, init_encoder, rng)
-    p_x = model.p_x
-    features = model.features
-    params = model.params
-    mean_log_norm = float(p_x @ model.log_normalizers())
 
-    trace: list[float] | None = [] if track_functional else None
-    delta = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        marginal = enc.T @ p_x
-        weights = (enc * p_x[:, None]).T
-        alive = marginal > 0.0
-        weights[alive] /= marginal[alive, None]
-        weights[~alive] = p_x
-        cluster_features = weights @ features
-        unnorm = -cluster_features @ params.T
-        normalizers = logsumexp(unnorm, axis=1)
-        cluster_params = np.exp(unnorm - normalizers[:, None]) @ params
-        d_eff = _effective_distortion(features, cluster_features,
-                                      cluster_params, normalizers)
-        if track_functional:
-            i_x = encoder_information(p_x, enc, marginal)
-            trace.append(i_x + beta * (mean_log_norm
-                                       - float(marginal @ normalizers)))
-        new_enc = encoder_update(marginal, d_eff, beta)
-        delta = float(np.max(np.abs(new_enc - enc)))
-        enc = new_enc
-        if delta <= tol:
-            converged = True
-            break
+    def step(encoder, traced):
+        state = derive_exp_state(model, encoder, beta)
+        functional = (_reduced_functional(model, state)[2] if traced
+                      else None)
+        return (encoder_update(state.marginal,
+                               _effective_distortion(model, state), beta),
+                functional)
 
+    enc, iterations, delta, converged, trace = iterate(
+        step, enc, tol, max_iter, track_functional)
     state = derive_exp_state(model, enc, beta)
-    i_x = encoder_information(p_x, enc, state.marginal)
-    mean_d = mean_log_norm - float(state.marginal @ state.cluster_normalizers)
-    functional = i_x + beta * mean_d
-    joint_cy = state.marginal[:, None] * (state.weights
-                                          @ model.reconstruct().rule)
-    i_y = float(mutual_information(joint_cy))
-    if track_functional:
-        trace.append(functional)
+    i_x, i_y, mean_d, functional = _reduced_observables(model, state)
     report = SolveReport(
         framework=Framework.DUAL, beta=float(beta), converged=converged,
         n_iterations=iterations, i_x=i_x, i_y=i_y, functional=functional,
         expected_distortion=mean_d, encoder_delta=delta,
-        functional_trace=np.asarray(trace) if track_functional else None)
+        functional_trace=None if trace is None
+        else np.asarray(trace + [functional]))
     return state, report
 
 
@@ -357,7 +340,6 @@ class ExpBackend:
         self.model = model
         self.framework = Framework.DUAL
         self.n_y = model.n_y
-        self._table = model.reconstruct()  # post-solve reporting only
 
     def initial_encoder(self) -> np.ndarray:
         return np.ones((self.model.n_x, 1))
@@ -374,14 +356,8 @@ class ExpBackend:
         return new_state, report.n_iterations, report.converged
 
     def observables(self, state: ExpState) -> tuple[float, float, float]:
-        i_x = encoder_information(self.model.p_x, state.encoder,
-                                  state.marginal)
-        joint_cy = state.marginal[:, None] * (state.weights
-                                              @ self._table.rule)
-        i_y = float(mutual_information(joint_cy))
-        mean_d = (float(self.model.p_x @ self.model.log_normalizers())
-                  - float(state.marginal @ state.cluster_normalizers))
-        return i_x, i_y, i_x + state.beta * mean_d
+        i_x, i_y, _, functional = _reduced_observables(self.model, state)
+        return i_x, i_y, functional
 
 
 def exp_sweep_with_states(model: ExpFamilyModel, betas, *,

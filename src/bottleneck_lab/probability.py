@@ -14,9 +14,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr, xlogy
+from scipy.special import rel_entr, xlogy
 
 # Tolerance for "this array should already be normalized" checks.  Inputs
 # passing the check are renormalized exactly, so downstream code may rely on
@@ -126,46 +127,6 @@ def conditional_from_joint(joint):
     return p_a, rows
 
 
-def bayes_decoder(weights, rule) -> np.ndarray:
-    """Label decoder obtained by averaging rule rows: ``dec = weights @ rule``.
-
-    ``weights`` has shape ``(n_xhat, n_x)`` with rows ``p(x | xhat)``;
-    ``rule`` is ``p(y|x)`` of shape ``(n_x, n_y)``.  Rows of the result are
-    exactly the mixture label distributions ``p(y | xhat)``.
-    """
-    weights = _as_float_array(weights, "weights")
-    rule = _as_float_array(rule, "rule")
-    _require_normalized(weights, "weights rows", axis=1, atol=1e-9)
-    _require_normalized(rule, "rule rows", axis=1, atol=1e-9)
-    return weights @ rule
-
-
-def geometric_decoder(weights, log_rule):
-    """Normalized geometric mixture of rule rows.
-
-    Row ``c`` of the result is ``exp(sum_x weights[c, x] * log_rule[x]) / Z_c``
-    — the weighted geometric mean of the conditional rows, renormalized.
-    Returns ``(rows, log_z)`` where ``log_z[c]`` is the log of the
-    normalizer ``Z_c`` (always ``<= 0``, since a geometric mean of
-    distributions is sub-normalized).
-
-    ``log_rule`` must be finite, i.e. the rule must be strictly positive;
-    load tables through :meth:`JointDistribution.from_conditional` (which
-    smooths) to guarantee this.
-    """
-    weights = _as_float_array(weights, "weights")
-    log_rule = np.asarray(log_rule, dtype=float)
-    if not np.all(np.isfinite(log_rule)):
-        raise DistributionError(
-            "log_rule contains non-finite entries; the geometric decoder "
-            "requires a strictly positive rule")
-    _require_normalized(weights, "weights rows", axis=1, atol=1e-9)
-    log_unnorm = weights @ log_rule
-    log_z = logsumexp(log_unnorm, axis=1)
-    rows = np.exp(log_unnorm - log_z[:, None])
-    return rows, log_z
-
-
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:
     """Add ``epsilon`` to every cell and renormalize each row exactly."""
     if epsilon < 0.0:
@@ -251,6 +212,11 @@ class JointDistribution:
     @property
     def n_y(self) -> int:
         return self.rule.shape[1]
+
+    @cached_property
+    def rule_neg_entropy(self) -> np.ndarray:
+        """``sum_y rule[x, y] * log rule[x, y]`` per input (n_x,)."""
+        return np.sum(self.rule * self.log_rule, axis=1)
 
     def mutual_information(self) -> float:
         """``I(X;Y)`` of the stored joint, in nats."""

@@ -106,21 +106,31 @@ class SolveReport:
 # elementary steps
 # ---------------------------------------------------------------------------
 
-def derive_state(problem: JointDistribution, framework,
-                 encoder: np.ndarray, beta: float) -> BottleneckState:
-    """Recompute marginal / weights / decoder implied by an encoder.
+def inverse_encoder(encoder: np.ndarray,
+                    p_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(marginal, weights)`` implied by an encoder: ``p(xhat)`` and the
+    ``(k, n_x)`` rows ``p(x | xhat)``.
 
     Dead clusters (zero marginal) get the prior ``p_x`` as placeholder
-    weights so the decoder rows stay well-defined; they carry no mass, so
+    weights so their decoder rows stay well-defined; they carry no mass, so
     nothing downstream depends on the placeholder.
     """
-    framework = as_framework(framework)
-    p_x = problem.p_x
     marginal = encoder.T @ p_x
     weights = (encoder * p_x[:, None]).T
     alive = marginal > 0.0
-    weights[alive] /= marginal[alive, None]
-    weights[~alive] = p_x
+    if alive.all():  # same arithmetic, without the slower masked indexing
+        weights /= marginal[:, None]
+    else:
+        weights[alive] /= marginal[alive, None]
+        weights[~alive] = p_x
+    return marginal, weights
+
+
+def derive_state(problem: JointDistribution, framework,
+                 encoder: np.ndarray, beta: float) -> BottleneckState:
+    """Recompute marginal / weights / decoder implied by an encoder."""
+    framework = as_framework(framework)
+    marginal, weights = inverse_encoder(encoder, problem.p_x)
     if framework is Framework.IB:
         decoder = weights @ problem.rule
         log_decoder = np.log(decoder)
@@ -139,8 +149,8 @@ def derive_state(problem: JointDistribution, framework,
 def ib_distortion(problem: JointDistribution,
                   state: BottleneckState) -> np.ndarray:
     """``d[x, c] = KL(rule row x || decoder row c)`` for the ib cost."""
-    rule_neg_entropy = np.sum(problem.rule * problem.log_rule, axis=1)
-    return rule_neg_entropy[:, None] - problem.rule @ state.log_decoder.T
+    return (problem.rule_neg_entropy[:, None]
+            - problem.rule @ state.log_decoder.T)
 
 
 def dual_distortion(problem: JointDistribution,
@@ -185,13 +195,13 @@ def encoder_information(p_x: np.ndarray, encoder: np.ndarray,
     return float(p_x @ per_cell.sum(axis=1))
 
 
-def cluster_label_joint(problem: JointDistribution,
-                        state: BottleneckState) -> np.ndarray:
+def cluster_label_joint(problem, state) -> np.ndarray:
     """Joint ``p(xhat, y)`` through the Markov chain ``Xhat - X - Y``.
 
     Built from the inverse encoder and the *rule* (i.e. the Bayes decoder),
     never from the framework decoder, so it is the true label joint for
-    either framework.
+    either framework, and for the reduced solver (whose model carries
+    ``rule`` rows too).
     """
     return state.marginal[:, None] * (state.weights @ problem.rule)
 
@@ -204,24 +214,37 @@ def information_point(problem: JointDistribution,
     return i_x, i_y
 
 
-def expected_distortion(problem: JointDistribution,
-                        state: BottleneckState) -> float:
-    """Mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``."""
-    d = distortion_matrix(problem, state)
-    return float(np.sum(problem.p_x[:, None] * state.encoder * d))
+def state_observables(problem: JointDistribution, state: BottleneckState,
+                      distortion: np.ndarray | None = None
+                      ) -> tuple[float, float, float, float]:
+    """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state, in nats.
 
-
-def functional_value(problem: JointDistribution,
-                     state: BottleneckState) -> float:
-    """The quantity each framework minimizes, at this state.
+    ``E[d]`` is the mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``
+    (``distortion`` is the state's cost matrix, when the caller has it);
+    the functional is what each framework minimizes:
 
     ``ib``:   ``I(X;Xhat) - beta * I(Y;Xhat)``
     ``dual``: ``I(X;Xhat) + beta * E[KL(decoder || rule)]``
     """
     i_x, i_y = information_point(problem, state)
+    if distortion is None:
+        distortion = distortion_matrix(problem, state)
+    mean_d = float(np.sum(problem.p_x[:, None] * state.encoder * distortion))
     if state.framework is Framework.IB:
-        return i_x - state.beta * i_y
-    return i_x + state.beta * expected_distortion(problem, state)
+        return i_x, i_y, mean_d, i_x - state.beta * i_y
+    return i_x, i_y, mean_d, i_x + state.beta * mean_d
+
+
+def expected_distortion(problem: JointDistribution,
+                        state: BottleneckState) -> float:
+    """Mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``."""
+    return state_observables(problem, state)[2]
+
+
+def functional_value(problem: JointDistribution,
+                     state: BottleneckState) -> float:
+    """The quantity each framework minimizes, at this state."""
+    return state_observables(problem, state)[3]
 
 
 @dataclass
@@ -290,6 +313,32 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
     return default_encoder(n_x, k)
 
 
+def iterate(step, encoder: np.ndarray, tol: float, max_iter: int,
+            trace: bool):
+    """The fixed-point loop shared by every solver.
+
+    ``step(encoder, traced)`` returns the next encoder and, when ``traced``,
+    the functional at ``encoder`` (else ``None``).  Stops once a step moves
+    the encoder by at most ``tol`` in sup norm, or after ``max_iter`` steps.
+    Returns ``(encoder, n_iterations, delta, converged, functionals)``, where
+    ``functionals`` lists the traced values (``None`` unless ``trace``).
+    """
+    functionals: list[float] | None = [] if trace else None
+    delta = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        new_encoder, functional = step(encoder, trace)
+        if trace:
+            functionals.append(functional)
+        delta = float(np.max(np.abs(new_encoder - encoder)))
+        encoder = new_encoder
+        if delta <= tol:
+            converged = True
+            break
+    return encoder, iterations, delta, converged, functionals
+
+
 def solve(problem: JointDistribution, beta: float, framework,
           *, n_clusters: int | None = None,
           init_encoder: np.ndarray | None = None,
@@ -310,69 +359,24 @@ def solve(problem: JointDistribution, beta: float, framework,
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     enc = prepare_encoder(problem.n_x, n_clusters, init_encoder, rng)
-    p_x = problem.p_x
-    rule = problem.rule
-    log_rule = problem.log_rule
-    rule_neg_entropy = np.sum(rule * log_rule, axis=1)
-    is_ib = framework is Framework.IB
+    distortion = (ib_distortion if framework is Framework.IB
+                  else dual_distortion)
 
-    trace: list[float] = [] if track_functional else None
-    delta = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        marginal = enc.T @ p_x
-        weights = (enc * p_x[:, None]).T
-        alive = marginal > 0.0
-        weights[alive] /= marginal[alive, None]
-        weights[~alive] = p_x
-        if is_ib:
-            decoder = weights @ rule
-            log_decoder = np.log(decoder)
-            d = rule_neg_entropy[:, None] - rule @ log_decoder.T
-        else:
-            log_unnorm = weights @ log_rule
-            log_z = logsumexp(log_unnorm, axis=1)
-            log_decoder = log_unnorm - log_z[:, None]
-            decoder = np.exp(log_decoder)
-            dec_neg_entropy = np.sum(xlogy(decoder, decoder), axis=1)
-            d = dec_neg_entropy[None, :] - log_rule @ decoder.T
+    def step(encoder, traced):
+        state = derive_state(problem, framework, encoder, beta)
+        d = distortion(problem, state)
+        functional = (state_observables(problem, state, d)[3] if traced
+                      else None)
+        return encoder_update(state.marginal, d, beta), functional
 
-        if track_functional:
-            i_x = encoder_information(p_x, enc, marginal)
-            if is_ib:
-                i_y = mutual_information(marginal[:, None] * decoder)
-                trace.append(i_x - beta * i_y)
-            else:
-                mean_d = float(np.sum(p_x[:, None] * enc * d))
-                trace.append(i_x + beta * mean_d)
-
-        new_enc = encoder_update(marginal, d, beta)
-        delta = float(np.max(np.abs(new_enc - enc)))
-        enc = new_enc
-        if delta <= tol:
-            converged = True
-            break
-
+    enc, iterations, delta, converged, trace = iterate(
+        step, enc, tol, max_iter, track_functional)
     state = derive_state(problem, framework, enc, beta)
-    i_x, i_y = information_point(problem, state)
-    mean_d = expected_distortion(problem, state)
-    functional = i_x - beta * i_y if is_ib else i_x + beta * mean_d
-    if track_functional:
-        trace.append(functional)
+    i_x, i_y, mean_d, functional = state_observables(problem, state)
     report = SolveReport(
         framework=framework, beta=float(beta), converged=converged,
         n_iterations=iterations, i_x=i_x, i_y=i_y, functional=functional,
         expected_distortion=mean_d, encoder_delta=delta,
-        functional_trace=np.asarray(trace) if track_functional else None)
+        functional_trace=None if trace is None
+        else np.asarray(trace + [functional]))
     return state, report
-
-
-def solve_ib(problem: JointDistribution, beta: float, **kwargs):
-    """``solve`` with the classic summarization cost (Bayes decoder)."""
-    return solve(problem, beta, Framework.IB, **kwargs)
-
-
-def solve_dual(problem: JointDistribution, beta: float, **kwargs):
-    """``solve`` with the prediction-side cost (geometric decoder)."""
-    return solve(problem, beta, Framework.DUAL, **kwargs)

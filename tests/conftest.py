@@ -3,8 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bottleneck_lab.probability import JointDistribution
+
+#: Property tests draw the same examples on every run and keep no example
+#: database, so the suite's verdict is reproducible.
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
+                             derandomize=True, database=None)
 
 
 def random_problem(rng: np.random.Generator, n_x: int | None = None,

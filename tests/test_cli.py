@@ -382,6 +382,24 @@ class TestExpfamCommand:
         assert rc == 0
         assert (tmp_path / "model_expfam_solve.json").exists()
 
+    def test_model_whose_rule_underflows(self, tmp_path, capsys):
+        """Log-probabilities down to about -2e4 leave rule cells at exactly
+        zero; the reduced solver never needs them to be positive."""
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((50, 3)) * 40
+        params = rng.standard_normal((20, 3)) * 40
+        model = ExpFamilyModel(features, params, np.full(50, 1 / 50))
+        assert model.rule.min() == 0.0
+        path = write_json(tmp_path / "steep.json", {"exp_family": {
+            "features": features.tolist(), "params": params.tolist()}})
+        rc = main(["expfam", "--problem", path, "--beta-grid",
+                   "log:0.25:2:8", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        trace = trace_from_csv(tmp_path / "steep_expfam_trace.csv")
+        assert len(trace.records) == 8
+        assert all(trace.column("converged"))
+
     def test_rejections(self, tmp_path, capsys):
         rc = main(["expfam", "--problem", str(CLASSES_FIXTURE), "--beta",
                    "4", "--output-dir", str(tmp_path)])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
@@ -12,15 +14,12 @@ from bottleneck_lab.expfamily import (
     ExpFamilyModel,
     closed_information,
     derive_exp_state,
-    exp_decoder,
-    exp_encoder,
     exp_solve,
     exp_sweep,
 )
 from bottleneck_lab.probability import (
     DistributionError,
     entropy,
-    geometric_decoder,
     kl_divergence,
 )
 from bottleneck_lab.solvers import (
@@ -30,7 +29,7 @@ from bottleneck_lab.solvers import (
     solve,
 )
 
-from conftest import random_problem
+from conftest import PROPERTY_SETTINGS, random_problem
 
 
 def binary_problem(rng):
@@ -42,6 +41,13 @@ def generic_model(rng, n_x=4, n_y=3, d=2):
     params = rng.normal(0.0, 1.0, size=(n_y, d))
     p_x = rng.dirichlet(np.full(n_x, 2.0))
     return ExpFamilyModel(features=features, params=params, p_x=p_x)
+
+
+def reduced_step(model, encoder, beta):
+    """The encoder after one step of the reduced solver's loop."""
+    state, _ = exp_solve(model, beta, init_encoder=encoder, max_iter=1,
+                         track_functional=False)
+    return state.encoder
 
 
 class TestModelConstruction:
@@ -117,8 +123,8 @@ class TestStateInvariants:
         np.testing.assert_allclose(state.cluster_features,
                                    state.weights @ model.features,
                                    atol=1e-10)
-        dec = exp_decoder(state)
-        np.testing.assert_allclose(state.cluster_params, dec @ model.params,
+        np.testing.assert_allclose(state.cluster_params,
+                                   state.decoder @ model.params,
                                    atol=1e-10)
         from scipy.special import logsumexp
         np.testing.assert_allclose(
@@ -128,7 +134,7 @@ class TestStateInvariants:
 
     def test_decoder_rows_normalized(self, model_and_state):
         _, state = model_and_state
-        np.testing.assert_allclose(exp_decoder(state).sum(axis=1), 1.0,
+        np.testing.assert_allclose(state.decoder.sum(axis=1), 1.0,
                                    atol=1e-12)
 
     def test_decoder_family_closure(self, model_and_state):
@@ -137,7 +143,7 @@ class TestStateInvariants:
         model, state = model_and_state
         rebuilt = np.exp(-state.cluster_features @ model.params.T
                          - state.cluster_normalizers[:, None])
-        np.testing.assert_array_equal(exp_decoder(state), rebuilt)
+        np.testing.assert_array_equal(state.decoder, rebuilt)
 
     def test_point_mass_cluster_recovers_rule_row(self, rng):
         problem = binary_problem(rng)
@@ -147,7 +153,7 @@ class TestStateInvariants:
         encoder[0, 0] = 1.0
         encoder[1:, 1] = 1.0
         state = derive_exp_state(model, encoder, beta=3.0)
-        np.testing.assert_allclose(exp_decoder(state)[0], problem.rule[0],
+        np.testing.assert_allclose(state.decoder[0], problem.rule[0],
                                    atol=1e-12)
 
     def test_matches_geometric_decoder(self):
@@ -155,12 +161,13 @@ class TestStateInvariants:
         geometric mean of the two rule rows."""
         problem = binary_overlap5()
         model = ExpFamilyModel.from_conditional(problem)
-        w = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
-        from scipy.special import logsumexp
-        unnorm = -(w @ model.features) @ model.params.T
-        reduced = np.exp(unnorm - logsumexp(unnorm))
-        direct, _ = geometric_decoder(w[None, :], problem.log_rule)
-        np.testing.assert_allclose(reduced, direct[0], atol=1e-10)
+        encoder = np.zeros((5, 2))
+        encoder[:2, 0] = 1.0  # cluster 0 weighs inputs 0 and 1 by half
+        encoder[2:, 1] = 1.0
+        reduced = derive_exp_state(model, encoder, beta=1.0)
+        np.testing.assert_array_equal(reduced.weights[0], [0.5, 0.5, 0, 0, 0])
+        direct = derive_state(problem, "dual", encoder, beta=1.0).decoder
+        np.testing.assert_allclose(reduced.decoder[0], direct[0], atol=1e-10)
 
 
 class TestEncoder:
@@ -169,7 +176,7 @@ class TestEncoder:
         model = ExpFamilyModel.from_conditional(problem)
         encoder = rng.dirichlet(np.ones(3), size=model.n_x)
         state = derive_exp_state(model, encoder, beta=0.0)
-        out = exp_encoder(state, model)
+        out = reduced_step(model, encoder, 0.0)
         np.testing.assert_allclose(out, np.tile(state.marginal,
                                                 (model.n_x, 1)), atol=1e-12)
 
@@ -181,7 +188,7 @@ class TestEncoder:
         for beta in (0.0, 1.0, 17.0):
             state = derive_exp_state(model, encoder, beta)
             np.testing.assert_allclose(
-                exp_encoder(state, model),
+                reduced_step(model, encoder, beta),
                 np.tile(state.marginal, (4, 1)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -196,10 +203,30 @@ class TestEncoder:
         expected = encoder_update(table_state.marginal,
                                   dual_distortion(problem, table_state),
                                   beta)
-        np.testing.assert_allclose(exp_encoder(exp_state, model), expected,
-                                   atol=1e-9)
-        np.testing.assert_allclose(exp_decoder(exp_state),
+        np.testing.assert_allclose(reduced_step(model, encoder, beta),
+                                   expected, atol=1e-9)
+        np.testing.assert_allclose(exp_state.decoder,
                                    table_state.decoder, atol=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 8),
+           n_y=st.integers(2, 5), d=st.integers(0, 3), k=st.integers(1, 5),
+           beta=st.floats(0.0, 16.0))
+    def test_step_matches_table_dual_step(self, seed, n_x, n_y, d, k, beta):
+        """One step of the reduced loop equals one step of the table dual
+        loop on the model's table, for any model, encoder and beta."""
+        local = np.random.default_rng(seed)
+        model = generic_model(local, n_x=n_x, n_y=n_y, d=d)
+        encoder = local.dirichlet(np.ones(k), size=n_x)
+        table_state, _ = solve(model.reconstruct(), beta, "dual",
+                               init_encoder=encoder, max_iter=1,
+                               track_functional=False)
+        exp_state, _ = exp_solve(model, beta, init_encoder=encoder,
+                                 max_iter=1, track_functional=False)
+        np.testing.assert_allclose(exp_state.encoder, table_state.encoder,
+                                   atol=1e-9)
+        np.testing.assert_allclose(exp_state.decoder, table_state.decoder,
+                                   atol=1e-10)
 
 
 class TestSolve:
@@ -230,7 +257,7 @@ class TestSolve:
                                   rng=np.random.default_rng(1), tol=1e-12)
         closed = closed_information(model, state)
         assert closed.i_x == pytest.approx(report.i_x, abs=1e-8)
-        dec = exp_decoder(state)
+        dec = state.decoder
         i_y_direct = entropy(problem.p_y) - float(
             state.marginal @ np.array([entropy(row) for row in dec]))
         assert closed.i_y == pytest.approx(i_y_direct, abs=1e-8)
@@ -252,11 +279,14 @@ class TestSolve:
         assert np.all(np.diff(trace) <= slack)
 
     def test_iteration_is_table_free(self, monkeypatch):
-        """The loop consumes d-dimensional aggregates only: over hundreds
-        of iterations the full table is assembled exactly once (for the
-        report) and the (n_x, n_y) interaction matrix twice (log-partition
-        constant + inside that one reconstruction)."""
-        model = ExpFamilyModel.from_conditional(binary_overlap5())
+        """The loop consumes d-dimensional aggregates only, and the model
+        builds its constants once: a first solve forms the (n_x, n_y)
+        interaction matrix twice (rule rows + log-partition constant), a
+        second solve not at all, and neither assembles the validated
+        table."""
+        fit = ExpFamilyModel.from_conditional(binary_overlap5())
+        model = ExpFamilyModel(features=fit.features, params=fit.params,
+                               p_x=fit.p_x)
         counts = {"reconstruct": 0, "interactions": 0}
         original_reconstruct = ExpFamilyModel.reconstruct
         original_interactions = ExpFamilyModel.interactions
@@ -273,11 +303,11 @@ class TestSolve:
                             counting_reconstruct)
         monkeypatch.setattr(ExpFamilyModel, "interactions",
                             counting_interactions)
-        _, report = exp_solve(model, 5.0, n_clusters=2,
-                              rng=np.random.default_rng(3), tol=1e-12)
-        assert report.n_iterations > 30
-        assert counts["reconstruct"] == 1
-        assert counts["interactions"] == 2
+        for _ in range(2):
+            _, report = exp_solve(model, 5.0, n_clusters=2,
+                                  rng=np.random.default_rng(3), tol=1e-12)
+            assert report.n_iterations > 30
+            assert counts == {"reconstruct": 0, "interactions": 2}
 
     def test_deterministic(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())

@@ -40,7 +40,7 @@ from bottleneck_lab.solvers import (
     encoder_information,
     expected_distortion,
     functional_value,
-    solve_dual,
+    solve,
 )
 from conftest import random_encoder, random_problem
 
@@ -162,7 +162,7 @@ class TestMeanExponentBound:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 8.0])
     def test_dominated_by_dual_functional(self, beta):
         problem = binary_overlap5()
-        state, report = solve_dual(problem, beta, n_clusters=5)
+        state, report = solve(problem, beta, "dual", n_clusters=5)
         assert report.converged
         assert (mean_exponent_bound(state, problem)
                 <= functional_value(problem, state) + 1e-9)

@@ -11,16 +11,15 @@ from bottleneck_lab.probability import (
     JointDistribution,
     NormalizationError,
     UndefinedDivergenceError,
-    bayes_decoder,
     conditional_from_joint,
     entropy,
-    geometric_decoder,
     kl_divergence,
     mutual_information,
     smooth_rows,
 )
+from bottleneck_lab.solvers import derive_state
 
-from conftest import random_problem
+from conftest import random_encoder, random_problem
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +47,18 @@ def oracle_mi(joint):
     return total
 
 
+def state_with_weights(framework, weights, rule):
+    """A state whose inverse encoder is ``weights``: cluster marginals are
+    uniform, ``p_x`` is their mixture, and the encoder follows by Bayes."""
+    weights = np.asarray(weights, dtype=float)
+    marginal = np.full(weights.shape[0], 1.0 / weights.shape[0])
+    p_x = marginal @ weights
+    encoder = (marginal[:, None] * weights / p_x).T
+    problem = JointDistribution.from_conditional(rule, p_x,
+                                                 smoothing_epsilon=0.0)
+    return derive_state(problem, framework, encoder, beta=1.0)
+
+
 class TestGoldenValues:
     """Frozen outputs of the double-sum oracles above."""
 
@@ -68,19 +79,20 @@ class TestGoldenValues:
         weights = [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]
         rule = [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]
         np.testing.assert_allclose(
-            bayes_decoder(weights, rule),
+            state_with_weights("ib", weights, rule).decoder,
             [[0.75, 0.25], [0.36, 0.64]], atol=1e-15)
 
     def test_geometric_decoder(self):
         weights = [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]
         rule = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
-        rows, log_z = geometric_decoder(weights, np.log(rule))
+        state = state_with_weights("dual", weights, rule)
         np.testing.assert_allclose(
-            rows,
+            state.decoder,
             [[0.802093068283927, 0.197906931716073],
              [0.35159075901563497, 0.648409240984365]], atol=1e-15)
         np.testing.assert_allclose(
-            log_z, [-0.15279495570933088, -0.13885555701456156], atol=1e-15)
+            state.log_z, [-0.15279495570933088, -0.13885555701456156],
+            atol=1e-15)
 
 
 class TestAgainstOracles:
@@ -130,14 +142,16 @@ class TestAgainstOracles:
 
 
 class TestDecoders:
+    """The Bayes (ib) and geometric (dual) decoders of ``derive_state``."""
+
     def test_point_mass_weights_recover_rule_rows(self, rng):
         problem = random_problem(rng)
         eye = np.eye(problem.n_x)
-        np.testing.assert_allclose(bayes_decoder(eye, problem.rule),
-                                   problem.rule, atol=1e-15)
-        rows, log_z = geometric_decoder(eye, problem.log_rule)
-        np.testing.assert_allclose(rows, problem.rule, atol=1e-12)
-        np.testing.assert_allclose(log_z, 0.0, atol=1e-12)
+        ib = derive_state(problem, "ib", eye, beta=1.0)
+        np.testing.assert_allclose(ib.decoder, problem.rule, atol=1e-15)
+        dual = derive_state(problem, "dual", eye, beta=1.0)
+        np.testing.assert_allclose(dual.decoder, problem.rule, atol=1e-12)
+        np.testing.assert_allclose(dual.log_z, 0.0, atol=1e-12)
 
     def test_geometric_log_normalizer_identity(self, rng):
         """-log Z_c equals the weighted min over decoders of the reverse KL.
@@ -149,8 +163,9 @@ class TestDecoders:
         for _ in range(20):
             problem = random_problem(rng)
             k = int(rng.integers(1, 5))
-            w = rng.dirichlet(np.ones(problem.n_x), size=k)
-            rows, log_z = geometric_decoder(w, problem.log_rule)
+            state = derive_state(problem, "dual",
+                                 random_encoder(rng, problem.n_x, k), 1.0)
+            w, rows, log_z = state.weights, state.decoder, state.log_z
             for c in range(k):
                 direct = sum(
                     w[c, x] * kl_divergence(rows[c], problem.rule[x])
@@ -160,14 +175,13 @@ class TestDecoders:
 
     def test_geometric_matches_bruteforce_powers(self, rng):
         problem = random_problem(rng, n_x=4, n_y=3)
-        w = rng.dirichlet(np.ones(4), size=2)
-        rows, _ = geometric_decoder(w, problem.log_rule)
+        state = derive_state(problem, "dual", random_encoder(rng, 4, 2), 1.0)
         brute = np.ones((2, 3))
         for c in range(2):
             for x in range(4):
-                brute[c] *= problem.rule[x] ** w[c, x]
+                brute[c] *= problem.rule[x] ** state.weights[c, x]
         brute /= brute.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(rows, brute, atol=1e-13)
+        np.testing.assert_allclose(state.decoder, brute, atol=1e-13)
 
 
 class TestValidation:

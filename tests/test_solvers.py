@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from bottleneck_lab.probability import JointDistribution, kl_divergence
+from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
+from bottleneck_lab.probability import kl_divergence
 from bottleneck_lab.solvers import (
     Framework,
     as_framework,
@@ -21,11 +24,9 @@ from bottleneck_lab.solvers import (
     ib_distortion,
     information_point,
     solve,
-    solve_dual,
-    solve_ib,
 )
 
-from conftest import random_encoder, random_problem
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 
 
 class TestElementarySteps:
@@ -149,18 +150,30 @@ class TestSolve:
         assert report.i_x == pytest.approx(0.0, abs=1e-9)
         assert report.i_y == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("framework", ["ib", "dual"])
-    def test_functional_trace_non_increasing(self, framework, rng):
-        """Every alternating cycle decreases the framework functional."""
-        for _ in range(10):
-            problem = random_problem(rng)
-            beta = float(np.exp(rng.uniform(np.log(0.5), np.log(16.0))))
-            _, report = solve(problem, beta, framework, rng=rng, tol=1e-9,
-                              max_iter=50_000)
-            trace = report.functional_trace
-            assert trace is not None and len(trace) >= 2
-            slack = 1e-9 * max(1.0, abs(trace[0]))
-            assert np.all(np.diff(trace) <= slack)
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           beta=st.floats(0.5, 16.0))
+    def test_functional_trace_non_increasing(self, framework, seed, k,
+                                             beta):
+        """Every alternating cycle of the shared loop decreases the
+        framework functional, for the table solvers and the reduced one."""
+        rng = np.random.default_rng(seed)
+        if framework == "reduced":
+            n_x, n_y, d = rng.integers(2, 9), rng.integers(2, 5), 2
+            model = ExpFamilyModel(features=rng.normal(size=(n_x, d)),
+                                   params=rng.normal(size=(n_y, d)),
+                                   p_x=rng.dirichlet(np.full(n_x, 2.0)))
+            _, report = exp_solve(model, beta, n_clusters=k, rng=rng,
+                                  tol=1e-9, max_iter=20_000)
+        else:
+            _, report = solve(random_problem(rng), beta, framework,
+                              n_clusters=k, rng=rng, tol=1e-9,
+                              max_iter=20_000)
+        trace = report.functional_trace
+        assert trace is not None and len(trace) >= 2
+        slack = 1e-9 * max(1.0, abs(trace[0]))
+        assert np.all(np.diff(trace) <= slack)
 
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_converged_state_is_fixed_point(self, framework, rng):
