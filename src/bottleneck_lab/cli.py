@@ -478,7 +478,8 @@ def _cmd_solve(config: RunConfig) -> None:
     for framework in _frameworks(config.framework):
         state, report = solve(problem, config.beta, framework,
                               n_clusters=config.n_clusters, tol=config.tol,
-                              max_iter=config.max_iter)
+                              max_iter=config.max_iter,
+                              track_functional=False)
         clusters = int(state.effective_clusters())
         payload = {
             "framework": framework,
@@ -579,7 +580,8 @@ def _cmd_expfam(config: RunConfig) -> None:
 
     if config.beta is not None:
         state, report = exp_solve(model, config.beta, tol=config.tol,
-                                  max_iter=config.max_iter)
+                                  max_iter=config.max_iter,
+                                  track_functional=False)
         clusters = int(state.effective_clusters())
         payload = {
             "framework": "dual",

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .annealing import SplitConfig, run_sweep
 from .probability import (
     DistributionError,
     JointDistribution,
     entropy,
+    logsumexp,
     mutual_information,
     smooth_rows,
 )

@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import rel_entr
 
 from .annealing import SplitConfig, sweep_with_states
-from .probability import DistributionError, JointDistribution
+from .probability import DistributionError, JointDistribution, logsumexp
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,

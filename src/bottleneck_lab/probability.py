@@ -127,6 +127,44 @@ def conditional_from_joint(joint):
     return p_a, rows
 
 
+def logsumexp(a, axis: int | None = None):
+    """``log(sum(exp(a), axis))``, the one log-sum-exp of the package.
+
+    Returns the same float64 values as ``scipy.special.logsumexp(a, axis)``
+    (same shape, and a 0-d ``np.float64`` for ``axis=None``) at a small
+    fraction of its per-call cost on the (k, n_y) rows of the solvers'
+    hot loops.  It keeps scipy's accurate formulation (Blanchard, Higham &
+    Higham, IMA J. Numer. Anal. 2021): the maximum is shifted out, its
+    ties are taken out of the sum of the remaining terms and enter as
+    ``log(ties)``, and the rest goes through ``log1p``.  ``-inf`` entries of
+    a row with a finite maximum contribute zero without warnings; rows
+    whose maximum is ``-inf``, ``+inf`` or NaN take the direct
+    ``log(sum(exp(a)))``, as scipy does.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(a_max)
+    # The hot path skips np.errstate: entering and leaving it costs about a
+    # third of the whole call on the solvers' (k, n_y) rows.
+    if finite.all():
+        out = _max_shifted_logsumexp(a, a_max, axis)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.where(finite, _max_shifted_logsumexp(a, a_max, axis),
+                           np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)[()]
+
+
+def _max_shifted_logsumexp(a: np.ndarray, a_max: np.ndarray,
+                           axis: int | None) -> np.ndarray:
+    is_max = a == a_max
+    shifted = np.exp(a - a_max)
+    shifted[is_max] = 0.0
+    ties = is_max.sum(axis=axis, keepdims=True)
+    return (np.log1p(shifted.sum(axis=axis, keepdims=True) / ties)
+            + np.log(ties) + a_max)
+
+
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:
     """Add ``epsilon`` to every cell and renormalize each row exactly."""
     if epsilon < 0.0:

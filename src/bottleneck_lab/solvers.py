@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
-from .probability import JointDistribution, mutual_information
+from .probability import JointDistribution, logsumexp, mutual_information
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000

@@ -23,10 +23,10 @@ from bottleneck_lab.cli import (
     resolve_config,
 )
 from bottleneck_lab.datasets import BINARY_OVERLAP5_PY0, make_class_mixture
-from bottleneck_lab.expfamily import ExpFamilyModel
+from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
 from bottleneck_lab.prediction import ClassificationProblem
 from bottleneck_lab.probability import JointDistribution
-from bottleneck_lab.solvers import DEFAULT_TOL
+from bottleneck_lab.solvers import DEFAULT_TOL, solve
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RULE_FIXTURE = PROBLEMS / "binary_overlap5.json"
@@ -273,6 +273,27 @@ class TestSolveCommand:
             (tmp_path / "binary_overlap5_ib_solve.json").read_text())
         assert payload["units"] == "nats"
         assert_allclose(payload["i_x"], nats, atol=5e-4)
+
+    def test_single_beta_solves_skip_the_functional_trace(
+            self, tmp_path, capsys, monkeypatch):
+        """No artifact or console line reads the per-iteration functional,
+        so ``solve`` and ``expfam --beta`` do not ask the solvers for it."""
+        seen = []
+
+        def spy(real):
+            def wrapper(*args, **kwargs):
+                seen.append((real.__name__, kwargs.get("track_functional")))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("bottleneck_lab.cli.solve", spy(solve))
+        monkeypatch.setattr("bottleneck_lab.cli.exp_solve", spy(exp_solve))
+        for command in ("solve", "expfam"):
+            assert main([command, "--problem", str(RULE_FIXTURE), "--beta",
+                         "4", "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert seen == [("solve", False), ("solve", False),
+                        ("exp_solve", False)]
 
 
 @pytest.fixture(scope="module")

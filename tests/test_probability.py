@@ -1,11 +1,19 @@
 """Core probability ops against pure-python double-sum oracles."""
 from __future__ import annotations
 
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
+import bottleneck_lab
+from bottleneck_lab import expfamily, prediction, probability, solvers
 from bottleneck_lab.probability import (
     DistributionError,
     JointDistribution,
@@ -14,12 +22,13 @@ from bottleneck_lab.probability import (
     conditional_from_joint,
     entropy,
     kl_divergence,
+    logsumexp,
     mutual_information,
     smooth_rows,
 )
 from bottleneck_lab.solvers import derive_state
 
-from conftest import random_encoder, random_problem
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 
 
 # ---------------------------------------------------------------------------
@@ -268,3 +277,56 @@ class TestJointDistribution:
         rows = rng.dirichlet(np.ones(4), size=3)
         out = smooth_rows(rows, 0.01)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("two_d", [False, True],
+                             ids=["1d-none", "2d-axis1"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           cols=st.integers(1, 8), log_scale=st.floats(-3.0, 3.0),
+           rounded=st.booleans(), tied=st.booleans(), holes=st.booleans(),
+           dead_row=st.booleans())
+    def test_matches_scipy_exactly(self, two_d, seed, rows, cols, log_scale,
+                                   rounded, tied, holes, dead_row):
+        """Same values, shape and type as ``scipy.special.logsumexp``, with
+        ties at the maximum, ``-inf`` cells in finite rows and an all-``-inf``
+        row, and no floating-point warning."""
+        local = np.random.default_rng(seed)
+        a = local.standard_normal((rows, cols)) * 10.0 ** log_scale
+        if rounded:
+            a = np.round(a, 1)
+        if holes:
+            a[:, 1:][local.random((rows, cols - 1)) < 0.4] = -np.inf
+        if tied:
+            a[:, -1] = a.max(axis=1)
+        if dead_row:
+            a[0] = -np.inf
+        if not two_d:
+            a = a[0] if dead_row else a.ravel()
+        axis = 1 if two_d else None
+        expected = scipy.special.logsumexp(a, axis=axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=axis)
+        assert type(got) is type(expected)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        if dead_row:
+            assert np.atleast_1d(got)[0] == -np.inf
+
+    def test_one_log_sum_exp_in_the_package(self):
+        for module in (solvers, expfamily, prediction):
+            assert module.logsumexp is probability.logsumexp
+        src = Path(bottleneck_lab.__file__).parent
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.module or "").startswith("scipy"):
+                    names = {alias.name for alias in node.names}
+                    assert "logsumexp" not in names, path.name
+                # no ``scipy.special.logsumexp(...)`` through a module import
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "logsumexp"), path.name
