@@ -80,12 +80,11 @@ from .solvers import (  # noqa: E402
     Framework,
     SolveReport,
     derive_state,
-    dual_distortion,
+    distortion_matrix,
     dual_distortion_split,
     encoder_update,
     expected_distortion,
     functional_value,
-    ib_distortion,
     information_point,
     solve,
 )
@@ -148,12 +147,11 @@ __all__ = [
     "Framework",
     "SolveReport",
     "derive_state",
-    "dual_distortion",
+    "distortion_matrix",
     "dual_distortion_split",
     "encoder_update",
     "expected_distortion",
     "functional_value",
-    "ib_distortion",
     "information_point",
     "solve",
     "ComplexEigenvalueWarning",

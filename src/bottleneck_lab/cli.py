@@ -620,15 +620,14 @@ def _cmd_error_exp(config: RunConfig) -> None:
                               "problem file")
     out = Path(config.output_dir)
     stem = Path(config.problem_path).stem
-    split = _split_config(config)
-    curves = []
-    for framework in _frameworks(config.framework):
-        fw_curves = run_prediction_experiment(
-            problem, framework, beta_list=config.beta_list,
-            n_values=config.n_values, trials=config.trials,
-            seed=config.seed, split=split, tol=config.tol,
-            max_iter=config.max_iter)
-        curves.extend(fw_curves)
+    frameworks = _frameworks(config.framework)
+    curves = run_prediction_experiment(
+        problem, frameworks, beta_list=config.beta_list,
+        n_values=config.n_values, trials=config.trials, seed=config.seed,
+        split=_split_config(config), tol=config.tol,
+        max_iter=config.max_iter)
+    for framework in frameworks:
+        fw_curves = [c for c in curves if c.framework == framework]
         last = fw_curves[-1]
         print(f"{framework}: {len(fw_curves)} betas x "
               f"{last.n_values.size} sample sizes, {config.trials} trials, "

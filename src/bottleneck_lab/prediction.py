@@ -210,25 +210,30 @@ def _empirical_counts(problem: ClassificationProblem, n_values, trials: int,
     return ys, phats
 
 
-def run_prediction_experiment(problem: ClassificationProblem, framework,
+def run_prediction_experiment(problem: ClassificationProblem, frameworks,
                               beta_list=None, n_values=None,
                               trials: int = 10_000, seed: int = 0, *,
                               split: SplitConfig | None = None,
                               tol: float = DEFAULT_TOL,
                               max_iter: int = DEFAULT_MAX_ITER
                               ) -> list[ErrorCurve]:
-    """Misclassification curves of one framework's trained encoders.
+    """Misclassification curves of each framework's trained encoders.
 
-    For each ``beta`` (trained once by an annealed warm-start sweep), each
+    ``frameworks`` is one framework or a sequence of them; the curves come
+    framework by framework, each in ``beta_list`` order.  For each
+    ``beta`` (trained once by an annealed warm-start sweep), each
     trial draws a class label uniformly, forms the empirical input
     distribution of ``n`` i.i.d. samples from ``p(x|y)``, pushes it
     through the trained encoder, and classifies by minimum divergence to
     the per-class pushforwards ``p(x|y_i) @ encoder``; ties take the
     lowest class index, and a class at infinite divergence merely drops
-    out of the argmin.  Sample streams are common random numbers: runs
-    with equal ``seed`` reuse identical draws across frameworks and betas.
+    out of the argmin.  Sample streams are common random numbers, drawn
+    once per call: every framework and beta sees identical draws, and runs
+    with equal ``seed`` reuse them.
     """
-    framework = as_framework(framework)
+    if isinstance(frameworks, str):  # Framework members are strings too
+        frameworks = (frameworks,)
+    frameworks = [as_framework(f) for f in frameworks]
     beta_list = np.asarray(DEFAULT_BETAS if beta_list is None
                            else beta_list, dtype=float)
     n_values = np.asarray(DEFAULT_N_VALUES if n_values is None
@@ -240,29 +245,30 @@ def run_prediction_experiment(problem: ClassificationProblem, framework,
 
     joint = problem.joint()
     grid = np.union1d(WARM_LADDER, beta_list)
-    _, states = sweep_with_states(joint, framework, grid,
-                                  split=split or SplitConfig(), tol=tol,
-                                  max_iter=max_iter)
     ys, phats = _empirical_counts(problem, n_values, trials, seed)
 
     curves: list[ErrorCurve] = []
-    for beta in beta_list:
-        state = states[int(np.searchsorted(grid, beta))]
-        encoder = state.encoder[:, state.alive()]
-        references = problem.class_conditionals @ encoder  # (M, k)
-        p_err = np.empty(n_values.size)
-        for j, n in enumerate(n_values):
-            pushed = phats[int(n)] @ encoder  # (trials, k)
-            divergences = np.stack(
-                [rel_entr(pushed, references[i][None, :]).sum(axis=1)
-                 for i in range(problem.n_classes)], axis=1)
-            decisions = np.argmin(divergences, axis=1)
-            p_err[j] = np.mean(decisions != ys)
-        half = 1.96 * np.sqrt(p_err * (1.0 - p_err) / trials)
-        curves.append(ErrorCurve(
-            framework=str(framework.value), beta=float(beta),
-            n_values=n_values.copy(), p_err=p_err, ci_halfwidth=half,
-            trials=trials, seed=seed))
+    for framework in frameworks:
+        _, states = sweep_with_states(joint, framework, grid,
+                                      split=split or SplitConfig(), tol=tol,
+                                      max_iter=max_iter)
+        for beta in beta_list:
+            state = states[int(np.searchsorted(grid, beta))]
+            encoder = state.encoder[:, state.alive()]
+            references = problem.class_conditionals @ encoder  # (M, k)
+            p_err = np.empty(n_values.size)
+            for j, n in enumerate(n_values):
+                pushed = phats[int(n)] @ encoder  # (trials, k)
+                divergences = np.stack(
+                    [rel_entr(pushed, references[i][None, :]).sum(axis=1)
+                     for i in range(problem.n_classes)], axis=1)
+                decisions = np.argmin(divergences, axis=1)
+                p_err[j] = np.mean(decisions != ys)
+            half = 1.96 * np.sqrt(p_err * (1.0 - p_err) / trials)
+            curves.append(ErrorCurve(
+                framework=str(framework.value), beta=float(beta),
+                n_values=n_values.copy(), p_err=p_err, ci_halfwidth=half,
+                trials=trials, seed=seed))
     return curves
 
 

@@ -147,22 +147,29 @@ def logsumexp(a, axis: int | None = None):
     # The hot path skips np.errstate: entering and leaving it costs about a
     # third of the whole call on the solvers' (k, n_y) rows.
     if finite.all():
-        out = _max_shifted_logsumexp(a, a_max, axis)
+        out = _max_shifted_logsumexp(a, a_max, axis, True)
     else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(finite, _max_shifted_logsumexp(a, a_max, axis),
+            out = np.where(finite,
+                           _max_shifted_logsumexp(a, a_max, axis, False),
                            np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return np.squeeze(out, axis=axis)[()]
+    return out.squeeze(axis=axis)[()]
 
 
 def _max_shifted_logsumexp(a: np.ndarray, a_max: np.ndarray,
-                           axis: int | None) -> np.ndarray:
+                           axis: int | None, all_finite: bool) -> np.ndarray:
     is_max = a == a_max
     shifted = np.exp(a - a_max)
-    shifted[is_max] = 0.0
+    np.copyto(shifted, 0.0, where=is_max)
+    total = shifted.sum(axis=axis, keepdims=True)
+    # One maximum in every row makes every tie count 1, and then
+    # log1p(s / 1) + log(1) + m equals log1p(s) + m bit for bit.  A row
+    # whose maximum is NaN has no maximum at all, so the count of maxima
+    # decides this only when every row maximum is finite.
+    if all_finite and np.count_nonzero(is_max) == a_max.size:
+        return np.log1p(total) + a_max
     ties = is_max.sum(axis=axis, keepdims=True)
-    return (np.log1p(shifted.sum(axis=axis, keepdims=True) / ties)
-            + np.log(ties) + a_max)
+    return np.log1p(total / ties) + np.log(ties) + a_max
 
 
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:
@@ -259,7 +266,3 @@ class JointDistribution:
     def mutual_information(self) -> float:
         """``I(X;Y)`` of the stored joint, in nats."""
         return mutual_information(self.joint)
-
-    def entropy_y(self) -> float:
-        """``H(Y)`` of the label marginal, in nats."""
-        return entropy(self.p_y)

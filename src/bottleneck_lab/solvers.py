@@ -116,14 +116,52 @@ def inverse_encoder(encoder: np.ndarray,
     nothing downstream depends on the placeholder.
     """
     marginal = encoder.T @ p_x
-    weights = (encoder * p_x[:, None]).T
-    alive = marginal > 0.0
-    if alive.all():  # same arithmetic, without the slower masked indexing
-        weights /= marginal[:, None]
+    joint = encoder * p_x[:, None]
+    # Same arithmetic without the slower masked indexing when every cluster
+    # is alive; ``min`` propagates NaN, so this is ``(marginal > 0).all()``.
+    if marginal.min() > 0.0:
+        joint /= marginal
     else:
-        weights[alive] /= marginal[alive, None]
-        weights[~alive] = p_x
-    return marginal, weights
+        alive = marginal > 0.0
+        joint[:, alive] /= marginal[alive]
+        joint[:, ~alive] = p_x[:, None]
+    return marginal, joint.T
+
+
+def _bayes_decoder(problem: JointDistribution, weights: np.ndarray):
+    """``(decoder, log_decoder, None)`` of the ib update: the mixture
+    ``weights @ rule`` of rule rows."""
+    decoder = weights @ problem.rule
+    return decoder, np.log(decoder), None
+
+
+def _geometric_decoder(problem: JointDistribution, weights: np.ndarray):
+    """``(decoder, log_decoder, log_z)`` of the dual update: the normalized
+    geometric mixture ``exp(weights @ log_rule - log_z)`` of rule rows."""
+    log_unnorm = weights @ problem.log_rule
+    log_z = logsumexp(log_unnorm, axis=1)
+    log_decoder = log_unnorm - log_z[:, None]
+    return np.exp(log_decoder), log_decoder, log_z
+
+
+def _ib_cost(problem: JointDistribution, decoder: np.ndarray,
+             log_decoder: np.ndarray) -> np.ndarray:
+    """``d[x, c] = KL(rule row x || decoder row c)``."""
+    return (problem.rule_neg_entropy[:, None]
+            - problem.rule @ log_decoder.T)
+
+
+def _dual_cost(problem: JointDistribution, decoder: np.ndarray,
+               log_decoder: np.ndarray) -> np.ndarray:
+    """``d[x, c] = KL(decoder row c || rule row x)``."""
+    dec_neg_entropy = xlogy(decoder, decoder).sum(axis=1)
+    return dec_neg_entropy - problem.log_rule @ decoder.T
+
+
+#: Per framework, the decoder built from the weights and the per-pair cost
+#: built from that decoder.  ``derive_state`` and the solver step share them.
+_UPDATES = {Framework.IB: (_bayes_decoder, _ib_cost),
+            Framework.DUAL: (_geometric_decoder, _dual_cost)}
 
 
 def derive_state(problem: JointDistribution, framework,
@@ -131,40 +169,21 @@ def derive_state(problem: JointDistribution, framework,
     """Recompute marginal / weights / decoder implied by an encoder."""
     framework = as_framework(framework)
     marginal, weights = inverse_encoder(encoder, problem.p_x)
-    if framework is Framework.IB:
-        decoder = weights @ problem.rule
-        log_decoder = np.log(decoder)
-        log_z = None
-    else:
-        log_unnorm = weights @ problem.log_rule
-        log_z = logsumexp(log_unnorm, axis=1)
-        log_decoder = log_unnorm - log_z[:, None]
-        decoder = np.exp(log_decoder)
+    decode = _UPDATES[framework][0]
+    decoder, log_decoder, log_z = decode(problem, weights)
     return BottleneckState(framework=framework, beta=float(beta),
                            encoder=encoder, marginal=marginal,
                            weights=weights, decoder=decoder,
                            log_decoder=log_decoder, log_z=log_z)
 
 
-def ib_distortion(problem: JointDistribution,
-                  state: BottleneckState) -> np.ndarray:
-    """``d[x, c] = KL(rule row x || decoder row c)`` for the ib cost."""
-    return (problem.rule_neg_entropy[:, None]
-            - problem.rule @ state.log_decoder.T)
-
-
-def dual_distortion(problem: JointDistribution,
-                    state: BottleneckState) -> np.ndarray:
-    """``d[x, c] = KL(decoder row c || rule row x)`` for the dual cost."""
-    dec_neg_entropy = np.sum(xlogy(state.decoder, state.decoder), axis=1)
-    return dec_neg_entropy[None, :] - problem.log_rule @ state.decoder.T
-
-
 def distortion_matrix(problem: JointDistribution,
                       state: BottleneckState) -> np.ndarray:
-    if state.framework is Framework.IB:
-        return ib_distortion(problem, state)
-    return dual_distortion(problem, state)
+    """The ``(n_x, k)`` per-pair cost of the state's framework:
+    ``KL(rule row x || decoder row c)`` for ``ib``,
+    ``KL(decoder row c || rule row x)`` for ``dual``."""
+    cost = _UPDATES[state.framework][1]
+    return cost(problem, state.decoder, state.log_decoder)
 
 
 def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
@@ -174,8 +193,14 @@ def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
     Computed in log space with a per-row max shift; zero-mass clusters give
     ``log p(xhat) = -inf`` and therefore stay at exactly zero.
     """
-    with np.errstate(divide="ignore"):
-        logits = np.log(marginal)[None, :] - beta * distortion
+    # Without a zero mass there is no log(0) to silence, and np.errstate
+    # would cost about a tenth of a table step.
+    if np.count_nonzero(marginal) == marginal.size:
+        log_marginal = np.log(marginal)
+    else:
+        with np.errstate(divide="ignore"):
+            log_marginal = np.log(marginal)
+    logits = log_marginal - beta * distortion
     logits -= logits.max(axis=1, keepdims=True)
     enc = np.exp(logits)
     enc /= enc.sum(axis=1, keepdims=True)
@@ -331,7 +356,7 @@ def iterate(step, encoder: np.ndarray, tol: float, max_iter: int,
         new_encoder, functional = step(encoder, trace)
         if trace:
             functionals.append(functional)
-        delta = float(np.max(np.abs(new_encoder - encoder)))
+        delta = float(np.abs(new_encoder - encoder).max())
         encoder = new_encoder
         if delta <= tol:
             converged = True
@@ -359,15 +384,23 @@ def solve(problem: JointDistribution, beta: float, framework,
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     enc = prepare_encoder(problem.n_x, n_clusters, init_encoder, rng)
-    distortion = (ib_distortion if framework is Framework.IB
-                  else dual_distortion)
+    decode, cost = _UPDATES[framework]
+    p_x = problem.p_x
 
+    # The arithmetic of derive_state + distortion_matrix + encoder_update,
+    # fused: a state is assembled only when the functional is traced.
     def step(encoder, traced):
-        state = derive_state(problem, framework, encoder, beta)
-        d = distortion(problem, state)
-        functional = (state_observables(problem, state, d)[3] if traced
-                      else None)
-        return encoder_update(state.marginal, d, beta), functional
+        marginal, weights = inverse_encoder(encoder, p_x)
+        decoder, log_decoder, log_z = decode(problem, weights)
+        d = cost(problem, decoder, log_decoder)
+        functional = None
+        if traced:
+            state = BottleneckState(
+                framework=framework, beta=float(beta), encoder=encoder,
+                marginal=marginal, weights=weights, decoder=decoder,
+                log_decoder=log_decoder, log_z=log_z)
+            functional = state_observables(problem, state, d)[3]
+        return encoder_update(marginal, d, beta), functional
 
     enc, iterations, delta, converged, trace = iterate(
         step, enc, tol, max_iter, track_functional)

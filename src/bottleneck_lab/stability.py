@@ -25,7 +25,9 @@ matrices:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,30 +56,37 @@ class StabilityMatrices:
     """Per-cluster perturbation matrices at a fixed point.
 
     ``c_xx`` acts on input-side perturbations (``n_x`` square), ``c_yy`` on
-    label-side ones (``n_y`` square); their non-zero spectra coincide.
-    ``lambda_min`` records the smallest absolute eigenvalue of ``c_yy``
-    (the structural zero; a large value signals a malformed state and is
-    warned about at build time).
+    label-side ones (``n_y`` square); their non-zero spectra coincide, so
+    every eigenvalue is read off ``c_yy``, whose spectrum is computed once
+    at build time.  ``c_xx`` is built by ``build_c_xx`` on first access
+    (bisection never reads it).  ``lambda_min`` records the smallest
+    absolute eigenvalue of ``c_yy`` (the structural zero; a large value
+    signals a malformed state and is warned about at build time).
     """
 
     framework: Framework
     beta: float
     cluster_index: int
-    c_xx: np.ndarray
     c_yy: np.ndarray
+    build_c_xx: Callable[[], np.ndarray] = field(repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
     lambda_min: float = field(init=False)
 
     def __post_init__(self):
-        eigs = np.linalg.eigvals(self.c_yy)
-        self.lambda_min = float(np.min(np.abs(eigs)))
+        self.eigenvalues = np.linalg.eigvals(self.c_yy)
+        self.lambda_min = float(np.min(np.abs(self.eigenvalues)))
         if self.lambda_min > COMPLEX_WARN_TOL:
             warnings.warn(
                 f"structural zero eigenvalue is off by {self.lambda_min:.2e};"
                 " the state is probably not a consistent fixed point",
                 UserWarning, stacklevel=3)
 
+    @cached_property
+    def c_xx(self) -> np.ndarray:
+        return self.build_c_xx()
+
     def second_eigenvalue(self) -> float:
-        return second_eigenvalue(self.c_yy)
+        return _second_of_spectrum(self.eigenvalues)
 
 
 def second_eigenvalue(matrix: np.ndarray) -> float:
@@ -88,7 +97,11 @@ def second_eigenvalue(matrix: np.ndarray) -> float:
     eigenvalue has imaginary part above ``COMPLEX_WARN_TOL``; its real part
     is returned regardless.
     """
-    eigs = np.linalg.eigvals(np.asarray(matrix, dtype=float))
+    return _second_of_spectrum(
+        np.linalg.eigvals(np.asarray(matrix, dtype=float)))
+
+
+def _second_of_spectrum(eigs: np.ndarray) -> float:
     if eigs.size < 2:
         return 0.0
     rest = np.delete(eigs, int(np.argmin(np.abs(eigs))))
@@ -97,7 +110,7 @@ def second_eigenvalue(matrix: np.ndarray) -> float:
         warnings.warn(
             f"dominant non-trivial eigenvalue {lam:.6g} is complex; "
             "returning its real part", ComplexEigenvalueWarning,
-            stacklevel=2)
+            stacklevel=3)
     return float(lam.real)
 
 
@@ -118,11 +131,11 @@ def build_ib_matrices(problem: JointDistribution, state: BottleneckState,
     rule = problem.rule
     dec = q @ rule
     scaled = rule / dec[None, :]                       # rule[x,y]/dec[y]
-    c_xx = (scaled @ rule.T) * q[None, :] - q[None, :]
     c_yy = scaled.T @ (rule * q[:, None]) - dec[None, :]
-    return StabilityMatrices(framework=Framework.IB, beta=state.beta,
-                             cluster_index=cluster_index, c_xx=c_xx,
-                             c_yy=c_yy)
+    return StabilityMatrices(
+        framework=Framework.IB, beta=state.beta, cluster_index=cluster_index,
+        c_yy=c_yy,
+        build_c_xx=lambda: (scaled @ rule.T) * q[None, :] - q[None, :])
 
 
 def dual_factors(problem: JointDistribution, state: BottleneckState,
@@ -155,8 +168,8 @@ def build_dual_matrices(problem: JointDistribution, state: BottleneckState,
     :func:`dual_factors`)."""
     a, b = dual_factors(problem, state, cluster_index)
     return StabilityMatrices(framework=Framework.DUAL, beta=state.beta,
-                             cluster_index=cluster_index, c_xx=a @ b,
-                             c_yy=b @ a)
+                             cluster_index=cluster_index, c_yy=b @ a,
+                             build_c_xx=lambda: a @ b)
 
 
 def build_matrices(problem: JointDistribution, state: BottleneckState,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bottleneck_lab import prediction
 from bottleneck_lab.annealing import log_grid, trace_from_csv
 from bottleneck_lab.cli import (
     ValidationError,
@@ -464,6 +465,20 @@ class TestErrorExpCommand:
             .read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 3
         assert lines[0] == "framework,beta,n,p_err,ci_halfwidth,trials,seed"
+
+    def test_both_frameworks_sample_once(self, tmp_path, capsys,
+                                         monkeypatch):
+        draws = []
+        sampler = prediction._empirical_counts
+
+        def counting(*args):
+            draws.append(args)
+            return sampler(*args)
+
+        monkeypatch.setattr(prediction, "_empirical_counts", counting)
+        assert main(self.ARGS + ["--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(draws) == 1
 
     def test_rejects_wrong_schema(self, tmp_path, capsys):
         rc = main(["error-exp", "--classes", str(RULE_FIXTURE),

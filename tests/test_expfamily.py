@@ -24,7 +24,7 @@ from bottleneck_lab.probability import (
 )
 from bottleneck_lab.solvers import (
     derive_state,
-    dual_distortion,
+    distortion_matrix,
     encoder_update,
     solve,
 )
@@ -201,7 +201,7 @@ class TestEncoder:
         exp_state = derive_exp_state(model, encoder, beta)
         table_state = derive_state(problem, "dual", encoder, beta)
         expected = encoder_update(table_state.marginal,
-                                  dual_distortion(problem, table_state),
+                                  distortion_matrix(problem, table_state),
                                   beta)
         np.testing.assert_allclose(reduced_step(model, encoder, beta),
                                    expected, atol=1e-9)

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
+from bottleneck_lab import prediction
 from bottleneck_lab.datasets import binary_overlap5, make_class_mixture
 from bottleneck_lab.prediction import (
     DEFAULT_BETAS,
@@ -301,6 +302,33 @@ class TestPredictionExperiment:
         assert first.trials == 500
         assert first.seed == 6
         assert_array_equal(first.n_values, [1, 4])
+
+    def test_frameworks_share_one_draw(self, monkeypatch):
+        """Several frameworks in one call sample once and give the curves
+        of one call per framework."""
+        cond = make_class_mixture(n_classes=3, n_x=8, seed=2)
+        problem = ClassificationProblem(cond)
+        kwargs = dict(beta_list=[2.0, 8.0], n_values=(1, 4), trials=400,
+                      seed=3)
+        separate = [curve for fw in ("ib", "dual")
+                    for curve in run_prediction_experiment(problem, fw,
+                                                           **kwargs)]
+        draws = []
+        sampler = prediction._empirical_counts
+
+        def counting(*args):
+            draws.append(args)
+            return sampler(*args)
+
+        monkeypatch.setattr(prediction, "_empirical_counts", counting)
+        joint = run_prediction_experiment(problem, ("ib", "dual"), **kwargs)
+        assert len(draws) == 1
+        assert [(c.framework, c.beta) for c in joint] == [
+            ("ib", 2.0), ("ib", 8.0), ("dual", 2.0), ("dual", 8.0)]
+        for got, want in zip(joint, separate):
+            assert (got.framework, got.beta) == (want.framework, want.beta)
+            assert_array_equal(got.p_err, want.p_err)
+            assert_array_equal(got.ci_halfwidth, want.ci_halfwidth)
 
     def test_rejects_bad_arguments(self):
         problem = ClassificationProblem(np.array([[0.3, 0.7], [0.6, 0.4]]))

@@ -285,21 +285,25 @@ class TestLogSumExp:
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
            cols=st.integers(1, 8), log_scale=st.floats(-3.0, 3.0),
-           rounded=st.booleans(), tied=st.booleans(), holes=st.booleans(),
-           dead_row=st.booleans())
+           rounded=st.booleans(), tied=st.sampled_from(["none", "some",
+                                                          "all"]),
+           holes=st.booleans(), dead_row=st.booleans())
     def test_matches_scipy_exactly(self, two_d, seed, rows, cols, log_scale,
                                    rounded, tied, holes, dead_row):
         """Same values, shape and type as ``scipy.special.logsumexp``, with
-        ties at the maximum, ``-inf`` cells in finite rows and an all-``-inf``
-        row, and no floating-point warning."""
+        ties at the maximum in no, some or all rows (the one-maximum fast
+        path and the tie count), ``-inf`` cells in finite rows and an
+        all-``-inf`` row, and no floating-point warning."""
         local = np.random.default_rng(seed)
         a = local.standard_normal((rows, cols)) * 10.0 ** log_scale
         if rounded:
             a = np.round(a, 1)
         if holes:
             a[:, 1:][local.random((rows, cols - 1)) < 0.4] = -np.inf
-        if tied:
-            a[:, -1] = a.max(axis=1)
+        if tied != "none":
+            chosen = (local.random(rows) < 0.5 if tied == "some"
+                      else np.ones(rows, dtype=bool))
+            a[chosen, -1] = a.max(axis=1)[chosen]
         if dead_row:
             a[0] = -np.inf
         if not two_d:
@@ -315,6 +319,18 @@ class TestLogSumExp:
         assert np.array_equal(got, expected)
         if dead_row:
             assert np.atleast_1d(got)[0] == -np.inf
+
+    def test_nan_row_beside_tied_row(self):
+        """A NaN row has no maximum, so the count of maxima can equal the
+        row count while another row is tied; that row still takes the
+        tie count."""
+        a = np.array([[0.5, 0.5, -1.0], [np.nan, 0.0, 1.0]])
+        expected = scipy.special.logsumexp(a, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=1)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.isnan(got[1])
 
     def test_one_log_sum_exp_in_the_package(self):
         for module in (solvers, expfamily, prediction):

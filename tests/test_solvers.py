@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from bottleneck_lab import probability, solvers
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
 from bottleneck_lab.probability import kl_divergence
 from bottleneck_lab.solvers import (
@@ -16,14 +18,15 @@ from bottleneck_lab.solvers import (
     as_framework,
     default_encoder,
     derive_state,
-    dual_distortion,
+    distortion_matrix,
     dual_distortion_split,
     encoder_update,
     expected_distortion,
     functional_value,
-    ib_distortion,
     information_point,
+    prepare_encoder,
     solve,
+    state_observables,
 )
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
@@ -45,8 +48,7 @@ class TestElementarySteps:
         enc = random_encoder(rng, problem.n_x, 3)
         for fw in (Framework.IB, Framework.DUAL):
             state = derive_state(problem, fw, enc, beta=2.0)
-            d = (ib_distortion if fw is Framework.IB else dual_distortion)(
-                problem, state)
+            d = distortion_matrix(problem, state)
             for x in range(problem.n_x):
                 for c in range(3):
                     if fw is Framework.IB:
@@ -176,14 +178,75 @@ class TestSolve:
         assert np.all(np.diff(trace) <= slack)
 
     @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           beta=st.floats(0.0, 16.0), dead=st.integers(0, 5))
+    def test_step_matches_derived_state_update(self, framework, seed, k,
+                                               beta, dead):
+        """One step of ``solve`` is bit for bit the update of the state
+        ``derive_state`` builds, dead (all-zero) encoder columns included,
+        and raises no floating-point warning."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng)
+        enc = random_encoder(rng, problem.n_x, k)
+        enc[:, :min(dead, k - 1)] = 0.0
+        start = prepare_encoder(problem.n_x, None, enc, None)
+        state = derive_state(problem, framework, start, beta)
+        expected = encoder_update(state.marginal,
+                                  distortion_matrix(problem, state), beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepped, report = solve(problem, beta, framework,
+                                    init_encoder=enc, tol=-1.0, max_iter=1,
+                                    track_functional=False)
+        assert report.n_iterations == 1
+        assert np.array_equal(stepped.encoder, expected)
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_functional_trace_matches_state_path(self, framework, rng):
+        """The traced functional is the one ``state_observables`` gives on
+        each derived state, value for value."""
+        problem = random_problem(rng)
+        enc = random_encoder(rng, problem.n_x, 4)
+        enc[:, 0] = 0.0  # one dead cluster
+        _, report = solve(problem, 3.0, framework, init_encoder=enc,
+                          tol=1e-12, max_iter=60)
+        expected = []
+        current = prepare_encoder(problem.n_x, None, enc, None)
+        for _ in range(report.n_iterations):
+            state = derive_state(problem, framework, current, 3.0)
+            d = distortion_matrix(problem, state)
+            expected.append(state_observables(problem, state, d)[3])
+            current = encoder_update(state.marginal, d, 3.0)
+        final = derive_state(problem, framework, current, 3.0)
+        expected.append(state_observables(problem, final)[3])
+        assert np.array_equal(report.functional_trace, expected)
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_dual_solve_calls_logsumexp_once_per_derivation(
+            self, track, rng, monkeypatch):
+        """Each dual step normalizes its decoder once and the final state
+        once more, through the module-level name the tracer wraps."""
+        calls = []
+
+        def counting(a, axis=None):
+            calls.append(axis)
+            return probability.logsumexp(a, axis)
+
+        monkeypatch.setattr(solvers, "logsumexp", counting)
+        _, report = solve(random_problem(rng), 3.0, "dual", n_clusters=3,
+                          rng=rng, track_functional=track)
+        assert report.n_iterations > 1
+        assert len(calls) == report.n_iterations + 1
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_converged_state_is_fixed_point(self, framework, rng):
         problem = random_problem(rng)
         state, report = solve(problem, 3.0, framework, rng=rng, tol=1e-12,
                               max_iter=100_000)
         assert report.converged
-        d = (ib_distortion if framework == "ib" else dual_distortion)(
-            problem, state)
-        again = encoder_update(state.marginal, d, state.beta)
+        again = encoder_update(state.marginal,
+                               distortion_matrix(problem, state), state.beta)
         assert np.max(np.abs(again - state.encoder)) <= 1e-11
 
     def test_bounds_and_report_fields(self, rng):

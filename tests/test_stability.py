@@ -347,6 +347,38 @@ class TestClusterEigenvalues:
         assert np.isfinite(lams[:2]).all()
 
 
+class TestMatrixWork:
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_one_eigensolve_and_lazy_c_xx(self, framework, rng,
+                                          monkeypatch):
+        """Building the matrices eigensolves ``c_yy`` once, and that
+        spectrum serves ``second_eigenvalue``; ``c_xx`` is formed only
+        when read, with the value of the explicit formula."""
+        problem = random_problem(rng)
+        state = converged_state(problem, framework, 3.0, 2, seed=5)
+        lam = build_matrices(problem, state, 0).second_eigenvalue()
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        mats = build_matrices(problem, state, 0)
+        assert mats.second_eigenvalue() == lam
+        assert calls == [(problem.n_y, problem.n_y)]
+        assert "c_xx" not in vars(mats)
+        if framework == "dual":
+            a, b = dual_factors(problem, state, 0)
+            np.testing.assert_array_equal(mats.c_xx, a @ b)
+        else:
+            q, rule = state.weights[0], problem.rule
+            scaled = rule / (q @ rule)[None, :]
+            np.testing.assert_array_equal(
+                mats.c_xx, (scaled @ rule.T) * q[None, :] - q[None, :])
+
+
 class TestCriticalPoints:
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_first_transition_of_demo_problem(self, framework):
