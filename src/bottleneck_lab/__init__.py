@@ -40,9 +40,7 @@ from .annealing import (  # noqa: E402
     sweep,
     sweep_with_states,
     trace_from_csv,
-    trace_from_json,
     trace_to_csv,
-    trace_to_json,
 )
 from .datasets import binary_overlap5, make_class_mixture  # noqa: E402
 from .expfamily import (  # noqa: E402
@@ -114,9 +112,7 @@ __all__ = [
     "sweep",
     "sweep_with_states",
     "trace_from_csv",
-    "trace_from_json",
     "trace_to_csv",
-    "trace_to_json",
     "binary_overlap5",
     "make_class_mixture",
     "ClosedFormInformation",

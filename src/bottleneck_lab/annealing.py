@@ -14,9 +14,7 @@ runs and independent of how earlier grid points were computed.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -27,9 +25,11 @@ from .solvers import (
     DEFAULT_TOL,
     as_framework,
     derive_state,
-    solve,
     state_observables,
 )
+# Sweep solves record their own observables, so they run the report-free
+# solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
+from .solvers import fixed_point as solve
 
 #: Clusters whose merged marginal mass falls below this are dropped during
 #: the merge step (they cannot re-acquire mass and would otherwise double on
@@ -146,10 +146,10 @@ class TableBackend:
         return derive_state(self.problem, self.framework, encoder, beta)
 
     def solve_from(self, state, beta: float, tol: float, max_iter: int):
-        new_state, report = solve(self.problem, beta, self.framework,
-                                  init_encoder=state.encoder, tol=tol,
-                                  max_iter=max_iter, track_functional=False)
-        return new_state, report.n_iterations, report.converged
+        new_state, run = solve(self.problem, beta, self.framework,
+                               init_encoder=state.encoder, tol=tol,
+                               max_iter=max_iter)
+        return new_state, run.n_iterations, run.converged
 
     def observables(self, state) -> tuple[float, float, float]:
         i_x, i_y, _, functional = state_observables(self.problem, state)
@@ -269,36 +269,4 @@ def trace_from_csv(path) -> AnnealTrace:
             functional=float(cells[4]), n_iterations=int(cells[5]),
             effective_clusters=int(cells[6]), converged=cells[7] == "true",
             decoder=decoder))
-    return trace
-
-
-def trace_to_json(trace: AnnealTrace, path) -> None:
-    """Write a trace (with split metadata) as JSON."""
-    payload = {
-        "framework": trace.framework,
-        "n_y": trace.n_y,
-        "units": "nats",
-        "split": None if trace.split is None else vars(trace.split),
-        "records": [{
-            "beta": r.beta, "i_x": r.i_x, "i_y": r.i_y,
-            "functional": r.functional, "n_iterations": r.n_iterations,
-            "effective_clusters": r.effective_clusters,
-            "converged": r.converged, "decoder": r.decoder.tolist(),
-        } for r in trace.records],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def trace_from_json(path) -> AnnealTrace:
-    payload = json.loads(Path(path).read_text())
-    split = (SplitConfig(**payload["split"])
-             if payload.get("split") is not None else None)
-    trace = AnnealTrace(framework=payload["framework"], n_y=payload["n_y"],
-                        split=split)
-    for r in payload["records"]:
-        trace.records.append(SweepRecord(
-            beta=r["beta"], i_x=r["i_x"], i_y=r["i_y"],
-            functional=r["functional"], n_iterations=r["n_iterations"],
-            effective_clusters=r["effective_clusters"],
-            converged=r["converged"], decoder=np.array(r["decoder"])))
     return trace

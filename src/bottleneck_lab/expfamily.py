@@ -30,9 +30,10 @@ from .probability import (
     smooth_rows,
 )
 from .solvers import (
-    DEAD_CLUSTER_MASS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    ClusterCounts,
+    FixedPointRun,
     Framework,
     SolveReport,
     cluster_label_joint,
@@ -164,7 +165,7 @@ class ExpFamilyModel:
 
 
 @dataclass
-class ExpState:
+class ExpState(ClusterCounts):
     """Reduced snapshot of the prediction-side solver.
 
     All cluster quantities are derived from ``encoder``:
@@ -183,18 +184,8 @@ class ExpState:
     log_decoder: np.ndarray          # (k, n_y)
 
     @property
-    def n_clusters(self) -> int:
-        return self.encoder.shape[1]
-
-    @property
     def decoder(self) -> np.ndarray:
         return np.exp(self.log_decoder)
-
-    def alive(self) -> np.ndarray:
-        return self.marginal > DEAD_CLUSTER_MASS
-
-    def effective_clusters(self) -> int:
-        return int(np.count_nonzero(self.alive()))
 
 
 def _effective_distortion(model: ExpFamilyModel,
@@ -288,21 +279,16 @@ def closed_information(model: ExpFamilyModel,
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
 
-def exp_solve(model: ExpFamilyModel, beta: float, *,
-              n_clusters: int | None = None,
-              init_encoder: np.ndarray | None = None,
-              rng: np.random.Generator | None = None,
-              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              track_functional: bool = True
-              ) -> tuple[ExpState, SolveReport]:
-    """Fixed-``beta`` alternating updates in the reduced parametrization.
-
-    Same contract as ``solve(..., framework='dual')`` — identical
-    initialization precedence, stopping rule, and report fields — but the
-    iteration touches only d-dimensional aggregates.  The report's ``i_y``
-    is the mutual information through the cluster variable, assembled from
-    the model's rule rows once, after the loop.
-    """
+def exp_fixed_point(model: ExpFamilyModel, beta: float, *,
+                    n_clusters: int | None = None,
+                    init_encoder: np.ndarray | None = None,
+                    rng: np.random.Generator | None = None,
+                    tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER,
+                    track_functional: bool = False
+                    ) -> tuple[ExpState, FixedPointRun]:
+    """The updates of :func:`exp_solve` without its report: the state
+    rebuilt from the final encoder, and what the loop did."""
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     enc = prepare_encoder(model.n_x, n_clusters, init_encoder, rng)
@@ -315,17 +301,26 @@ def exp_solve(model: ExpFamilyModel, beta: float, *,
                                _effective_distortion(model, state), beta),
                 functional)
 
-    enc, iterations, delta, converged, trace = iterate(
-        step, enc, tol, max_iter, track_functional)
-    state = derive_exp_state(model, enc, beta)
-    i_x, i_y, mean_d, functional = _reduced_observables(model, state)
-    report = SolveReport(
-        framework=Framework.DUAL, beta=float(beta), converged=converged,
-        n_iterations=iterations, i_x=i_x, i_y=i_y, functional=functional,
-        expected_distortion=mean_d, encoder_delta=delta,
-        functional_trace=None if trace is None
-        else np.asarray(trace + [functional]))
-    return state, report
+    enc, run = iterate(step, enc, tol, max_iter, track_functional)
+    return derive_exp_state(model, enc, beta), run
+
+
+def exp_solve(model: ExpFamilyModel, beta: float, *,
+              track_functional: bool = True, **options
+              ) -> tuple[ExpState, SolveReport]:
+    """Fixed-``beta`` alternating updates in the reduced parametrization.
+
+    Same contract as ``solve(..., framework='dual')`` — identical options
+    (those of :func:`exp_fixed_point`), initialization precedence, stopping
+    rule, and report fields — but the iteration touches only d-dimensional
+    aggregates.  The report's ``i_y`` is the mutual information through the
+    cluster variable, assembled from the model's rule rows once, after the
+    loop.
+    """
+    state, run = exp_fixed_point(model, beta,
+                                 track_functional=track_functional, **options)
+    return state, run.report(Framework.DUAL, beta,
+                             _reduced_observables(model, state))
 
 
 class ExpBackend:
@@ -349,11 +344,10 @@ class ExpBackend:
 
     def solve_from(self, state: ExpState, beta: float, tol: float,
                    max_iter: int):
-        new_state, report = exp_solve(self.model, beta,
-                                      init_encoder=state.encoder, tol=tol,
-                                      max_iter=max_iter,
-                                      track_functional=False)
-        return new_state, report.n_iterations, report.converged
+        new_state, run = exp_fixed_point(self.model, beta,
+                                         init_encoder=state.encoder, tol=tol,
+                                         max_iter=max_iter)
+        return new_state, run.n_iterations, run.converged
 
     def observables(self, state: ExpState) -> tuple[float, float, float]:
         i_x, i_y, _, functional = _reduced_observables(self.model, state)

@@ -263,6 +263,16 @@ class JointDistribution:
         """``sum_y rule[x, y] * log rule[x, y]`` per input (n_x,)."""
         return np.sum(self.rule * self.log_rule, axis=1)
 
+    @cached_property
+    def ib_table(self) -> np.ndarray:
+        """``[p(x, y) | p(x)]``, the ib solver's statistics table."""
+        return np.column_stack([self.joint, self.p_x])
+
+    @cached_property
+    def dual_table(self) -> np.ndarray:
+        """``[p(x) log p(y|x) | p(x)]``, the dual solver's statistics table."""
+        return np.column_stack([self.p_x[:, None] * self.log_rule, self.p_x])
+
     def mutual_information(self) -> float:
         """``I(X;Y)`` of the stored joint, in nats."""
         return mutual_information(self.joint)

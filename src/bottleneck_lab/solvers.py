@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -53,8 +54,24 @@ def as_framework(value) -> Framework:
             f"unknown framework {value!r}; expected 'ib' or 'dual'") from None
 
 
+class ClusterCounts:
+    """Cluster bookkeeping of a state with an ``encoder`` (n_x, k) and its
+    ``marginal`` (k,); the table and reduced solvers' states share it."""
+
+    @property
+    def n_clusters(self) -> int:
+        return self.encoder.shape[1]
+
+    def alive(self) -> np.ndarray:
+        """Boolean mask of clusters carrying mass above the dead threshold."""
+        return self.marginal > DEAD_CLUSTER_MASS
+
+    def effective_clusters(self) -> int:
+        return int(np.count_nonzero(self.alive()))
+
+
 @dataclass
-class BottleneckState:
+class BottleneckState(ClusterCounts):
     """One self-consistent snapshot of a solver.
 
     ``marginal``, ``weights`` and ``decoder`` are always the ones *derived*
@@ -74,17 +91,6 @@ class BottleneckState:
     log_decoder: np.ndarray    # (k, n_y)
     log_z: np.ndarray | None = None
 
-    @property
-    def n_clusters(self) -> int:
-        return self.encoder.shape[1]
-
-    def alive(self) -> np.ndarray:
-        """Boolean mask of clusters carrying mass above the dead threshold."""
-        return self.marginal > DEAD_CLUSTER_MASS
-
-    def effective_clusters(self) -> int:
-        return int(np.count_nonzero(self.alive()))
-
 
 @dataclass
 class SolveReport:
@@ -100,6 +106,30 @@ class SolveReport:
     expected_distortion: float
     encoder_delta: float
     functional_trace: np.ndarray | None = None
+
+
+class FixedPointRun(NamedTuple):
+    """What the loop of one solve did; ``functionals`` lists the functional
+    before each step when traced, else it is ``None``."""
+
+    converged: bool
+    n_iterations: int
+    encoder_delta: float
+    functionals: list[float] | None
+
+    def report(self, framework: Framework, beta: float,
+               observables: tuple[float, float, float, float]
+               ) -> SolveReport:
+        """The :class:`SolveReport` of this run, given the final state's
+        ``(I(X;Xhat), I(Y;Xhat), E[d], functional)``."""
+        i_x, i_y, mean_d, functional = observables
+        return SolveReport(
+            framework=framework, beta=float(beta), converged=self.converged,
+            n_iterations=self.n_iterations, i_x=i_x, i_y=i_y,
+            functional=functional, expected_distortion=mean_d,
+            encoder_delta=self.encoder_delta,
+            functional_trace=None if self.functionals is None
+            else np.asarray(self.functionals + [functional]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,53 +158,50 @@ def inverse_encoder(encoder: np.ndarray,
     return marginal, joint.T
 
 
-def _bayes_decoder(problem: JointDistribution, weights: np.ndarray):
-    """``(decoder, log_decoder, None)`` of the ib update: the mixture
-    ``weights @ rule`` of rule rows."""
-    decoder = weights @ problem.rule
-    return decoder, np.log(decoder), None
+def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
+    """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` is
+    ``(k, n_y + 1)``, its last column the marginal ``p(xhat)``; the others
+    divided by it give the Bayes decoder (``ib_table``) or
+    ``weights @ log_rule`` (``dual_table``).  Dead (zero-mass) clusters get
+    the table's column sums, the statistics of the prior placeholder of
+    :func:`inverse_encoder`; ``dead`` masks them (``None`` if there are none).
+    """
+    stats = encoder.T @ table
+    marginal = stats[:, -1]
+    # Validated encoders give finite masses; counting is the cheapest test.
+    if np.count_nonzero(marginal) == marginal.size:
+        return marginal, stats, None
+    marginal = marginal.copy()
+    dead = ~(marginal > 0.0)
+    stats[dead] = table.sum(axis=0)
+    return marginal, stats, dead
 
 
-def _geometric_decoder(problem: JointDistribution, weights: np.ndarray):
-    """``(decoder, log_decoder, log_z)`` of the dual update: the normalized
-    geometric mixture ``exp(weights @ log_rule - log_z)`` of rule rows."""
-    log_unnorm = weights @ problem.log_rule
-    log_z = logsumexp(log_unnorm, axis=1)
-    log_decoder = log_unnorm - log_z[:, None]
+def _decode(framework: Framework, stats: np.ndarray):
+    """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
+    Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
+    normalized geometric mixture ``exp(weights @ log_rule - log_z)``."""
+    ratio = stats[:, :-1] / stats[:, -1:]
+    if framework is Framework.IB:
+        return ratio, np.log(ratio), None
+    log_z = logsumexp(ratio, axis=1)
+    log_decoder = ratio - log_z[:, None]
     return np.exp(log_decoder), log_decoder, log_z
-
-
-def _ib_cost(problem: JointDistribution, decoder: np.ndarray,
-             log_decoder: np.ndarray) -> np.ndarray:
-    """``d[x, c] = KL(rule row x || decoder row c)``."""
-    return (problem.rule_neg_entropy[:, None]
-            - problem.rule @ log_decoder.T)
-
-
-def _dual_cost(problem: JointDistribution, decoder: np.ndarray,
-               log_decoder: np.ndarray) -> np.ndarray:
-    """``d[x, c] = KL(decoder row c || rule row x)``."""
-    dec_neg_entropy = xlogy(decoder, decoder).sum(axis=1)
-    return dec_neg_entropy - problem.log_rule @ decoder.T
-
-
-#: Per framework, the decoder built from the weights and the per-pair cost
-#: built from that decoder.  ``derive_state`` and the solver step share them.
-_UPDATES = {Framework.IB: (_bayes_decoder, _ib_cost),
-            Framework.DUAL: (_geometric_decoder, _dual_cost)}
 
 
 def derive_state(problem: JointDistribution, framework,
                  encoder: np.ndarray, beta: float) -> BottleneckState:
     """Recompute marginal / weights / decoder implied by an encoder."""
     framework = as_framework(framework)
-    marginal, weights = inverse_encoder(encoder, problem.p_x)
-    decode = _UPDATES[framework][0]
-    decoder, log_decoder, log_z = decode(problem, weights)
+    table = (problem.ib_table if framework is Framework.IB
+             else problem.dual_table)
+    marginal, stats, _ = _cluster_statistics(encoder, table)
+    decoder, log_decoder, log_z = _decode(framework, stats)
     return BottleneckState(framework=framework, beta=float(beta),
                            encoder=encoder, marginal=marginal,
-                           weights=weights, decoder=decoder,
-                           log_decoder=log_decoder, log_z=log_z)
+                           weights=inverse_encoder(encoder, problem.p_x)[1],
+                           decoder=decoder, log_decoder=log_decoder,
+                           log_z=log_z)
 
 
 def distortion_matrix(problem: JointDistribution,
@@ -182,8 +209,20 @@ def distortion_matrix(problem: JointDistribution,
     """The ``(n_x, k)`` per-pair cost of the state's framework:
     ``KL(rule row x || decoder row c)`` for ``ib``,
     ``KL(decoder row c || rule row x)`` for ``dual``."""
-    cost = _UPDATES[state.framework][1]
-    return cost(problem, state.decoder, state.log_decoder)
+    if state.framework is Framework.IB:
+        return (problem.rule_neg_entropy[:, None]
+                - problem.rule @ state.log_decoder.T)
+    dec_neg_entropy = xlogy(state.decoder, state.decoder).sum(axis=1)
+    return dec_neg_entropy - problem.log_rule @ state.decoder.T
+
+
+def _row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax, in place, with a per-row max shift; ``-inf`` logits
+    give exact zeros."""
+    logits -= logits.max(axis=1, keepdims=True)
+    enc = np.exp(logits, out=logits)
+    enc /= enc.sum(axis=1, keepdims=True)
+    return enc
 
 
 def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
@@ -200,11 +239,7 @@ def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
     else:
         with np.errstate(divide="ignore"):
             log_marginal = np.log(marginal)
-    logits = log_marginal - beta * distortion
-    logits -= logits.max(axis=1, keepdims=True)
-    enc = np.exp(logits)
-    enc /= enc.sum(axis=1, keepdims=True)
-    return enc
+    return _row_softmax(log_marginal - beta * distortion)
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +274,19 @@ def information_point(problem: JointDistribution,
     return i_x, i_y
 
 
-def state_observables(problem: JointDistribution, state: BottleneckState,
-                      distortion: np.ndarray | None = None
+def state_observables(problem: JointDistribution, state: BottleneckState
                       ) -> tuple[float, float, float, float]:
     """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state, in nats.
 
-    ``E[d]`` is the mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``
-    (``distortion`` is the state's cost matrix, when the caller has it);
+    ``E[d]`` is the mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``;
     the functional is what each framework minimizes:
 
     ``ib``:   ``I(X;Xhat) - beta * I(Y;Xhat)``
     ``dual``: ``I(X;Xhat) + beta * E[KL(decoder || rule)]``
     """
     i_x, i_y = information_point(problem, state)
-    if distortion is None:
-        distortion = distortion_matrix(problem, state)
-    mean_d = float(np.sum(problem.p_x[:, None] * state.encoder * distortion))
+    mean_d = float(np.sum(problem.p_x[:, None] * state.encoder
+                          * distortion_matrix(problem, state)))
     if state.framework is Framework.IB:
         return i_x, i_y, mean_d, i_x - state.beta * i_y
     return i_x, i_y, mean_d, i_x + state.beta * mean_d
@@ -325,6 +357,8 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
         if enc.ndim != 2 or enc.shape[0] != n_x:
             raise ValueError(
                 f"init_encoder must have shape ({n_x}, k); got {enc.shape}")
+        if not np.isfinite(enc).all():
+            raise ValueError("init_encoder must be finite")
         row_sums = enc.sum(axis=1, keepdims=True)
         if np.any(row_sums <= 0.0) or enc.min() < 0.0:
             raise ValueError("init_encoder rows must be non-negative "
@@ -339,14 +373,13 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
 
 
 def iterate(step, encoder: np.ndarray, tol: float, max_iter: int,
-            trace: bool):
+            trace: bool) -> tuple[np.ndarray, FixedPointRun]:
     """The fixed-point loop shared by every solver.
 
     ``step(encoder, traced)`` returns the next encoder and, when ``traced``,
     the functional at ``encoder`` (else ``None``).  Stops once a step moves
     the encoder by at most ``tol`` in sup norm, or after ``max_iter`` steps.
-    Returns ``(encoder, n_iterations, delta, converged, functionals)``, where
-    ``functionals`` lists the traced values (``None`` unless ``trace``).
+    Returns the final encoder and the :class:`FixedPointRun`.
     """
     functionals: list[float] | None = [] if trace else None
     delta = np.inf
@@ -361,55 +394,80 @@ def iterate(step, encoder: np.ndarray, tol: float, max_iter: int,
         if delta <= tol:
             converged = True
             break
-    return encoder, iterations, delta, converged, functionals
+    return encoder, FixedPointRun(converged, iterations, delta, functionals)
 
 
-def solve(problem: JointDistribution, beta: float, framework,
-          *, n_clusters: int | None = None,
-          init_encoder: np.ndarray | None = None,
-          rng: np.random.Generator | None = None,
-          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-          track_functional: bool = True
-          ) -> tuple[BottleneckState, SolveReport]:
-    """Run the alternating updates at a fixed ``beta`` until the encoder
-    moves less than ``tol`` in sup norm (or ``max_iter`` is hit).
+def fixed_point(problem: JointDistribution, beta: float, framework,
+                *, n_clusters: int | None = None,
+                init_encoder: np.ndarray | None = None,
+                rng: np.random.Generator | None = None,
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                track_functional: bool = False
+                ) -> tuple[BottleneckState, FixedPointRun]:
+    """The updates of :func:`solve` without its report: the state rebuilt
+    from the final encoder, and what the loop did.
 
-    Initialization precedence: ``init_encoder`` if given, else random
-    Dirichlet rows from ``rng`` if given, else a deterministic broad mix
-    over ``n_clusters`` (default ``n_x``) clusters.  The returned state is
-    rebuilt from the final encoder, so marginal, weights and decoder are
-    exactly consistent with it.
+    A step takes the cluster statistics of the encoder, forms the logits
+    ``log p(xhat) - beta * d[x, xhat]`` up to a per-row constant (which the
+    row softmax ignores) and softmaxes them.  For ib the logits are
+    ``[beta * rule | 1 - beta * rowsum(rule)] @ log(stats).T``; for dual,
+    ``beta * log_rule @ dec.T + log p(xhat) - beta * sum_y dec log dec``.
+    Dead clusters get ``-inf`` logits, so they stay at exactly zero.
     """
     framework = as_framework(framework)
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     enc = prepare_encoder(problem.n_x, n_clusters, init_encoder, rng)
-    decode, cost = _UPDATES[framework]
-    p_x = problem.p_x
+    ib = framework is Framework.IB
+    table = problem.ib_table if ib else problem.dual_table
+    if ib:
+        coefficients = np.column_stack(
+            [beta * problem.rule, 1.0 - beta * problem.rule.sum(axis=1)])
+    else:
+        beta_log_rule = beta * problem.log_rule
 
-    # The arithmetic of derive_state + distortion_matrix + encoder_update,
-    # fused: a state is assembled only when the functional is traced.
     def step(encoder, traced):
-        marginal, weights = inverse_encoder(encoder, p_x)
-        decoder, log_decoder, log_z = decode(problem, weights)
-        d = cost(problem, decoder, log_decoder)
+        marginal, stats, dead = _cluster_statistics(encoder, table)
+        decoded = _decode(framework, stats) if traced or not ib else None
+        if ib:
+            logits = coefficients @ np.log(stats).T
+        else:
+            decoder, log_decoder, _ = decoded
+            logits = beta_log_rule @ decoder.T + (
+                np.log(stats[:, -1])
+                - beta * (decoder * log_decoder).sum(axis=1))
+        if dead is not None:
+            logits[:, dead] = -np.inf
         functional = None
         if traced:
+            decoder, log_decoder, log_z = decoded
             state = BottleneckState(
                 framework=framework, beta=float(beta), encoder=encoder,
-                marginal=marginal, weights=weights, decoder=decoder,
-                log_decoder=log_decoder, log_z=log_z)
-            functional = state_observables(problem, state, d)[3]
-        return encoder_update(marginal, d, beta), functional
+                marginal=marginal,
+                weights=inverse_encoder(encoder, problem.p_x)[1],
+                decoder=decoder, log_decoder=log_decoder, log_z=log_z)
+            functional = state_observables(problem, state)[3]
+        return _row_softmax(logits), functional
 
-    enc, iterations, delta, converged, trace = iterate(
-        step, enc, tol, max_iter, track_functional)
-    state = derive_state(problem, framework, enc, beta)
-    i_x, i_y, mean_d, functional = state_observables(problem, state)
-    report = SolveReport(
-        framework=framework, beta=float(beta), converged=converged,
-        n_iterations=iterations, i_x=i_x, i_y=i_y, functional=functional,
-        expected_distortion=mean_d, encoder_delta=delta,
-        functional_trace=None if trace is None
-        else np.asarray(trace + [functional]))
-    return state, report
+    enc, run = iterate(step, enc, tol, max_iter, track_functional)
+    return derive_state(problem, framework, enc, beta), run
+
+
+def solve(problem: JointDistribution, beta: float, framework, *,
+          track_functional: bool = True, **options
+          ) -> tuple[BottleneckState, SolveReport]:
+    """Run the alternating updates at a fixed ``beta`` until the encoder
+    moves less than ``tol`` in sup norm (or ``max_iter`` is hit).
+
+    ``options`` are those of :func:`fixed_point`: ``n_clusters``,
+    ``init_encoder``, ``rng``, ``tol`` and ``max_iter``.  Initialization
+    precedence: ``init_encoder`` if given, else random Dirichlet rows from
+    ``rng`` if given, else a deterministic broad mix over ``n_clusters``
+    (default ``n_x``) clusters.  The returned state is rebuilt from the
+    final encoder, so marginal, weights and decoder are exactly consistent
+    with it.
+    """
+    state, run = fixed_point(problem, beta, framework,
+                             track_functional=track_functional, **options)
+    return state, run.report(state.framework, beta,
+                             state_observables(problem, state))

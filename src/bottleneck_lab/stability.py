@@ -39,8 +39,10 @@ from .solvers import (
     BottleneckState,
     Framework,
     as_framework,
-    solve,
 )
+# Bisection reads only the solved states, so it runs the report-free
+# solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
+from .solvers import fixed_point as solve
 
 #: Eigenvalues whose imaginary part exceeds this trigger a warning when a
 #: real "second eigenvalue" is requested.
@@ -256,7 +258,7 @@ def find_critical_points(problem: JointDistribution, framework, betas, *,
         gaps_lo = _stability_gaps(problem, parent)
         state_hi, _ = solve(problem, beta_hi, framework,
                             init_encoder=parent.encoder, tol=tol,
-                            max_iter=max_iter, track_functional=False)
+                            max_iter=max_iter)
         gaps_hi = _stability_gaps(problem, state_hi)
         crossing = np.flatnonzero((gaps_lo < 0.0) & (gaps_hi >= 0.0))
         if crossing.size == 0:
@@ -285,7 +287,7 @@ def _bisect_branch(problem, framework, parent, cluster, beta_lo, beta_hi,
         beta_mid = 0.5 * (lo + hi)
         warm, _ = solve(problem, beta_mid, framework,
                         init_encoder=warm.encoder, tol=tol,
-                        max_iter=max_iter, track_functional=False)
+                        max_iter=max_iter)
         lam = build_matrices(problem, warm, cluster).second_eigenvalue()
         gap = beta_mid * lam - 1.0
         if abs(gap) <= g_tol:

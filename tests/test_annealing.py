@@ -13,9 +13,7 @@ from bottleneck_lab.annealing import (
     sweep,
     sweep_with_states,
     trace_from_csv,
-    trace_from_json,
     trace_to_csv,
-    trace_to_json,
 )
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.solvers import solve
@@ -215,15 +213,6 @@ class TestSerialization:
         # units column says nats on every row
         for line in path.read_text().splitlines()[1:]:
             assert line.split(",")[8] == "nats"
-
-    def test_json_round_trip(self, small_trace, tmp_path):
-        path = tmp_path / "trace.json"
-        trace_to_json(small_trace, path)
-        back = trace_from_json(path)
-        assert back.split == small_trace.split
-        for a, b in zip(small_trace.records, back.records):
-            assert a.beta == b.beta and a.functional == b.functional
-            np.testing.assert_array_equal(a.decoder, b.decoder)
 
     def test_ragged_decoder_cells(self, tmp_path):
         """Records with fewer clusters than the widest leave empty cells."""

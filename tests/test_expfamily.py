@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bottleneck_lab import expfamily
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
@@ -324,6 +325,21 @@ class TestSolve:
 
 
 class TestSweepEquivalence:
+    def test_observables_once_per_grid_point(self, monkeypatch):
+        """A reduced sweep computes each grid point's observables once,
+        for its record, not also in the solve."""
+        calls = []
+        original = expfamily._reduced_observables
+
+        def counting(model, state):
+            calls.append(state.beta)
+            return original(model, state)
+
+        monkeypatch.setattr(expfamily, "_reduced_observables", counting)
+        betas = log_grid(0.5, 16.0, 6)
+        exp_sweep(ExpFamilyModel.from_conditional(binary_overlap5()), betas)
+        assert calls == betas.tolist()
+
     def test_branches_match_full_table_sweep(self):
         problem = binary_overlap5()
         model = ExpFamilyModel.from_conditional(problem)

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bottleneck_lab import probability, solvers
+from bottleneck_lab.annealing import (
+    SplitConfig,
+    TableBackend,
+    log_grid,
+    run_sweep,
+    sweep,
+)
+from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
-from bottleneck_lab.probability import kl_divergence
+from bottleneck_lab.probability import JointDistribution, kl_divergence
 from bottleneck_lab.solvers import (
     Framework,
     as_framework,
@@ -183,13 +191,15 @@ class TestSolve:
            beta=st.floats(0.0, 16.0), dead=st.integers(0, 5))
     def test_step_matches_derived_state_update(self, framework, seed, k,
                                                beta, dead):
-        """One step of ``solve`` is bit for bit the update of the state
-        ``derive_state`` builds, dead (all-zero) encoder columns included,
-        and raises no floating-point warning."""
+        """One step of ``solve`` (the statistics-table step) is the
+        cost-based update of the state ``derive_state`` builds within
+        rounding, keeps dead (all-zero) encoder columns at exactly zero, and
+        raises no floating-point warning."""
         rng = np.random.default_rng(seed)
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, k)
-        enc[:, :min(dead, k - 1)] = 0.0
+        n_dead = min(dead, k - 1)
+        enc[:, :n_dead] = 0.0
         start = prepare_encoder(problem.n_x, None, enc, None)
         state = derive_state(problem, framework, start, beta)
         expected = encoder_update(state.marginal,
@@ -200,26 +210,80 @@ class TestSolve:
                                     init_encoder=enc, tol=-1.0, max_iter=1,
                                     track_functional=False)
         assert report.n_iterations == 1
-        assert np.array_equal(stepped.encoder, expected)
+        assert np.max(np.abs(stepped.encoder - expected)) <= 1e-13
+        assert not stepped.encoder[:, :n_dead].any()
+
+    @pytest.mark.parametrize("beta", [0.0, 3.0, 16.0])
+    def test_ib_step_does_not_assume_normalized_rows(self, beta, rng):
+        """The ib logits drop only the per-row constant
+        ``beta * sum_y r log r`` of the cost, whatever the rule rows sum to
+        (stored rows sum to one only up to rounding): on rows scaled off
+        normalization the step still equals the cost-based update."""
+        base = random_problem(rng)
+        rule = base.rule * rng.uniform(0.5, 2.0, size=(base.n_x, 1))
+        joint = base.p_x[:, None] * rule
+        problem = JointDistribution(p_x=base.p_x, rule=rule,
+                                    log_rule=np.log(rule), joint=joint,
+                                    p_y=joint.sum(axis=0))
+        enc = random_encoder(rng, problem.n_x, 4)
+        state = derive_state(problem, "ib", enc, beta)
+        expected = encoder_update(state.marginal,
+                                  distortion_matrix(problem, state), beta)
+        stepped, _ = solvers.fixed_point(problem, beta, "ib",
+                                         init_encoder=enc, tol=-1.0,
+                                         max_iter=1)
+        assert np.max(np.abs(stepped.encoder - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_sweep_matches_reference_step(self, framework):
+        """A golden-table sweep with the statistics-table step follows the
+        branch of one whose step is the cost-based update of
+        ``derive_state`` / ``distortion_matrix`` / ``encoder_update``, run
+        through the same loop."""
+        problem = binary_overlap5()
+
+        class ReferenceBackend(TableBackend):
+            def solve_from(self, state, beta, tol, max_iter):
+                def step(encoder, traced):
+                    now = derive_state(problem, framework, encoder, beta)
+                    d = distortion_matrix(problem, now)
+                    return encoder_update(now.marginal, d, beta), None
+
+                enc = prepare_encoder(problem.n_x, None, state.encoder, None)
+                enc, run = solvers.iterate(step, enc, tol, max_iter, False)
+                return (derive_state(problem, framework, enc, beta),
+                        run.n_iterations, run.converged)
+
+        betas = log_grid(0.25, 64.0, 60)
+        new = sweep(problem, framework, betas, tol=1e-12)
+        reference, _ = run_sweep(ReferenceBackend(problem, framework),
+                                 betas, SplitConfig(), 1e-12,
+                                 solvers.DEFAULT_MAX_ITER)
+        assert (new.column("effective_clusters").tolist()
+                == reference.column("effective_clusters").tolist())
+        assert new.column("converged").all()
+        for name in ("i_x", "i_y"):
+            np.testing.assert_allclose(new.column(name),
+                                       reference.column(name), rtol=0,
+                                       atol=1e-10)
 
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_functional_trace_matches_state_path(self, framework, rng):
         """The traced functional is the one ``state_observables`` gives on
-        each derived state, value for value."""
+        each state ``derive_state`` builds along the solver's own path,
+        value for value."""
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 4)
         enc[:, 0] = 0.0  # one dead cluster
         _, report = solve(problem, 3.0, framework, init_encoder=enc,
                           tol=1e-12, max_iter=60)
         expected = []
-        current = prepare_encoder(problem.n_x, None, enc, None)
-        for _ in range(report.n_iterations):
-            state = derive_state(problem, framework, current, 3.0)
-            d = distortion_matrix(problem, state)
-            expected.append(state_observables(problem, state, d)[3])
-            current = encoder_update(state.marginal, d, 3.0)
-        final = derive_state(problem, framework, current, 3.0)
-        expected.append(state_observables(problem, final)[3])
+        for n in range(report.n_iterations + 1):
+            # The state after n steps of the same (deterministic) loop.
+            state, _ = solvers.fixed_point(problem, 3.0, framework,
+                                           init_encoder=enc, tol=-1.0,
+                                           max_iter=n)
+            expected.append(state_observables(problem, state)[3])
         assert np.array_equal(report.functional_trace, expected)
 
     @pytest.mark.parametrize("track", [False, True])
@@ -283,6 +347,14 @@ class TestSolve:
             solve(problem, -1.0, "ib")
         with pytest.raises(ValueError):
             solve(problem, 1.0, "ib", n_clusters=0)
+
+    def test_non_finite_init_rejected_before_iterating(self):
+        """A NaN cell is refused up front, not after ``max_iter`` steps by
+        the report's validated mutual information."""
+        enc = np.full((5, 2), 0.5)
+        enc[2, 1] = np.nan
+        with pytest.raises(ValueError, match="init_encoder must be finite"):
+            solve(binary_overlap5(), 2.0, "ib", init_encoder=enc, max_iter=50)
 
     def test_default_encoder_rows_normalized(self):
         enc = default_encoder(5, 3)

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from bottleneck_lab.annealing import log_grid
+from bottleneck_lab import annealing, solvers
+from bottleneck_lab.annealing import log_grid, sweep_with_states
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import (
@@ -377,6 +378,29 @@ class TestMatrixWork:
             scaled = rule / (q @ rule)[None, :]
             np.testing.assert_array_equal(
                 mats.c_xx, (scaled @ rule.T) * q[None, :] - q[None, :])
+
+
+class TestObservableWork:
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_once_per_grid_point_and_never_in_bisection(self, framework,
+                                                        monkeypatch):
+        """A sweep computes the observables of each grid point once, for
+        its record, and bisection solves compute none."""
+        calls = []
+        for module in (solvers, annealing):
+            def counting(*args, _original=module.state_observables):
+                calls.append(args[1].beta)
+                return _original(*args)
+            monkeypatch.setattr(module, "state_observables", counting)
+        problem = binary_overlap5()
+        betas = log_grid(3.0, 6.0, 8)
+        result = sweep_with_states(problem, framework, betas)
+        assert calls == betas.tolist()
+        calls.clear()
+        report = find_critical_points(problem, framework, betas,
+                                      sweep_result=result)
+        assert report.points
+        assert calls == []
 
 
 class TestCriticalPoints:
