@@ -16,7 +16,12 @@ Problem files are JSON objects holding exactly one of three schemas
     and ``smoothing_epsilon`` (defaults to 0 — measurement data is not
     silently perturbed).
 
-Flag values win over ``--config`` file entries, which win over built-in
+Every setting is one field of :class:`RunConfig`, whose metadata holds
+its type, check, default and flag; ``--config`` file keys are the field
+names (``problem_path`` for ``--problem``/``--classes``, ``beta_list``
+for ``--betas``) and a ``null`` value leaves the setting unset.  A file
+value is converted and checked exactly as its flag's would be.  Flag
+values win over ``--config`` file entries, which win over built-in
 defaults; the effective configuration of every run is echoed to
 ``run_config.json`` in the output directory.  Stored CSV/JSON artifacts
 are always in nats (with a units column where applicable); ``--units
@@ -34,7 +39,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,29 +72,6 @@ _DOC_KEYS = {"name", "description"}
 
 class ValidationError(ValueError):
     """User-facing input problem; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Effective settings of one CLI invocation (echoed as JSON)."""
-
-    command: str
-    problem_path: str | None = None
-    framework: str | None = None
-    beta: float | None = None
-    beta_grid: str | None = None
-    beta_list: list[float] | None = None
-    n_values: list[int] | None = None
-    trials: int | None = None
-    n_clusters: int | None = None
-    g_tol: float | None = None
-    split_eps: float | None = None
-    merge_tol: float | None = None
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    seed: int = 0
-    output_dir: str = "."
-    units: str = "nats"
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +248,8 @@ def parse_beta_grid(spec) -> np.ndarray:
     except ValueError:
         raise ValidationError(
             f"--beta-grid has non-numeric pieces: {spec!r}") from None
-    if not 0.0 < lo < hi:
-        raise ValidationError("--beta-grid needs 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValidationError("--beta-grid needs finite 0 < lo < hi")
     if n < 2:
         raise ValidationError("--beta-grid needs at least two points")
     if parts[0] == "log":
@@ -277,44 +261,86 @@ def parse_beta_grid(spec) -> np.ndarray:
 # configuration
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "problem_path": None,
-    "tol": DEFAULT_TOL,
-    "max_iter": DEFAULT_MAX_ITER,
-    "seed": 0,
-    "output_dir": ".",
-    "units": "nats",
-}
 
-_SPLIT_DEFAULTS = {"split_eps": 1e-3, "merge_tol": 1e-4}
-
-_COMMAND_DEFAULTS = {
-    "solve": {"framework": "both", "beta": None, "n_clusters": None},
-    "sweep": {"framework": "both", "beta_grid": None, "g_tol": 1e-9,
-              **_SPLIT_DEFAULTS},
-    "critical": {"framework": "both", "beta_grid": None, "g_tol": 1e-9,
-                 **_SPLIT_DEFAULTS},
-    "expfam": {"beta": None, "beta_grid": None, **_SPLIT_DEFAULTS},
-    "error-exp": {"framework": "both", "beta_list": None, "n_values": None,
-                  "trials": 10_000, **_SPLIT_DEFAULTS},
-}
-
-_REQUIRED = {
-    "solve": ("problem_path", "beta"),
-    "sweep": ("problem_path", "beta_grid"),
-    "critical": ("problem_path", "beta_grid"),
-    "expfam": ("problem_path",),
-    "error-exp": ("problem_path",),
-}
-
-_FLOAT_FIELDS = ("beta", "tol", "split_eps", "merge_tol", "g_tol")
-_INT_FIELDS = ("max_iter", "seed", "trials", "n_clusters")
+def _setting(kind=str, default=None, check=None, option=None, **keywords):
+    """One row of the settings table: the value type (a one-item list for
+    a flag taking one or more values), the allowed values or a
+    ``(predicate, reason)`` check, the default in the commands that take
+    the setting, its flag when not ``--<field-name>``, and further
+    ``add_argument`` keywords."""
+    return field(default=None, metadata={
+        "kind": kind, "default": default, "check": check, "option": option,
+        "keywords": keywords})
 
 
-def _flag(field: str, command: str) -> str:
-    if field == "problem_path":
-        return "--classes" if command == "error-exp" else "--problem"
-    return "--" + field.replace("_", "-")
+_POSITIVE = (lambda value: value > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda value: value >= 0, "must be >= 0")
+_AT_LEAST_ONE = (lambda value: value >= 1, "must be >= 1")
+
+
+@dataclass
+class RunConfig:
+    """Effective settings of one CLI invocation (echoed as JSON).
+
+    The field metadata is the only description of each setting: the
+    parser, the config-file keys, coercion and every check read it.
+    """
+
+    command: str
+    problem_path: str | None = _setting(option="--problem", metavar="JSON")
+    framework: str | None = _setting(default="both",
+                                     check=("ib", "dual", "both"))
+    beta: float | None = _setting(float, check=_NON_NEGATIVE)
+    beta_grid: str | None = _setting(
+        # parse_beta_grid raises the precise message itself
+        check=(lambda spec: parse_beta_grid(spec) is not None, "is invalid"),
+        metavar="KIND:LO:HI:N",
+        help="log:<lo>:<hi>:<n> or linear:<lo>:<hi>:<n>")
+    beta_list: list[float] | None = _setting(
+        [float], list(DEFAULT_BETAS),
+        (lambda betas: min(betas) > 0.0, "entries must be positive"),
+        option="--betas",
+        help="betas to train encoders at (default: powers of two, 2..64)")
+    n_values: list[int] | None = _setting(
+        [int], list(DEFAULT_N_VALUES),
+        (lambda ns: ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+         "must be increasing positive integers"),
+        help="test-set sizes (default: powers of two, 1..256)")
+    trials: int | None = _setting(
+        int, 10_000, _AT_LEAST_ONE,
+        help="Monte-Carlo trials per point (default: 10000)")
+    n_clusters: int | None = _setting(int, check=_AT_LEAST_ONE,
+                                      help="cluster budget (default: n_x)")
+    g_tol: float | None = _setting(
+        float, 1e-9, _POSITIVE, help="|beta * lambda2 - 1| refinement target")
+    split_eps: float | None = _setting(
+        float, 1e-3, _NON_NEGATIVE,
+        help="relative perturbation of split clusters")
+    merge_tol: float | None = _setting(
+        float, 1e-4, _NON_NEGATIVE,
+        help="decoder distance below which clusters merge")
+    tol: float | None = _setting(float, DEFAULT_TOL, _POSITIVE,
+                                 help="encoder sup-norm convergence threshold")
+    max_iter: int | None = _setting(int, DEFAULT_MAX_ITER, _AT_LEAST_ONE,
+                                    help="iteration cap per solve")
+    seed: int | None = _setting(int, 0, _NON_NEGATIVE,
+                                help="root seed for split noise / sampling")
+    output_dir: str | None = _setting(
+        default=".", metavar="DIR",
+        help="directory for artifacts (default: current)")
+    units: str | None = _setting(
+        default="nats", check=("nats", "bits"),
+        help="units for printed information values; stored files are always "
+        "in nats")
+
+
+_SETTINGS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+
+
+def _flag(name: str, command: str) -> str:
+    if name == "problem_path" and command == "error-exp":
+        return "--classes"
+    return _SETTINGS[name]["option"] or "--" + name.replace("_", "-")
 
 
 def _config_file_values(path, allowed, command: str) -> dict:
@@ -332,97 +358,70 @@ def _config_file_values(path, allowed, command: str) -> dict:
     if unknown:
         raise ValidationError(
             f"config file key '{unknown[0]}' is not valid for '{command}'")
-    return raw
+    return {key: value for key, value in raw.items() if value is not None}
 
 
-def _coerce_scalar(merged: dict, field: str, kind, command: str) -> None:
-    value = merged.get(field)
-    if value is None:
-        return
+def _coerce(value, kind, flag: str):
+    """Convert a flag or config-file value to its setting's type."""
+    if isinstance(kind, list):
+        if isinstance(value, (list, tuple)) and value:
+            return [_coerce(item, kind[0], flag) for item in value]
+        raise ValidationError(f"{flag} expects a list of {kind[0].__name__}, "
+                              f"got {value!r}")
     try:
+        if isinstance(value, bool) or (kind is str
+                                       and not isinstance(value, str)):
+            raise TypeError
         coerced = kind(value)
         if kind is int and coerced != float(value):
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
-            f"{_flag(field, command)} expects {kind.__name__}, "
-            f"got {value!r}") from None
-    merged[field] = coerced
+            f"{flag} expects {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(coerced):
+        raise ValidationError(f"{flag} must be finite, got {value!r}")
+    return coerced
+
+
+def _failed_check(value, check) -> str | None:
+    if check is None:
+        return None
+    if callable(check[0]):
+        return None if check[0](value) else check[1]
+    if value in check:
+        return None
+    return ("must be " + ", ".join(map(repr, check[:-1]))
+            + f" or {check[-1]!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence (flags > config file > defaults) and validate."""
     command = args.command
-    defaults = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[command]}
-    merged = dict(defaults)
-    if getattr(args, "config", None) is not None:
-        merged.update(_config_file_values(args.config, defaults, command))
-    merged.update({key: value for key, value in vars(args).items()
-                   if key in defaults and value is not None})
+    spec = _COMMANDS[command]
+    names = spec.fields + _COMMON
+    merged = {name: _SETTINGS[name]["default"] for name in names}
+    if args.config is not None:
+        merged.update(_config_file_values(args.config, names, command))
+    merged.update({name: getattr(args, name) for name in names
+                   if getattr(args, name) is not None})
 
-    for field in _REQUIRED[command]:
-        if merged[field] is None:
+    for name in spec.required:
+        if merged[name] is None:
             raise ValidationError(
-                f"{command} requires {_flag(field, command)}")
+                f"{command} requires {_flag(name, command)}")
     if command == "expfam" and ((merged["beta"] is None)
                                 == (merged["beta_grid"] is None)):
         raise ValidationError(
             "expfam requires exactly one of --beta or --beta-grid")
 
-    for field in _FLOAT_FIELDS:
-        if field in merged:
-            _coerce_scalar(merged, field, float, command)
-    for field in _INT_FIELDS:
-        if field in merged:
-            _coerce_scalar(merged, field, int, command)
-
-    checks = (
-        ("beta", merged.get("beta") is not None and merged["beta"] < 0.0,
-         "must be >= 0"),
-        ("tol", merged["tol"] <= 0.0, "must be positive"),
-        ("max_iter", merged["max_iter"] < 1, "must be >= 1"),
-        ("trials", merged.get("trials") is not None and merged["trials"] < 1,
-         "must be >= 1"),
-        ("n_clusters", merged.get("n_clusters") is not None
-         and merged["n_clusters"] < 1, "must be >= 1"),
-        ("split_eps", merged.get("split_eps") is not None
-         and merged["split_eps"] < 0.0, "must be >= 0"),
-        ("merge_tol", merged.get("merge_tol") is not None
-         and merged["merge_tol"] < 0.0, "must be >= 0"),
-        ("g_tol", merged.get("g_tol") is not None
-         and merged["g_tol"] <= 0.0, "must be positive"),
-    )
-    for field, failed, reason in checks:
-        if failed:
-            raise ValidationError(f"{_flag(field, command)} {reason}")
-
-    if merged.get("units") not in ("nats", "bits"):
-        raise ValidationError("--units must be 'nats' or 'bits'")
-    if merged.get("framework") not in (None, "ib", "dual", "both"):
-        raise ValidationError("--framework must be 'ib', 'dual' or 'both'")
-    if merged.get("beta_grid") is not None:
-        parse_beta_grid(merged["beta_grid"])  # fail fast, before any work
-
-    if command == "error-exp":
-        betas = merged["beta_list"]
-        betas = list(DEFAULT_BETAS) if betas is None else betas
-        try:
-            merged["beta_list"] = [float(b) for b in betas]
-        except (TypeError, ValueError):
-            raise ValidationError("--betas must be numbers") from None
-        if any(b <= 0.0 for b in merged["beta_list"]):
-            raise ValidationError("--betas entries must be positive")
-        values = merged["n_values"]
-        values = list(DEFAULT_N_VALUES) if values is None else values
-        try:
-            merged["n_values"] = [int(n) for n in values]
-        except (TypeError, ValueError):
-            raise ValidationError("--n-values must be integers") from None
-        if (any(n < 1 for n in merged["n_values"])
-                or any(np.diff(merged["n_values"]) <= 0)):
-            raise ValidationError(
-                "--n-values must be increasing positive integers")
-
+    for name, value in merged.items():
+        if value is None:
+            continue
+        flag = _flag(name, command)
+        merged[name] = _coerce(value, _SETTINGS[name]["kind"], flag)
+        reason = _failed_check(merged[name], _SETTINGS[name]["check"])
+        if reason:
+            raise ValidationError(f"{flag} {reason}")
     return RunConfig(command=command, **merged)
 
 
@@ -461,14 +460,30 @@ def _split_config(config: RunConfig) -> SplitConfig:
                        seed=config.seed)
 
 
-def _print_solve_line(tag: str, beta: float, report, clusters: int,
-                      units: str) -> None:
-    print(f"{tag} beta={beta:g}: I_x = {_display(report.i_x, units):.3f} "
-          f"{units}, I_y = {_display(report.i_y, units):.3f} {units}, "
-          f"functional = {_display(report.functional, units):.6g}, "
-          f"iterations = {report.n_iterations}, "
-          f"converged = {str(bool(report.converged)).lower()}, "
-          f"clusters = {clusters}")
+def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
+                  state, report, arrays: dict) -> None:
+    """Write one single-beta solve artifact and print its summary line."""
+    clusters = int(state.effective_clusters())
+    _dump_json({
+        **labels,
+        "beta": config.beta,
+        "units": "nats",
+        "converged": bool(report.converged),
+        "n_iterations": int(report.n_iterations),
+        "i_x": float(report.i_x),
+        "i_y": float(report.i_y),
+        "functional": float(report.functional),
+        "expected_distortion": float(report.expected_distortion),
+        "effective_clusters": clusters,
+        **{key: array.tolist() for key, array in arrays.items()},
+    }, path)
+    units = config.units
+    print(f"{tag} beta={config.beta:g}: I_x = "
+          f"{_display(report.i_x, units):.3f} {units}, I_y = "
+          f"{_display(report.i_y, units):.3f} {units}, functional = "
+          f"{_display(report.functional, units):.6g}, iterations = "
+          f"{report.n_iterations}, converged = "
+          f"{str(bool(report.converged)).lower()}, clusters = {clusters}")
 
 
 def _cmd_solve(config: RunConfig) -> None:
@@ -480,24 +495,9 @@ def _cmd_solve(config: RunConfig) -> None:
                               n_clusters=config.n_clusters, tol=config.tol,
                               max_iter=config.max_iter,
                               track_functional=False)
-        clusters = int(state.effective_clusters())
-        payload = {
-            "framework": framework,
-            "beta": config.beta,
-            "units": "nats",
-            "converged": bool(report.converged),
-            "n_iterations": int(report.n_iterations),
-            "i_x": float(report.i_x),
-            "i_y": float(report.i_y),
-            "functional": float(report.functional),
-            "expected_distortion": float(report.expected_distortion),
-            "effective_clusters": clusters,
-            "marginal": state.marginal.tolist(),
-            "decoder": state.decoder.tolist(),
-        }
-        _dump_json(payload, out / f"{stem}_{framework}_solve.json")
-        _print_solve_line(framework, config.beta, report, clusters,
-                          config.units)
+        _report_solve(config, out / f"{stem}_{framework}_solve.json",
+                      framework, {"framework": framework}, state, report,
+                      {"marginal": state.marginal, "decoder": state.decoder})
 
 
 def _critical_payload(stem: str, betas: np.ndarray, reports: dict) -> dict:
@@ -553,14 +553,6 @@ def _scan_frameworks(config: RunConfig, write_traces: bool) -> None:
                out / f"{stem}_critical_points.json")
 
 
-def _cmd_sweep(config: RunConfig) -> None:
-    _scan_frameworks(config, write_traces=True)
-
-
-def _cmd_critical(config: RunConfig) -> None:
-    _scan_frameworks(config, write_traces=False)
-
-
 def _cmd_expfam(config: RunConfig) -> None:
     loaded = load_problem(config.problem_path)
     if isinstance(loaded, ExpFamilyModel):
@@ -582,25 +574,10 @@ def _cmd_expfam(config: RunConfig) -> None:
         state, report = exp_solve(model, config.beta, tol=config.tol,
                                   max_iter=config.max_iter,
                                   track_functional=False)
-        clusters = int(state.effective_clusters())
-        payload = {
-            "framework": "dual",
-            "solver": "expfam",
-            "beta": config.beta,
-            "units": "nats",
-            "converged": bool(report.converged),
-            "n_iterations": int(report.n_iterations),
-            "i_x": float(report.i_x),
-            "i_y": float(report.i_y),
-            "functional": float(report.functional),
-            "expected_distortion": float(report.expected_distortion),
-            "effective_clusters": clusters,
-            "cluster_params": state.cluster_params.tolist(),
-            "decoder": state.decoder.tolist(),
-        }
-        _dump_json(payload, out / f"{stem}_expfam_solve.json")
-        _print_solve_line("expfam", config.beta, report, clusters,
-                          config.units)
+        _report_solve(config, out / f"{stem}_expfam_solve.json", "expfam",
+                      {"framework": "dual", "solver": "expfam"}, state,
+                      report, {"cluster_params": state.cluster_params,
+                               "decoder": state.decoder})
         return
 
     betas = parse_beta_grid(config.beta_grid)
@@ -638,12 +615,33 @@ def _cmd_error_exp(config: RunConfig) -> None:
     print(f"curves -> {csv_path.name}")
 
 
+_Command = namedtuple("_Command", "run help fields required")
+_SPLIT = ("split_eps", "merge_tol")
+_SCAN = ("problem_path", "framework", "beta_grid", "g_tol", *_SPLIT)
+#: settings every command takes, listed after --config in its help
+_COMMON = ("output_dir", "units", "tol", "max_iter", "seed")
+
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "critical": _cmd_critical,
-    "expfam": _cmd_expfam,
-    "error-exp": _cmd_error_exp,
+    "solve": _Command(
+        _cmd_solve, "one converged solve per framework at a fixed beta",
+        ("problem_path", "framework", "beta", "n_clusters"),
+        ("problem_path", "beta")),
+    "sweep": _Command(
+        partial(_scan_frameworks, write_traces=True),
+        "annealed sweep over a beta grid; writes traces and refined "
+        "critical points", _SCAN, ("problem_path", "beta_grid")),
+    "critical": _Command(
+        partial(_scan_frameworks, write_traces=False),
+        "locate and refine phase transitions on a beta grid",
+        _SCAN, ("problem_path", "beta_grid")),
+    "expfam": _Command(
+        _cmd_expfam, "reduced sufficient-statistics solver (prediction "
+        "framework)", ("problem_path", "beta", "beta_grid", *_SPLIT),
+        ("problem_path",)),
+    "error-exp": _Command(
+        _cmd_error_exp, "misclassification rate vs sample size for trained "
+        "encoders", ("problem_path", "framework", "beta_list", "n_values",
+                     "trials", *_SPLIT), ("problem_path",)),
 }
 
 
@@ -652,28 +650,18 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="JSON",
-                        help="JSON file of defaults for this command "
-                        "(explicit flags win)")
-    parser.add_argument("--output-dir", dest="output_dir", metavar="DIR",
-                        help="directory for artifacts (default: current)")
-    parser.add_argument("--units", choices=("nats", "bits"),
-                        help="units for printed information values; "
-                        "stored files are always in nats")
-    parser.add_argument("--tol", type=float,
-                        help="encoder sup-norm convergence threshold")
-    parser.add_argument("--max-iter", dest="max_iter", type=int,
-                        help="iteration cap per solve")
-    parser.add_argument("--seed", type=int,
-                        help="root seed for split noise / sampling")
-
-
-def _add_split(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--split-eps", dest="split_eps", type=float,
-                        help="relative perturbation of split clusters")
-    parser.add_argument("--merge-tol", dest="merge_tol", type=float,
-                        help="decoder distance below which clusters merge")
+def _add_setting(parser: argparse.ArgumentParser, name: str,
+                 command: str) -> None:
+    setting = _SETTINGS[name]
+    kind, check = setting["kind"], setting["check"]
+    keywords = dict(setting["keywords"])
+    if isinstance(kind, list):
+        kind, keywords["nargs"] = kind[0], "+"
+    if kind is not str:
+        keywords["type"] = kind
+    if check is not None and not callable(check[0]):
+        keywords["choices"] = check
+    parser.add_argument(_flag(name, command), dest=name, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,55 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bottleneck solvers: compression/prediction trade-off "
         "curves, phase transitions, and error-rate experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="one converged solve per "
-                             "framework at a fixed beta")
-    p_solve.add_argument("--problem", dest="problem_path", metavar="JSON")
-    p_solve.add_argument("--framework", choices=("ib", "dual", "both"))
-    p_solve.add_argument("--beta", type=float)
-    p_solve.add_argument("--n-clusters", dest="n_clusters", type=int,
-                         help="cluster budget (default: n_x)")
-    _add_common(p_solve)
-
-    for name, help_text in (("sweep", "annealed sweep over a beta grid; "
-                             "writes traces and refined critical points"),
-                            ("critical", "locate and refine phase "
-                             "transitions on a beta grid")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--problem", dest="problem_path", metavar="JSON")
-        p.add_argument("--framework", choices=("ib", "dual", "both"))
-        p.add_argument("--beta-grid", dest="beta_grid",
-                       metavar="KIND:LO:HI:N",
-                       help="log:<lo>:<hi>:<n> or linear:<lo>:<hi>:<n>")
-        p.add_argument("--g-tol", dest="g_tol", type=float,
-                       help="|beta * lambda2 - 1| refinement target")
-        _add_split(p)
-        _add_common(p)
-
-    p_exp = sub.add_parser("expfam", help="reduced sufficient-statistics "
-                           "solver (prediction framework)")
-    p_exp.add_argument("--problem", dest="problem_path", metavar="JSON")
-    p_exp.add_argument("--beta", type=float)
-    p_exp.add_argument("--beta-grid", dest="beta_grid",
-                       metavar="KIND:LO:HI:N")
-    _add_split(p_exp)
-    _add_common(p_exp)
-
-    p_err = sub.add_parser("error-exp", help="misclassification rate vs "
-                           "sample size for trained encoders")
-    p_err.add_argument("--classes", dest="problem_path", metavar="JSON")
-    p_err.add_argument("--framework", choices=("ib", "dual", "both"))
-    p_err.add_argument("--betas", dest="beta_list", type=float, nargs="+",
-                       help="betas to train encoders at (default: powers "
-                       "of two, 2..64)")
-    p_err.add_argument("--n-values", dest="n_values", type=int, nargs="+",
-                       help="test-set sizes (default: powers of two, "
-                       "1..256)")
-    p_err.add_argument("--trials", type=int,
-                       help="Monte-Carlo trials per point (default: 10000)")
-    _add_split(p_err)
-    _add_common(p_err)
-
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.fields:
+            _add_setting(p, name, command)
+        p.add_argument("--config", metavar="JSON",
+                       help="JSON file of defaults for this command "
+                       "(explicit flags win)")
+        for name in _COMMON:
+            _add_setting(p, name, command)
     return parser
 
 
@@ -753,7 +701,7 @@ def main(argv=None) -> int:
                 f"--output-dir {config.output_dir!r} cannot be created: "
                 f"{exc}") from exc
         _write_run_config(config)
-        _COMMANDS[config.command](config)
+        _COMMANDS[config.command].run(config)
     except (ValidationError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,20 @@ def resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
 
 
+SOLVE = ["solve", "--problem", str(RULE_FIXTURE), "--beta", "2"]
+SWEEP = ["sweep", "--problem", str(RULE_FIXTURE), "--beta-grid", "log:2:6:4"]
+ERROR_EXP = ["error-exp", "--classes", str(CLASSES_FIXTURE)]
+
+
+def assert_rejected(argv, flag, tmp_path, capsys):
+    """The run exits 2 naming ``flag`` before it writes anything."""
+    out = tmp_path / "out"
+    rc = main(argv + ["--output-dir", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not (out / "run_config.json").exists()
+
+
 class TestBetaGrid:
     def test_log_spec(self):
         assert_array_equal(parse_beta_grid("log:0.5:8:40"),
@@ -58,7 +72,7 @@ class TestBetaGrid:
 
     @pytest.mark.parametrize("spec", [
         "geom:1:2:5", "log:1:2", "log:a:2:5", "log:0:2:5", "log:2:1:5",
-        "log:1:2:1", "linear:-1:2:5",
+        "log:1:2:1", "linear:-1:2:5", "linear:1:inf:5",
     ])
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValidationError, match="beta-grid"):
@@ -190,6 +204,36 @@ class TestResolveConfig:
         mistyped = write_json(tmp_path / "t.json", {"beta": "four"})
         with pytest.raises(ValidationError, match="--beta expects float"):
             resolve(["solve", "--problem", "p.json", "--config", mistyped])
+        not_text = write_json(tmp_path / "d.json", {"output_dir": 5})
+        with pytest.raises(ValidationError, match="--output-dir expects str"):
+            resolve(["solve", "--problem", "p.json", "--beta", "1",
+                     "--config", not_text])
+
+    @pytest.mark.parametrize("argv, values, flag", [
+        (SWEEP, {"framework": None}, None),
+        (SWEEP, {"tol": None}, None),
+        (SWEEP, {"split_eps": None}, None),
+        (SWEEP, {"seed": None}, None),
+        (SWEEP, {"output_dir": None}, None),
+        (SWEEP, {"merge_tol": float("inf")}, "--merge-tol"),
+        (ERROR_EXP, {"n_values": "48"}, "--n-values"),
+        (ERROR_EXP, {"beta_list": "24"}, "--betas"),
+        (ERROR_EXP, {"n_values": [1.5, 3]}, "--n-values"),
+        (ERROR_EXP, {"trials": True}, "--trials"),
+    ], ids=["framework-null", "tol-null", "split-eps-null", "seed-null",
+            "output-dir-null", "merge-tol-infinite",
+            "n-values-string", "betas-string", "n-values-fraction",
+            "trials-boolean"])
+    def test_config_values_mean_what_the_flag_means(
+            self, tmp_path, capsys, argv, values, flag):
+        """``null`` leaves a setting unset; a value its flag could not
+        spell is rejected, naming the flag."""
+        path = write_json(tmp_path / "cfg.json", values)
+        if flag is None:
+            assert resolve(argv + ["--config", path]) == resolve(argv)
+        else:
+            assert_rejected(argv + ["--config", path], flag, tmp_path,
+                            capsys)
 
     def test_error_exp_defaults_are_materialized(self):
         config = resolve(["error-exp", "--classes", "c.json"])
@@ -223,6 +267,108 @@ class TestResolveConfig:
                      "--n-values", "4", "2"])
         with pytest.raises(ValidationError, match="--betas"):
             resolve(["error-exp", "--classes", "c.json", "--betas", "0"])
+
+
+PROBLEM = ("--problem", "problem_path", None, None, None, "JSON")
+FRAMEWORK = ("--framework", "framework", None, None, ("ib", "dual", "both"),
+             None)
+BETA = ("--beta", "beta", float, None, None, None)
+GRID = ("--beta-grid", "beta_grid", None, None, None, "KIND:LO:HI:N")
+SPLIT = [("--split-eps", "split_eps", float, None, None, None),
+         ("--merge-tol", "merge_tol", float, None, None, None)]
+COMMON = [("--config", "config", None, None, None, "JSON"),
+          ("--output-dir", "output_dir", None, None, None, "DIR"),
+          ("--units", "units", None, None, ("nats", "bits"), None),
+          ("--tol", "tol", float, None, None, None),
+          ("--max-iter", "max_iter", int, None, None, None),
+          ("--seed", "seed", int, None, None, None)]
+SCAN = [PROBLEM, FRAMEWORK, GRID, ("--g-tol", "g_tol", float, None, None,
+                                   None), *SPLIT, *COMMON]
+# (option, dest, type, nargs, choices, metavar) of every option, in order
+INTERFACE = {
+    "solve": [PROBLEM, FRAMEWORK, BETA,
+              ("--n-clusters", "n_clusters", int, None, None, None),
+              *COMMON],
+    "sweep": SCAN,
+    "critical": SCAN,
+    "expfam": [PROBLEM, BETA, GRID, *SPLIT, *COMMON],
+    "error-exp": [("--classes", "problem_path", None, None, None, "JSON"),
+                  FRAMEWORK,
+                  ("--betas", "beta_list", float, "+", None, None),
+                  ("--n-values", "n_values", int, "+", None, None),
+                  ("--trials", "trials", int, None, None, None),
+                  *SPLIT, *COMMON],
+}
+# the settings each command needs besides the one under test
+BASE = {
+    "solve": {"problem_path": "p.json", "beta": 1.0},
+    "sweep": {"problem_path": "p.json", "beta_grid": "log:1:2:3"},
+    "critical": {"problem_path": "p.json", "beta_grid": "log:1:2:3"},
+    "expfam": {"problem_path": "p.json", "beta": 1.0},
+    "error-exp": {"problem_path": "c.json"},
+}
+SAMPLE = {"problem_path": "q.json", "framework": "dual", "units": "bits",
+          "beta_grid": "log:1:3:4", "output_dir": "out"}
+
+
+def sample_value(dest, kind, nargs):
+    if kind is None:
+        return SAMPLE[dest]
+    value = kind(2.5) if kind is float else 3
+    return [value, value * 2] if nargs == "+" else value
+
+
+def base_argv(command, skip=()):
+    options = {dest: option for option, dest, *_ in INTERFACE[command]}
+    argv = [command]
+    for dest, value in BASE[command].items():
+        if dest not in skip:
+            argv += [options[dest], str(value)]
+    return argv
+
+
+class TestInterface:
+    """The flags, the config-file keys and their agreement, pinned."""
+
+    def subparsers(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if action.dest == "command")
+        return sub.choices
+
+    def test_options_of_every_command(self):
+        for command, parser in self.subparsers().items():
+            options = [(action.option_strings[0], action.dest, action.type,
+                        action.nargs, action.choices, action.metavar)
+                       for action in parser._actions if action.dest != "help"]
+            assert options == INTERFACE[command], command
+
+    def test_flag_and_config_file_resolve_alike(self, tmp_path):
+        for command, rows in INTERFACE.items():
+            for option, dest, kind, nargs, _, _ in rows:
+                if dest == "config":
+                    continue
+                value = sample_value(dest, kind, nargs)
+                skip = {dest, "beta"} if dest == "beta_grid" else {dest}
+                argv = base_argv(command, skip)
+                words = [str(v) for v in value] if nargs else [str(value)]
+                by_flag = resolve(argv + [option, *words])
+                path = write_json(tmp_path / "cfg.json", {dest: value})
+                by_file = resolve(argv + ["--config", path])
+                assert by_flag == by_file, (command, dest)
+                assert getattr(by_flag, dest) == value, (command, dest)
+
+    def test_settings_of_other_commands_are_rejected(self, tmp_path):
+        every = {dest: sample_value(dest, kind, nargs)
+                 for rows in INTERFACE.values()
+                 for _, dest, kind, nargs, _, _ in rows if dest != "config"}
+        for command, rows in INTERFACE.items():
+            own = {dest for _, dest, *_ in rows}
+            for dest in sorted(set(every) - own):
+                path = write_json(tmp_path / "cfg.json", {dest: every[dest]})
+                with pytest.raises(ValidationError,
+                                   match=f"not valid for '{command}'"):
+                    resolve(base_argv(command) + ["--config", path])
 
 
 class TestSolveCommand:
@@ -516,6 +662,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert "--output-dir" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (SOLVE + ["--tol", "nan"], "--tol"),
+        (SOLVE + ["--beta", "nan"], "--beta"),
+        (SWEEP + ["--g-tol", "nan"], "--g-tol"),
+        (SWEEP + ["--split-eps", "inf"], "--split-eps"),
+        (SWEEP + ["--seed", "-1"], "--seed"),
+        (SWEEP + ["--beta-grid", "log:2:inf:4"], "--beta-grid"),
+        (ERROR_EXP + ["--betas", "4", "nan"], "--betas"),
+    ], ids=["tol", "beta", "g-tol", "split-eps", "seed", "beta-grid",
+            "betas"])
+    def test_non_finite_values_and_negative_seeds(self, tmp_path, capsys,
+                                                   argv, flag):
+        assert_rejected(argv, flag, tmp_path, capsys)
 
     def test_unknown_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
