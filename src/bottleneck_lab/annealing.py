@@ -20,13 +20,7 @@ import numpy as np
 
 # mutual_information is unused here; perfbench/tracing.py patches it by name.
 from .probability import JointDistribution, mutual_information  # noqa: F401
-from .solvers import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    as_framework,
-    derive_state,
-    state_observables,
-)
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, TableBackend
 # Sweep solves record their own observables, so they run the report-free
 # solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
 from .solvers import fixed_point as solve
@@ -102,14 +96,13 @@ def split_and_perturb(encoder: np.ndarray, eps: float,
 
 
 def merge_close_clusters(encoder: np.ndarray, decoder: np.ndarray,
-                         marginal: np.ndarray, merge_tol: float,
-                         mass_floor: float = MASS_FLOOR) -> np.ndarray:
+                         marginal: np.ndarray, merge_tol: float) -> np.ndarray:
     """Re-combine clusters whose decoder rows agree within ``merge_tol``.
 
     Groups greedily by lowest index: a column joins the first earlier
     representative whose decoder row is within sup-norm ``merge_tol``.
     Encoder columns of a group are summed (mass-conserving); groups left
-    with less than ``mass_floor`` total mass are dropped.
+    with less than ``MASS_FLOOR`` total mass are dropped.
     """
     k = encoder.shape[1]
     representative: list[int] = []
@@ -125,46 +118,24 @@ def merge_close_clusters(encoder: np.ndarray, decoder: np.ndarray,
             representative.append(c)
             columns.append(encoder[:, c].copy())
             masses.append(float(marginal[c]))
-    keep = [g for g, mass in enumerate(masses) if mass > mass_floor]
+    keep = [g for g, mass in enumerate(masses) if mass > MASS_FLOOR]
     if not keep:  # pathological, but never lose the whole encoder
         keep = list(range(len(columns)))
     return np.column_stack([columns[g] for g in keep])
 
 
-class TableBackend:
-    """Sweep backend running the exact ``solvers.solve`` updates."""
-
-    def __init__(self, problem: JointDistribution, framework):
-        self.problem = problem
-        self.framework = as_framework(framework)
-        self.n_y = problem.n_y
-
-    def initial_encoder(self) -> np.ndarray:
-        return np.ones((self.problem.n_x, 1))
-
-    def rebuild(self, encoder: np.ndarray, beta: float):
-        return derive_state(self.problem, self.framework, encoder, beta)
-
-    def solve_from(self, state, beta: float, tol: float, max_iter: int):
-        new_state, run = solve(self.problem, beta, self.framework,
-                               init_encoder=state.encoder, tol=tol,
-                               max_iter=max_iter)
-        return new_state, run.n_iterations, run.converged
-
-    def observables(self, state) -> tuple[float, float, float]:
-        i_x, i_y, _, functional = state_observables(self.problem, state)
-        return i_x, i_y, functional
-
-
 def run_sweep(backend, betas, split: SplitConfig, tol: float,
               max_iter: int) -> tuple[AnnealTrace, list]:
-    """Drive any backend through the split/solve/merge schedule.
+    """Drive a solver backend through the split/solve/merge schedule.
 
-    A backend exposes ``framework``, ``n_y``, ``initial_encoder()``,
-    ``rebuild(encoder, beta)``, ``solve_from(state, beta, tol, max_iter)``
-    and ``observables(state)``; states expose ``encoder``, ``marginal``,
-    ``decoder`` and ``effective_clusters()``.  Returns the trace plus the
-    per-grid-point states (aligned with ``trace.records``).
+    A backend offers ``framework``, ``n_x``, ``n_y``, ``derive``,
+    ``stepper`` and ``observables`` (see
+    :class:`bottleneck_lab.solvers.TableBackend`); its states expose
+    ``encoder``, ``marginal``, ``decoder`` and ``effective_clusters()``.
+    The sweep carries encoders: starting from one cluster, each grid point
+    splits the previous encoder, solves from it and merges, deriving a
+    state again only when the merge changed the width.  Returns the trace
+    plus the per-grid-point states (aligned with ``trace.records``).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
@@ -172,26 +143,26 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
     if np.any(betas <= 0.0) or np.any(np.diff(betas) <= 0.0):
         raise ValueError("betas must be positive and strictly increasing")
 
-    trace = AnnealTrace(framework=str(as_framework(backend.framework).value),
-                        n_y=backend.n_y, split=split)
+    trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y,
+                        split=split)
     states = []
-    state = backend.rebuild(backend.initial_encoder(), betas[0])
+    encoder = np.ones((backend.n_x, 1))
     for i, beta in enumerate(betas):
         rng = np.random.default_rng([split.seed, i])
-        enc = split_and_perturb(state.encoder, split.eps, rng)
-        state = backend.rebuild(enc, beta)
-        state, n_iter, converged = backend.solve_from(state, beta, tol,
-                                                      max_iter)
+        encoder = split_and_perturb(encoder, split.eps, rng)
+        state, run = solve(backend, beta, init_encoder=encoder, tol=tol,
+                           max_iter=max_iter)
         merged = merge_close_clusters(state.encoder, state.decoder,
                                       state.marginal, split.merge_tol)
         if merged.shape[1] != state.encoder.shape[1]:
-            state = backend.rebuild(merged, beta)
-        i_x, i_y, functional = backend.observables(state)
+            state = backend.derive(merged, beta)
+        encoder = state.encoder
+        i_x, i_y, _, functional = backend.observables(state)
         trace.records.append(SweepRecord(
             beta=float(beta), i_x=i_x, i_y=i_y, functional=functional,
-            n_iterations=n_iter,
+            n_iterations=run.n_iterations,
             effective_clusters=state.effective_clusters(),
-            converged=converged, decoder=state.decoder.copy()))
+            converged=run.converged, decoder=state.decoder.copy()))
         states.append(state)
     return trace, states
 

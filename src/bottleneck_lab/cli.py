@@ -445,14 +445,38 @@ def _dump_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _require_joint(problem, command: str) -> JointDistribution:
+def _require_joint(config: RunConfig) -> JointDistribution:
+    problem = load_problem(config.problem_path)
     if isinstance(problem, JointDistribution):
         return problem
     schema = ("exp_family (use the expfam command)"
               if isinstance(problem, ExpFamilyModel)
               else "class_conditionals (use the error-exp command)")
-    raise ValidationError(f"{command} needs a p_y_given_x problem file, "
-                          f"got {schema}")
+    raise ValidationError(f"{config.command} needs a p_y_given_x problem "
+                          f"file, got {schema}")
+
+
+def _require_model(config: RunConfig) -> ExpFamilyModel:
+    loaded = load_problem(config.problem_path)
+    if isinstance(loaded, ExpFamilyModel):
+        return loaded
+    if not isinstance(loaded, JointDistribution):
+        raise ValidationError("expfam needs a p_y_given_x or exp_family "
+                              "problem file, got class_conditionals")
+    try:
+        return ExpFamilyModel.from_conditional(loaded)
+    except (DistributionError, ValueError) as exc:
+        raise ValidationError(
+            f"cannot fit an exponential-family model to "
+            f"{config.problem_path}: {exc}") from exc
+
+
+def _require_classes(config: RunConfig) -> ClassificationProblem:
+    problem = load_problem(config.problem_path)
+    if not isinstance(problem, ClassificationProblem):
+        raise ValidationError("error-exp needs a class_conditionals "
+                              "problem file")
+    return problem
 
 
 def _split_config(config: RunConfig) -> SplitConfig:
@@ -486,8 +510,7 @@ def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
           f"{str(bool(report.converged)).lower()}, clusters = {clusters}")
 
 
-def _cmd_solve(config: RunConfig) -> None:
-    problem = _require_joint(load_problem(config.problem_path), "solve")
+def _cmd_solve(config: RunConfig, problem: JointDistribution) -> None:
     out = Path(config.output_dir)
     stem = Path(config.problem_path).stem
     for framework in _frameworks(config.framework):
@@ -519,9 +542,8 @@ def _critical_payload(stem: str, betas: np.ndarray, reports: dict) -> dict:
     }
 
 
-def _scan_frameworks(config: RunConfig, write_traces: bool) -> None:
-    problem = _require_joint(load_problem(config.problem_path),
-                             config.command)
+def _scan_frameworks(config: RunConfig, problem: JointDistribution,
+                     write_traces: bool) -> None:
     betas = parse_beta_grid(config.beta_grid)
     split = _split_config(config)
     out = Path(config.output_dir)
@@ -553,20 +575,7 @@ def _scan_frameworks(config: RunConfig, write_traces: bool) -> None:
                out / f"{stem}_critical_points.json")
 
 
-def _cmd_expfam(config: RunConfig) -> None:
-    loaded = load_problem(config.problem_path)
-    if isinstance(loaded, ExpFamilyModel):
-        model = loaded
-    elif isinstance(loaded, JointDistribution):
-        try:
-            model = ExpFamilyModel.from_conditional(loaded)
-        except (DistributionError, ValueError) as exc:
-            raise ValidationError(
-                f"cannot fit an exponential-family model to "
-                f"{config.problem_path}: {exc}") from exc
-    else:
-        raise ValidationError("expfam needs a p_y_given_x or exp_family "
-                              "problem file, got class_conditionals")
+def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
     out = Path(config.output_dir)
     stem = Path(config.problem_path).stem
 
@@ -590,11 +599,8 @@ def _cmd_expfam(config: RunConfig) -> None:
           f"{int(counts[-1])}, trace {trace_path.name}")
 
 
-def _cmd_error_exp(config: RunConfig) -> None:
-    problem = load_problem(config.problem_path)
-    if not isinstance(problem, ClassificationProblem):
-        raise ValidationError("error-exp needs a class_conditionals "
-                              "problem file")
+def _cmd_error_exp(config: RunConfig,
+                   problem: ClassificationProblem) -> None:
     out = Path(config.output_dir)
     stem = Path(config.problem_path).stem
     frameworks = _frameworks(config.framework)
@@ -615,7 +621,8 @@ def _cmd_error_exp(config: RunConfig) -> None:
     print(f"curves -> {csv_path.name}")
 
 
-_Command = namedtuple("_Command", "run help fields required")
+#: problem loader (checks the schema), runner, help, settings, required
+_Command = namedtuple("_Command", "load run help fields required")
 _SPLIT = ("split_eps", "merge_tol")
 _SCAN = ("problem_path", "framework", "beta_grid", "g_tol", *_SPLIT)
 #: settings every command takes, listed after --config in its help
@@ -623,25 +630,27 @@ _COMMON = ("output_dir", "units", "tol", "max_iter", "seed")
 
 _COMMANDS = {
     "solve": _Command(
-        _cmd_solve, "one converged solve per framework at a fixed beta",
+        _require_joint, _cmd_solve,
+        "one converged solve per framework at a fixed beta",
         ("problem_path", "framework", "beta", "n_clusters"),
         ("problem_path", "beta")),
     "sweep": _Command(
-        partial(_scan_frameworks, write_traces=True),
+        _require_joint, partial(_scan_frameworks, write_traces=True),
         "annealed sweep over a beta grid; writes traces and refined "
         "critical points", _SCAN, ("problem_path", "beta_grid")),
     "critical": _Command(
-        partial(_scan_frameworks, write_traces=False),
+        _require_joint, partial(_scan_frameworks, write_traces=False),
         "locate and refine phase transitions on a beta grid",
         _SCAN, ("problem_path", "beta_grid")),
     "expfam": _Command(
-        _cmd_expfam, "reduced sufficient-statistics solver (prediction "
-        "framework)", ("problem_path", "beta", "beta_grid", *_SPLIT),
-        ("problem_path",)),
+        _require_model, _cmd_expfam,
+        "reduced sufficient-statistics solver (prediction framework)",
+        ("problem_path", "beta", "beta_grid", *_SPLIT), ("problem_path",)),
     "error-exp": _Command(
-        _cmd_error_exp, "misclassification rate vs sample size for trained "
-        "encoders", ("problem_path", "framework", "beta_list", "n_values",
-                     "trials", *_SPLIT), ("problem_path",)),
+        _require_classes, _cmd_error_exp,
+        "misclassification rate vs sample size for trained encoders",
+        ("problem_path", "framework", "beta_list", "n_values", "trials",
+         *_SPLIT), ("problem_path",)),
 }
 
 
@@ -694,6 +703,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config = resolve_config(args)
+        command = _COMMANDS[config.command]
+        problem = command.load(config)
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -701,7 +712,7 @@ def main(argv=None) -> int:
                 f"--output-dir {config.output_dir!r} cannot be created: "
                 f"{exc}") from exc
         _write_run_config(config)
-        _COMMANDS[config.command].run(config)
+        command.run(config, problem)
     except (ValidationError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,15 +33,13 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ClusterCounts,
-    FixedPointRun,
     Framework,
     SolveReport,
+    backend_solve,
     cluster_label_joint,
     encoder_information,
     encoder_update,
     inverse_encoder,
-    iterate,
-    prepare_encoder,
 )
 
 #: Max absolute error allowed between a model's reconstructed rule and the
@@ -202,21 +200,8 @@ def _effective_distortion(model: ExpFamilyModel,
 
 def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
                      beta: float) -> ExpState:
-    """Recompute every reduced quantity implied by an encoder.
-
-    Dead clusters get the prior as placeholder weights, exactly as in the
-    full-table solver, so split/merge bookkeeping behaves identically.
-    """
-    marginal, weights = inverse_encoder(encoder, model.p_x)
-    cluster_features = weights @ model.features
-    unnorm = -cluster_features @ model.params.T
-    normalizers = logsumexp(unnorm, axis=1)
-    log_decoder = unnorm - normalizers[:, None]
-    return ExpState(beta=float(beta), encoder=encoder, marginal=marginal,
-                    weights=weights, cluster_features=cluster_features,
-                    cluster_params=np.exp(log_decoder) @ model.params,
-                    cluster_normalizers=normalizers,
-                    log_decoder=log_decoder)
+    """Recompute every reduced quantity implied by an encoder."""
+    return ExpBackend(model).derive(encoder, beta)
 
 
 def _reduced_functional(model: ExpFamilyModel,
@@ -279,30 +264,58 @@ def closed_information(model: ExpFamilyModel,
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
 
-def exp_fixed_point(model: ExpFamilyModel, beta: float, *,
-                    n_clusters: int | None = None,
-                    init_encoder: np.ndarray | None = None,
-                    rng: np.random.Generator | None = None,
-                    tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    track_functional: bool = False
-                    ) -> tuple[ExpState, FixedPointRun]:
-    """The updates of :func:`exp_solve` without its report: the state
-    rebuilt from the final encoder, and what the loop did."""
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    enc = prepare_encoder(model.n_x, n_clusters, init_encoder, rng)
+class ExpBackend:
+    """The reduced solver of one model, as a solver backend (see
+    :class:`bottleneck_lab.solvers.TableBackend`).
 
-    def step(encoder, traced):
-        state = derive_exp_state(model, encoder, beta)
-        functional = (_reduced_functional(model, state)[2] if traced
-                      else None)
-        return (encoder_update(state.marginal,
-                               _effective_distortion(model, state), beta),
-                functional)
+    Sweeps start it from the same one-cluster encoder and noise streams as
+    the full-table backend, so sweeps of a model and of its reconstructed
+    table stay on matching branches.
+    """
 
-    enc, run = iterate(step, enc, tol, max_iter, track_functional)
-    return derive_exp_state(model, enc, beta), run
+    framework = Framework.DUAL
+
+    def __init__(self, model: ExpFamilyModel):
+        self.model = model
+        self.n_x, self.n_y = model.n_x, model.n_y
+
+    def derive(self, encoder: np.ndarray, beta: float) -> ExpState:
+        """The reduced state implied by an encoder.
+
+        Dead clusters get the prior as placeholder weights, exactly as in
+        the full-table solver, so split/merge bookkeeping behaves
+        identically.
+        """
+        model = self.model
+        marginal, weights = inverse_encoder(encoder, model.p_x)
+        cluster_features = weights @ model.features
+        unnorm = -cluster_features @ model.params.T
+        normalizers = logsumexp(unnorm, axis=1)
+        log_decoder = unnorm - normalizers[:, None]
+        return ExpState(beta=float(beta), encoder=encoder, marginal=marginal,
+                        weights=weights, cluster_features=cluster_features,
+                        cluster_params=np.exp(log_decoder) @ model.params,
+                        cluster_normalizers=normalizers,
+                        log_decoder=log_decoder)
+
+    def stepper(self, beta: float):
+        """The step at ``beta``: derive the reduced state of the encoder and
+        apply the softmax update with the reduced cost."""
+        model, derive = self.model, self.derive
+
+        def step(encoder, traced):
+            state = derive(encoder, beta)
+            functional = (_reduced_functional(model, state)[2] if traced
+                          else None)
+            return (encoder_update(state.marginal,
+                                   _effective_distortion(model, state), beta),
+                    functional)
+
+        return step
+
+    def observables(self, state: ExpState
+                    ) -> tuple[float, float, float, float]:
+        return _reduced_observables(self.model, state)
 
 
 def exp_solve(model: ExpFamilyModel, beta: float, *,
@@ -311,47 +324,14 @@ def exp_solve(model: ExpFamilyModel, beta: float, *,
     """Fixed-``beta`` alternating updates in the reduced parametrization.
 
     Same contract as ``solve(..., framework='dual')`` — identical options
-    (those of :func:`exp_fixed_point`), initialization precedence, stopping
-    rule, and report fields — but the iteration touches only d-dimensional
-    aggregates.  The report's ``i_y`` is the mutual information through the
-    cluster variable, assembled from the model's rule rows once, after the
-    loop.
+    (those of ``solvers.fixed_point``), initialization precedence,
+    stopping rule, and report fields — but the iteration touches only
+    d-dimensional aggregates.  The report's ``i_y`` is the mutual
+    information through the cluster variable, assembled from the model's
+    rule rows once, after the loop.
     """
-    state, run = exp_fixed_point(model, beta,
-                                 track_functional=track_functional, **options)
-    return state, run.report(Framework.DUAL, beta,
-                             _reduced_observables(model, state))
-
-
-class ExpBackend:
-    """Sweep backend in the reduced parametrization.
-
-    Plugs into ``annealing.run_sweep`` with the same initial encoder and
-    noise-stream shapes as the full-table backend, so sweeps of a model
-    and of its reconstructed table stay on matching branches.
-    """
-
-    def __init__(self, model: ExpFamilyModel):
-        self.model = model
-        self.framework = Framework.DUAL
-        self.n_y = model.n_y
-
-    def initial_encoder(self) -> np.ndarray:
-        return np.ones((self.model.n_x, 1))
-
-    def rebuild(self, encoder: np.ndarray, beta: float) -> ExpState:
-        return derive_exp_state(self.model, encoder, beta)
-
-    def solve_from(self, state: ExpState, beta: float, tol: float,
-                   max_iter: int):
-        new_state, run = exp_fixed_point(self.model, beta,
-                                         init_encoder=state.encoder, tol=tol,
-                                         max_iter=max_iter)
-        return new_state, run.n_iterations, run.converged
-
-    def observables(self, state: ExpState) -> tuple[float, float, float]:
-        i_x, i_y, _, functional = _reduced_observables(self.model, state)
-        return i_x, i_y, functional
+    return backend_solve(ExpBackend(model), beta,
+                         track_functional=track_functional, **options)
 
 
 def exp_sweep_with_states(model: ExpFamilyModel, betas, *,

@@ -117,20 +117,6 @@ class FixedPointRun(NamedTuple):
     encoder_delta: float
     functionals: list[float] | None
 
-    def report(self, framework: Framework, beta: float,
-               observables: tuple[float, float, float, float]
-               ) -> SolveReport:
-        """The :class:`SolveReport` of this run, given the final state's
-        ``(I(X;Xhat), I(Y;Xhat), E[d], functional)``."""
-        i_x, i_y, mean_d, functional = observables
-        return SolveReport(
-            framework=framework, beta=float(beta), converged=self.converged,
-            n_iterations=self.n_iterations, i_x=i_x, i_y=i_y,
-            functional=functional, expected_distortion=mean_d,
-            encoder_delta=self.encoder_delta,
-            functional_trace=None if self.functionals is None
-            else np.asarray(self.functionals + [functional]))
-
 
 # ---------------------------------------------------------------------------
 # elementary steps
@@ -192,16 +178,7 @@ def _decode(framework: Framework, stats: np.ndarray):
 def derive_state(problem: JointDistribution, framework,
                  encoder: np.ndarray, beta: float) -> BottleneckState:
     """Recompute marginal / weights / decoder implied by an encoder."""
-    framework = as_framework(framework)
-    table = (problem.ib_table if framework is Framework.IB
-             else problem.dual_table)
-    marginal, stats, _ = _cluster_statistics(encoder, table)
-    decoder, log_decoder, log_z = _decode(framework, stats)
-    return BottleneckState(framework=framework, beta=float(beta),
-                           encoder=encoder, marginal=marginal,
-                           weights=inverse_encoder(encoder, problem.p_x)[1],
-                           decoder=decoder, log_decoder=log_decoder,
-                           log_z=log_z)
+    return TableBackend(problem, framework).derive(encoder, beta)
 
 
 def distortion_matrix(problem: JointDistribution,
@@ -372,85 +349,130 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
     return default_encoder(n_x, k)
 
 
-def iterate(step, encoder: np.ndarray, tol: float, max_iter: int,
-            trace: bool) -> tuple[np.ndarray, FixedPointRun]:
-    """The fixed-point loop shared by every solver.
+class TableBackend:
+    """The statistics-table solver of one framework on one problem.
 
-    ``step(encoder, traced)`` returns the next encoder and, when ``traced``,
-    the functional at ``encoder`` (else ``None``).  Stops once a step moves
-    the encoder by at most ``tol`` in sup norm, or after ``max_iter`` steps.
-    Returns the final encoder and the :class:`FixedPointRun`.
+    A solver backend offers ``framework``, ``n_x``, ``n_y`` and the triple
+    ``derive(encoder, beta) -> state``, ``stepper(beta) -> step`` and
+    ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d], functional)``;
+    :func:`fixed_point` and ``annealing.run_sweep`` run any backend.
     """
-    functionals: list[float] | None = [] if trace else None
+
+    def __init__(self, problem: JointDistribution, framework):
+        self.problem = problem
+        self.framework = as_framework(framework)
+        self.n_x, self.n_y = problem.n_x, problem.n_y
+        self.table = (problem.ib_table if self.framework is Framework.IB
+                      else problem.dual_table)
+
+    def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
+        """The state implied by an encoder: its cluster statistics, the
+        framework decoder and the inverse encoder."""
+        marginal, stats, _ = _cluster_statistics(encoder, self.table)
+        return self._state(encoder, beta, marginal,
+                           _decode(self.framework, stats))
+
+    def _state(self, encoder, beta, marginal, decoded) -> BottleneckState:
+        decoder, log_decoder, log_z = decoded
+        return BottleneckState(
+            framework=self.framework, beta=float(beta), encoder=encoder,
+            marginal=marginal,
+            weights=inverse_encoder(encoder, self.problem.p_x)[1],
+            decoder=decoder, log_decoder=log_decoder, log_z=log_z)
+
+    def stepper(self, beta: float):
+        """The step ``(encoder, traced) -> (next encoder, functional at
+        encoder or None)`` at ``beta``, with its constants bound once.
+
+        A step takes the cluster statistics of the encoder, forms the
+        logits ``log p(xhat) - beta * d[x, xhat]`` up to a per-row constant
+        (which the row softmax ignores) and softmaxes them.  For ib the
+        logits are ``[beta * rule | 1 - beta * rowsum(rule)] @ log(stats).T``;
+        for dual, ``beta * log_rule @ dec.T + log p(xhat)
+        - beta * sum_y dec log dec``.  Dead clusters get ``-inf`` logits,
+        so they stay at exactly zero.
+        """
+        problem, framework, table = self.problem, self.framework, self.table
+        state_of = self._state
+        ib = framework is Framework.IB
+        if ib:
+            coefficients = np.column_stack(
+                [beta * problem.rule, 1.0 - beta * problem.rule.sum(axis=1)])
+        else:
+            beta_log_rule = beta * problem.log_rule
+
+        def step(encoder, traced):
+            marginal, stats, dead = _cluster_statistics(encoder, table)
+            decoded = _decode(framework, stats) if traced or not ib else None
+            if ib:
+                logits = coefficients @ np.log(stats).T
+            else:
+                decoder, log_decoder, _ = decoded
+                logits = beta_log_rule @ decoder.T + (
+                    np.log(stats[:, -1])
+                    - beta * (decoder * log_decoder).sum(axis=1))
+            if dead is not None:
+                logits[:, dead] = -np.inf
+            functional = (state_observables(
+                problem, state_of(encoder, beta, marginal, decoded))[3]
+                if traced else None)
+            return _row_softmax(logits), functional
+
+        return step
+
+    def observables(self, state: BottleneckState
+                    ) -> tuple[float, float, float, float]:
+        return state_observables(self.problem, state)
+
+
+def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
+                init_encoder: np.ndarray | None = None,
+                rng: np.random.Generator | None = None,
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                track_functional: bool = False
+                ) -> tuple[object, FixedPointRun]:
+    """The fixed-point loop of every solver, without a report: the state
+    the backend derives from the final encoder, and what the loop did.
+
+    Starts from :func:`prepare_encoder` and repeats the backend's step
+    until a step moves the encoder by at most ``tol`` in sup norm, or for
+    ``max_iter`` steps.
+    """
+    if beta < 0.0:
+        raise ValueError("beta must be non-negative")
+    encoder = prepare_encoder(backend.n_x, n_clusters, init_encoder, rng)
+    step = backend.stepper(beta)
+    functionals: list[float] | None = [] if track_functional else None
     delta = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_encoder, functional = step(encoder, trace)
-        if trace:
+        new_encoder, functional = step(encoder, track_functional)
+        if track_functional:
             functionals.append(functional)
         delta = float(np.abs(new_encoder - encoder).max())
         encoder = new_encoder
         if delta <= tol:
             converged = True
             break
-    return encoder, FixedPointRun(converged, iterations, delta, functionals)
+    return (backend.derive(encoder, beta),
+            FixedPointRun(converged, iterations, delta, functionals))
 
 
-def fixed_point(problem: JointDistribution, beta: float, framework,
-                *, n_clusters: int | None = None,
-                init_encoder: np.ndarray | None = None,
-                rng: np.random.Generator | None = None,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                track_functional: bool = False
-                ) -> tuple[BottleneckState, FixedPointRun]:
-    """The updates of :func:`solve` without its report: the state rebuilt
-    from the final encoder, and what the loop did.
-
-    A step takes the cluster statistics of the encoder, forms the logits
-    ``log p(xhat) - beta * d[x, xhat]`` up to a per-row constant (which the
-    row softmax ignores) and softmaxes them.  For ib the logits are
-    ``[beta * rule | 1 - beta * rowsum(rule)] @ log(stats).T``; for dual,
-    ``beta * log_rule @ dec.T + log p(xhat) - beta * sum_y dec log dec``.
-    Dead clusters get ``-inf`` logits, so they stay at exactly zero.
-    """
-    framework = as_framework(framework)
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    enc = prepare_encoder(problem.n_x, n_clusters, init_encoder, rng)
-    ib = framework is Framework.IB
-    table = problem.ib_table if ib else problem.dual_table
-    if ib:
-        coefficients = np.column_stack(
-            [beta * problem.rule, 1.0 - beta * problem.rule.sum(axis=1)])
-    else:
-        beta_log_rule = beta * problem.log_rule
-
-    def step(encoder, traced):
-        marginal, stats, dead = _cluster_statistics(encoder, table)
-        decoded = _decode(framework, stats) if traced or not ib else None
-        if ib:
-            logits = coefficients @ np.log(stats).T
-        else:
-            decoder, log_decoder, _ = decoded
-            logits = beta_log_rule @ decoder.T + (
-                np.log(stats[:, -1])
-                - beta * (decoder * log_decoder).sum(axis=1))
-        if dead is not None:
-            logits[:, dead] = -np.inf
-        functional = None
-        if traced:
-            decoder, log_decoder, log_z = decoded
-            state = BottleneckState(
-                framework=framework, beta=float(beta), encoder=encoder,
-                marginal=marginal,
-                weights=inverse_encoder(encoder, problem.p_x)[1],
-                decoder=decoder, log_decoder=log_decoder, log_z=log_z)
-            functional = state_observables(problem, state)[3]
-        return _row_softmax(logits), functional
-
-    enc, run = iterate(step, enc, tol, max_iter, track_functional)
-    return derive_state(problem, framework, enc, beta), run
+def backend_solve(backend, beta: float, *, track_functional: bool = True,
+                  **options) -> tuple[object, SolveReport]:
+    """:func:`fixed_point` plus the :class:`SolveReport` of its final
+    state; the functional trace ends with the final state's value."""
+    state, run = fixed_point(backend, beta,
+                             track_functional=track_functional, **options)
+    i_x, i_y, mean_d, functional = backend.observables(state)
+    return state, SolveReport(
+        framework=backend.framework, beta=float(beta),
+        converged=run.converged, n_iterations=run.n_iterations, i_x=i_x,
+        i_y=i_y, functional=functional, expected_distortion=mean_d,
+        encoder_delta=run.encoder_delta,
+        functional_trace=None if run.functionals is None
+        else np.asarray(run.functionals + [functional]))
 
 
 def solve(problem: JointDistribution, beta: float, framework, *,
@@ -467,7 +489,5 @@ def solve(problem: JointDistribution, beta: float, framework, *,
     final encoder, so marginal, weights and decoder are exactly consistent
     with it.
     """
-    state, run = fixed_point(problem, beta, framework,
-                             track_functional=track_functional, **options)
-    return state, run.report(state.framework, beta,
-                             state_observables(problem, state))
+    return backend_solve(TableBackend(problem, framework), beta,
+                         track_functional=track_functional, **options)

@@ -38,6 +38,7 @@ from .solvers import (
     DEFAULT_TOL,
     BottleneckState,
     Framework,
+    TableBackend,
     as_framework,
 )
 # Bisection reads only the solved states, so it runs the report-free
@@ -250,15 +251,15 @@ def find_critical_points(problem: JointDistribution, framework, betas, *,
                                          max_iter=max_iter)
     trace, states = sweep_result
     counts = trace.column("effective_clusters")
+    backend = TableBackend(problem, framework)
 
     points: list[CriticalPoint] = []
     for i in np.flatnonzero(np.diff(counts) > 0):
         parent = states[i]
         beta_lo, beta_hi = float(betas[i]), float(betas[i + 1])
         gaps_lo = _stability_gaps(problem, parent)
-        state_hi, _ = solve(problem, beta_hi, framework,
-                            init_encoder=parent.encoder, tol=tol,
-                            max_iter=max_iter)
+        state_hi, _ = solve(backend, beta_hi, init_encoder=parent.encoder,
+                            tol=tol, max_iter=max_iter)
         gaps_hi = _stability_gaps(problem, state_hi)
         crossing = np.flatnonzero((gaps_lo < 0.0) & (gaps_hi >= 0.0))
         if crossing.size == 0:
@@ -268,16 +269,16 @@ def find_critical_points(problem: JointDistribution, framework, betas, *,
                 "bracket", UserWarning)
             continue
         for c in crossing:
-            points.append(_bisect_branch(problem, framework, parent,
-                                         int(c), beta_lo, beta_hi,
-                                         tol, max_iter, g_tol, max_bisect))
+            points.append(_bisect_branch(backend, parent, int(c), beta_lo,
+                                         beta_hi, tol, max_iter, g_tol,
+                                         max_bisect))
     return CriticalReport(framework=str(framework.value), points=points,
                           grid_min=float(betas[0]), grid_max=float(betas[-1]),
                           grid_points=int(betas.size))
 
 
-def _bisect_branch(problem, framework, parent, cluster, beta_lo, beta_hi,
-                   tol, max_iter, g_tol, max_bisect) -> CriticalPoint:
+def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
+                   max_iter, g_tol, max_bisect) -> CriticalPoint:
     lo, hi = beta_lo, beta_hi
     warm = parent
     beta_mid = 0.5 * (lo + hi)
@@ -285,10 +286,10 @@ def _bisect_branch(problem, framework, parent, cluster, beta_lo, beta_hi,
     lam = np.nan
     for _ in range(max_bisect):
         beta_mid = 0.5 * (lo + hi)
-        warm, _ = solve(problem, beta_mid, framework,
-                        init_encoder=warm.encoder, tol=tol,
-                        max_iter=max_iter)
-        lam = build_matrices(problem, warm, cluster).second_eigenvalue()
+        warm, _ = solve(backend, beta_mid, init_encoder=warm.encoder,
+                        tol=tol, max_iter=max_iter)
+        lam = build_matrices(backend.problem, warm,
+                             cluster).second_eigenvalue()
         gap = beta_mid * lam - 1.0
         if abs(gap) <= g_tol:
             break
@@ -296,7 +297,7 @@ def _bisect_branch(problem, framework, parent, cluster, beta_lo, beta_hi,
             hi = beta_mid
         else:
             lo = beta_mid
-    return CriticalPoint(framework=str(as_framework(framework).value),
+    return CriticalPoint(framework=backend.framework.value,
                          beta=float(beta_mid), lambda2=float(lam),
                          cluster_index=cluster,
                          bracket=(beta_lo, beta_hi),

@@ -4,11 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bottleneck_lab import annealing, probability, solvers
 from bottleneck_lab.annealing import (
     AnnealTrace,
     SplitConfig,
     log_grid,
     merge_close_clusters,
+    run_sweep,
     split_and_perturb,
     sweep,
     sweep_with_states,
@@ -16,7 +18,8 @@ from bottleneck_lab.annealing import (
     trace_to_csv,
 )
 from bottleneck_lab.datasets import binary_overlap5
-from bottleneck_lab.solvers import solve
+from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel
+from bottleneck_lab.solvers import DEFAULT_MAX_ITER, TableBackend, solve
 
 from conftest import random_problem
 
@@ -176,6 +179,65 @@ class TestSweep:
             sweep(problem, "ib", [2.0, 1.0])
         with pytest.raises(ValueError):
             sweep(problem, "ib", [])
+
+
+@pytest.fixture
+def narrowing_merges(monkeypatch):
+    """Whether each merge of a sweep narrowed the encoder, in order."""
+    narrowed = []
+
+    def counting(encoder, *args):
+        merged = merge_close_clusters(encoder, *args)
+        narrowed.append(merged.shape[1] != encoder.shape[1])
+        return merged
+
+    monkeypatch.setattr(annealing, "merge_close_clusters", counting)
+    return narrowed
+
+
+class TestStateWork:
+    """A sweep derives one state per solve, plus one per merge that
+    narrows the encoder, and builds no state it does not read."""
+
+    BETAS = log_grid(2.0, 16.0, 12)  # merges narrow below each transition
+
+    @pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])
+    def test_derivations(self, solver, narrowing_merges):
+        problem = binary_overlap5()
+        backend = (ExpBackend(ExpFamilyModel.from_conditional(problem))
+                   if solver == "reduced" else TableBackend(problem, solver))
+        derived = []
+        original = backend.derive
+
+        def counting(encoder, beta):
+            derived.append(beta)
+            return original(encoder, beta)
+
+        backend.derive = counting
+        trace, _ = run_sweep(backend, self.BETAS, SplitConfig(), 1e-10,
+                             DEFAULT_MAX_ITER)
+        # The reduced step derives the state it steps from.
+        steps = (sum(trace.column("n_iterations")) if solver == "reduced"
+                 else 0)
+        assert len(narrowing_merges) == self.BETAS.size
+        assert any(narrowing_merges) and not all(narrowing_merges)
+        assert len(derived) == (steps + self.BETAS.size
+                                + sum(narrowing_merges))
+
+    def test_dual_sweep_normalizes_only_used_decoders(self, monkeypatch,
+                                                      narrowing_merges):
+        """Each dual step normalizes its decoder once; beyond the steps,
+        only the solved and the narrowed states do."""
+        calls = []
+
+        def counting(a, axis=None):
+            calls.append(axis)
+            return probability.logsumexp(a, axis)
+
+        monkeypatch.setattr(solvers, "logsumexp", counting)
+        trace = sweep(binary_overlap5(), "dual", self.BETAS)
+        assert len(calls) == (sum(trace.column("n_iterations"))
+                              + self.BETAS.size + sum(narrowing_merges))
 
 
 class TestSerialization:

@@ -6,6 +6,12 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from bottleneck_lab.annealing import log_grid, sweep
+from bottleneck_lab.datasets import binary_overlap5
+from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -24,3 +30,25 @@ def test_every_patched_name_exists():
                if attr not in vars(owner)]
     assert missing == []
     assert tracing.installed_wrappers() == []
+
+
+@pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])
+def test_traced_sweeps_count_every_solve(solver):
+    """The solve the tracer wraps is the one every sweep runs, so its
+    iteration count is the trace's, for the table and reduced sweeps."""
+    tracing = load_tracing()
+    problem = binary_overlap5()
+    betas = log_grid(2.0, 8.0, 6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        if solver == "reduced":
+            trace = exp_sweep(ExpFamilyModel.from_conditional(problem), betas)
+        else:
+            trace = sweep(problem, solver, betas)
+    finally:
+        tracer.uninstall()
+    assert tracing.installed_wrappers() == []
+    assert tracer.counts["annealing.grid_points"] == betas.size
+    assert (tracer.counts["solvers.iterations"]
+            == sum(trace.column("n_iterations")) > 0)

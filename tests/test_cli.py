@@ -677,6 +677,23 @@ class TestExitCodes:
                                                    argv, flag):
         assert_rejected(argv, flag, tmp_path, capsys)
 
+    @pytest.mark.parametrize("argv, wrong_schema", [
+        (["solve", "--problem", None, "--beta", "2"], CLASSES_FIXTURE),
+        (["sweep", "--problem", None, "--beta-grid", "log:2:6:4"],
+         CLASSES_FIXTURE),
+        (["critical", "--problem", None, "--beta-grid", "log:2:6:4"],
+         CLASSES_FIXTURE),
+        (["expfam", "--problem", None, "--beta", "2"], CLASSES_FIXTURE),
+        (["error-exp", "--classes", None], RULE_FIXTURE),
+    ], ids=["solve", "sweep", "critical", "expfam", "error-exp"])
+    @pytest.mark.parametrize("missing", [False, True],
+                             ids=["wrong-schema", "missing"])
+    def test_rejected_problem_files_leave_no_run_config(
+            self, tmp_path, capsys, argv, wrong_schema, missing):
+        path = tmp_path / "nope.json" if missing else wrong_schema
+        argv = [str(path) if arg is None else arg for arg in argv]
+        assert_rejected(argv, "problem file", tmp_path, capsys)
+
     def test_unknown_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", "--bogus", "1"])

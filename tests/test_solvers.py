@@ -229,7 +229,7 @@ class TestSolve:
         state = derive_state(problem, "ib", enc, beta)
         expected = encoder_update(state.marginal,
                                   distortion_matrix(problem, state), beta)
-        stepped, _ = solvers.fixed_point(problem, beta, "ib",
+        stepped, _ = solvers.fixed_point(TableBackend(problem, "ib"), beta,
                                          init_encoder=enc, tol=-1.0,
                                          max_iter=1)
         assert np.max(np.abs(stepped.encoder - expected)) <= 1e-13
@@ -243,16 +243,13 @@ class TestSolve:
         problem = binary_overlap5()
 
         class ReferenceBackend(TableBackend):
-            def solve_from(self, state, beta, tol, max_iter):
+            def stepper(self, beta):
                 def step(encoder, traced):
                     now = derive_state(problem, framework, encoder, beta)
                     d = distortion_matrix(problem, now)
                     return encoder_update(now.marginal, d, beta), None
 
-                enc = prepare_encoder(problem.n_x, None, state.encoder, None)
-                enc, run = solvers.iterate(step, enc, tol, max_iter, False)
-                return (derive_state(problem, framework, enc, beta),
-                        run.n_iterations, run.converged)
+                return step
 
         betas = log_grid(0.25, 64.0, 60)
         new = sweep(problem, framework, betas, tol=1e-12)
@@ -280,8 +277,8 @@ class TestSolve:
         expected = []
         for n in range(report.n_iterations + 1):
             # The state after n steps of the same (deterministic) loop.
-            state, _ = solvers.fixed_point(problem, 3.0, framework,
-                                           init_encoder=enc, tol=-1.0,
+            state, _ = solvers.fixed_point(TableBackend(problem, framework),
+                                           3.0, init_encoder=enc, tol=-1.0,
                                            max_iter=n)
             expected.append(state_observables(problem, state)[3])
         assert np.array_equal(report.functional_trace, expected)

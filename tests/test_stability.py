@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from bottleneck_lab import annealing, solvers
+from bottleneck_lab import solvers
 from bottleneck_lab.annealing import log_grid, sweep_with_states
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.probability import JointDistribution
@@ -387,11 +387,13 @@ class TestObservableWork:
         """A sweep computes the observables of each grid point once, for
         its record, and bisection solves compute none."""
         calls = []
-        for module in (solvers, annealing):
-            def counting(*args, _original=module.state_observables):
-                calls.append(args[1].beta)
-                return _original(*args)
-            monkeypatch.setattr(module, "state_observables", counting)
+        original = solvers.state_observables
+
+        def counting(*args):
+            calls.append(args[1].beta)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "state_observables", counting)
         problem = binary_overlap5()
         betas = log_grid(3.0, 6.0, 8)
         result = sweep_with_states(problem, framework, betas)
