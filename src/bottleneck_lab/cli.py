@@ -409,10 +409,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if merged[name] is None:
             raise ValidationError(
                 f"{command} requires {_flag(name, command)}")
-    if command == "expfam" and ((merged["beta"] is None)
-                                == (merged["beta_grid"] is None)):
-        raise ValidationError(
-            "expfam requires exactly one of --beta or --beta-grid")
+    if command == "expfam":
+        if (merged["beta"] is None) == (merged["beta_grid"] is None):
+            raise ValidationError(
+                "expfam requires exactly one of --beta or --beta-grid")
+        if None not in (merged["n_clusters"], merged["beta_grid"]):
+            raise ValidationError(
+                "--n-clusters applies to expfam --beta only; a --beta-grid "
+                "sweep starts from one cluster")
 
     for name, value in merged.items():
         if value is None:
@@ -580,8 +584,9 @@ def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
     stem = Path(config.problem_path).stem
 
     if config.beta is not None:
-        state, report = exp_solve(model, config.beta, tol=config.tol,
-                                  max_iter=config.max_iter,
+        state, report = exp_solve(model, config.beta,
+                                  n_clusters=config.n_clusters,
+                                  tol=config.tol, max_iter=config.max_iter,
                                   track_functional=False)
         _report_solve(config, out / f"{stem}_expfam_solve.json", "expfam",
                       {"framework": "dual", "solver": "expfam"}, state,
@@ -645,7 +650,8 @@ _COMMANDS = {
     "expfam": _Command(
         _require_model, _cmd_expfam,
         "reduced sufficient-statistics solver (prediction framework)",
-        ("problem_path", "beta", "beta_grid", *_SPLIT), ("problem_path",)),
+        ("problem_path", "beta", "beta_grid", "n_clusters", *_SPLIT),
+        ("problem_path",)),
     "error-exp": _Command(
         _require_classes, _cmd_error_exp,
         "misclassification rate vs sample size for trained encoders",

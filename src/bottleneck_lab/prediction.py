@@ -13,10 +13,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .annealing import SplitConfig, sweep_with_states
-from .probability import DistributionError, JointDistribution, logsumexp
+from .probability import (
+    DistributionError,
+    JointDistribution,
+    logsumexp,
+    rel_entr,
+)
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,

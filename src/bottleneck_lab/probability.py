@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 # Tolerance for "this array should already be normalized" checks.  Inputs
 # passing the check are renormalized exactly, so downstream code may rely on
@@ -69,7 +68,7 @@ def entropy(p) -> float:
     """
     p = _as_float_array(p, "p")
     _require_normalized(p, "p")
-    return float(-xlogy(p, p).sum())
+    return float(-xlogx(p).sum())
 
 
 def kl_divergence(p, q) -> float:
@@ -107,6 +106,33 @@ def mutual_information(joint) -> float:
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     return float(rel_entr(joint, np.outer(pa, pb)).sum())
+
+
+def xlogx(p) -> np.ndarray:
+    """``p * log(p)`` elementwise, with 0 where ``p == 0``.
+
+    Agrees with ``scipy.special.xlogy(p, p)`` up to the rounding of the
+    logarithm; a NaN cell gives NaN, and no floating-point warning is
+    raised.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.where(p == 0.0, 0.0, p * np.log(p))
+
+
+def rel_entr(x, y) -> np.ndarray:
+    """``x * log(x / y)`` elementwise (broadcasting), for ``x, y >= 0``.
+
+    Agrees with ``scipy.special.rel_entr(x, y)`` up to the rounding of the
+    logarithm, and exactly in the special cells: 0 where ``x == 0``,
+    ``inf`` where ``x > 0`` and ``y == 0``, NaN where either input is NaN.
+    No floating-point warning is raised.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    # ``y >= 0`` is False for a NaN ``y``, so ``rel_entr(0, nan)`` is NaN.
+    with np.errstate(all="ignore"):
+        return np.where((x == 0.0) & (y >= 0.0), 0.0, x * np.log(x / y))
 
 
 def conditional_from_joint(joint):

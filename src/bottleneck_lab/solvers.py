@@ -26,9 +26,9 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
-from .probability import JointDistribution, logsumexp, mutual_information
+from .probability import (JointDistribution, logsumexp, mutual_information,
+                          xlogx)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -189,7 +189,7 @@ def distortion_matrix(problem: JointDistribution,
     if state.framework is Framework.IB:
         return (problem.rule_neg_entropy[:, None]
                 - problem.rule @ state.log_decoder.T)
-    dec_neg_entropy = xlogy(state.decoder, state.decoder).sum(axis=1)
+    dec_neg_entropy = xlogx(state.decoder).sum(axis=1)
     return dec_neg_entropy - problem.log_rule @ state.decoder.T
 
 
@@ -228,7 +228,7 @@ def encoder_information(p_x: np.ndarray, encoder: np.ndarray,
     """``I(X; Xhat)`` of ``p_x`` with a row-stochastic encoder, in nats."""
     alive = marginal > 0.0
     enc = encoder[:, alive]
-    per_cell = xlogy(enc, enc) - enc * np.log(marginal[alive])[None, :]
+    per_cell = xlogx(enc) - enc * np.log(marginal[alive])[None, :]
     return float(p_x @ per_cell.sum(axis=1))
 
 
@@ -305,7 +305,7 @@ def dual_distortion_split(problem: JointDistribution,
     i_pred_inputs = mutual_information(p_x[:, None] * predicted)
     shift = i_pred_clusters - i_pred_inputs
     mismatch = float(np.sum(
-        p_x[:, None] * (xlogy(predicted, predicted)
+        p_x[:, None] * (xlogx(predicted)
                         - predicted * problem.log_rule)))
     return DualDistortionSplit(total=shift + mismatch,
                                label_info_shift=shift,

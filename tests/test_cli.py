@@ -274,6 +274,7 @@ FRAMEWORK = ("--framework", "framework", None, None, ("ib", "dual", "both"),
              None)
 BETA = ("--beta", "beta", float, None, None, None)
 GRID = ("--beta-grid", "beta_grid", None, None, None, "KIND:LO:HI:N")
+N_CLUSTERS = ("--n-clusters", "n_clusters", int, None, None, None)
 SPLIT = [("--split-eps", "split_eps", float, None, None, None),
          ("--merge-tol", "merge_tol", float, None, None, None)]
 COMMON = [("--config", "config", None, None, None, "JSON"),
@@ -286,12 +287,10 @@ SCAN = [PROBLEM, FRAMEWORK, GRID, ("--g-tol", "g_tol", float, None, None,
                                    None), *SPLIT, *COMMON]
 # (option, dest, type, nargs, choices, metavar) of every option, in order
 INTERFACE = {
-    "solve": [PROBLEM, FRAMEWORK, BETA,
-              ("--n-clusters", "n_clusters", int, None, None, None),
-              *COMMON],
+    "solve": [PROBLEM, FRAMEWORK, BETA, N_CLUSTERS, *COMMON],
     "sweep": SCAN,
     "critical": SCAN,
-    "expfam": [PROBLEM, BETA, GRID, *SPLIT, *COMMON],
+    "expfam": [PROBLEM, BETA, GRID, N_CLUSTERS, *SPLIT, *COMMON],
     "error-exp": [("--classes", "problem_path", None, None, None, "JSON"),
                   FRAMEWORK,
                   ("--betas", "beta_list", float, "+", None, None),
@@ -568,6 +567,32 @@ class TestExpfamCommand:
         assert len(trace.records) == 8
         assert all(trace.column("converged"))
 
+    def test_cluster_budget_on_a_large_model(self, tmp_path, capsys):
+        """The 2000 x 200 x 3 model of one N(0, 1) draw (seed 1) solves
+        from a small cluster budget; from the default n_x = 2000 clusters
+        each step costs about 0.15 s."""
+        rng = np.random.default_rng(1)
+        path = write_json(tmp_path / "large.json", {"exp_family": {
+            "features": rng.standard_normal((2000, 3)).tolist(),
+            "params": rng.standard_normal((200, 3)).tolist()}})
+        rc = main(["expfam", "--problem", path, "--beta", "3.0",
+                   "--n-clusters", "4", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        report = json.loads(
+            (tmp_path / "large_expfam_solve.json").read_text())
+        assert report["converged"]
+        assert len(report["decoder"]) == 4
+
+    def test_cluster_budget_is_rejected_with_a_grid(self, tmp_path, capsys):
+        argv = ["expfam", "--problem", str(RULE_FIXTURE), "--beta-grid",
+                "log:2:6:4"]
+        assert_rejected(argv + ["--n-clusters", "2"], "--n-clusters",
+                        tmp_path, capsys)
+        config = write_json(tmp_path / "cfg.json", {"n_clusters": 2})
+        assert_rejected(argv + ["--config", config], "--n-clusters",
+                        tmp_path, capsys)
+
     def test_rejections(self, tmp_path, capsys):
         rc = main(["expfam", "--problem", str(CLASSES_FIXTURE), "--beta",
                    "4", "--output-dir", str(tmp_path)])
@@ -726,6 +751,27 @@ class TestThreadCapAndEntryPoint:
 
     def test_unset_leaves_environment_alone(self):
         assert self.run_python(self.PROBE, {}) == "None None"
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        runs every command imports no scipy module, eagerly or lazily."""
+        runs = [SOLVE, SWEEP,
+                ["critical", "--problem", str(RULE_FIXTURE), "--beta-grid",
+                 "log:2:6:4"],
+                ["expfam", "--problem", str(RULE_FIXTURE), "--beta", "4"],
+                ["expfam", "--problem", str(RULE_FIXTURE), "--beta-grid",
+                 "log:2:6:4"],
+                ERROR_EXP + ["--betas", "4", "--n-values", "1", "4",
+                             "--trials", "50"]]
+        runs = [argv + ["--output-dir", str(tmp_path / str(i))]
+                for i, argv in enumerate(runs)]
+        code = ("import json, sys\n"
+                "from bottleneck_lab.cli import main\n"
+                f"codes = [main(argv) for argv in {runs!r}]\n"
+                "print(json.dumps([codes, sorted(name for name in sys.modules"
+                " if name.startswith('scipy'))]))")
+        last = self.run_python(code, {}).splitlines()[-1]
+        assert json.loads(last) == [[0] * len(runs), []]
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -24,7 +24,9 @@ from bottleneck_lab.probability import (
     kl_divergence,
     logsumexp,
     mutual_information,
+    rel_entr,
     smooth_rows,
+    xlogx,
 )
 from bottleneck_lab.solvers import derive_state
 
@@ -333,16 +335,81 @@ class TestLogSumExp:
         assert np.isnan(got[1])
 
     def test_one_log_sum_exp_in_the_package(self):
+        """One log-sum-exp, and no scipy import anywhere in the package
+        (numpy is its only runtime dependency)."""
         for module in (solvers, expfamily, prediction):
             assert module.logsumexp is probability.logsumexp
+        assert prediction.rel_entr is probability.rel_entr
         src = Path(bottleneck_lab.__file__).parent
         for path in sorted(src.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and (
-                        node.module or "").startswith("scipy"):
-                    names = {alias.name for alias in node.names}
-                    assert "logsumexp" not in names, path.name
-                # no ``scipy.special.logsumexp(...)`` through a module import
+                if isinstance(node, ast.ImportFrom):
+                    assert not (node.module or "").startswith("scipy"), \
+                        path.name
+                if isinstance(node, ast.Import):
+                    assert not any(alias.name.startswith("scipy")
+                                   for alias in node.names), path.name
+                # no ``<module>.logsumexp(...)`` besides the package's own
                 assert not (isinstance(node, ast.Attribute)
                             and node.attr == "logsumexp"), path.name
+
+
+class TestEntropyKernels:
+    """``xlogx`` and ``rel_entr`` against ``scipy.special``, the reference
+    they replace."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 64),
+           x_scale=st.floats(-300.0, 3.0), y_scale=st.floats(-300.0, 3.0),
+           per_cell=st.booleans(), zeros=st.floats(0.0, 0.5),
+           holes=st.floats(0.0, 0.5), nans=st.booleans())
+    def test_match_scipy(self, seed, size, x_scale, y_scale, per_cell,
+                         zeros, holes, nans):
+        """The special cells (``0 log 0``, ``rel_entr(0, 0)``,
+        ``rel_entr(x > 0, 0) = inf``, NaN in and NaN out) equal scipy's
+        exactly and raise no warning.  Elsewhere both sides compute the
+        same quotient and differ only in the rounding of one logarithm, so
+        the gap is bounded relative to the larger of ``x`` and the value:
+        at scale 1e-300, ``log x`` is about -690 and one ulp of it is
+        already 1e-13 * x."""
+        local = np.random.default_rng(seed)
+        if per_cell:
+            x_scale = local.uniform(-300.0, 3.0, size)
+            y_scale = local.uniform(-300.0, 3.0, size)
+        x = 10.0 ** x_scale * local.random(size)
+        y = 10.0 ** y_scale * local.random(size)
+        x[local.random(size) < zeros] = 0.0
+        y[local.random(size) < holes] = 0.0
+        if nans:
+            x[local.integers(size)] = np.nan
+            y[local.integers(size)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {"xlogx": xlogx(x), "rel_entr": rel_entr(x, y)}
+        with np.errstate(all="ignore"):
+            expected = {"xlogx": scipy.special.xlogy(x, x),
+                        "rel_entr": scipy.special.rel_entr(x, y)}
+        special = {"xlogx": (x == 0.0) | np.isnan(x),
+                   "rel_entr": ((x == 0.0) | (y == 0.0)
+                                | np.isnan(x) | np.isnan(y))}
+        for name, value in got.items():
+            ref = expected[name]
+            exact = special[name] | ~np.isfinite(ref)
+            assert np.array_equal(value[exact], ref[exact], equal_nan=True)
+            gap = np.abs(value[~exact] - ref[~exact])
+            assert np.all(gap <= 4e-15 * np.maximum(x, np.abs(ref))[~exact])
+
+    def test_special_cells(self):
+        x = np.array([0.0, 0.0, 0.0, 0.5, np.nan, 0.5])
+        y = np.array([0.0, 0.5, np.nan, 0.0, 0.5, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            divergence = rel_entr(x, y)
+            plogp = xlogx(x)
+        assert np.array_equal(divergence,
+                              [0.0, 0.0, np.nan, np.inf, np.nan, np.nan],
+                              equal_nan=True)
+        assert np.array_equal(plogp[3:5], [0.5 * np.log(0.5), np.nan],
+                              equal_nan=True)
+        assert np.all(plogp[:3] == 0.0)
