@@ -46,7 +46,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import SplitConfig, log_grid, sweep_with_states, trace_to_csv
+from .annealing import (
+    SplitConfig,
+    log_grid,
+    merge_close_clusters,
+    sweep_with_states,
+    trace_to_csv,
+)
 from .expfamily import ExpFamilyModel, exp_solve, exp_sweep
 from .prediction import (
     DEFAULT_BETAS,
@@ -490,8 +496,14 @@ def _split_config(config: RunConfig) -> SplitConfig:
 
 def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
                   state, report, arrays: dict) -> None:
-    """Write one single-beta solve artifact and print its summary line."""
-    clusters = int(state.effective_clusters())
+    """Write one single-beta solve artifact and print its summary line.
+
+    Clusters are counted as a sweep counts them after its merge: columns
+    whose decoder rows coincide within the default ``merge_tol`` are one.
+    """
+    clusters = merge_close_clusters(state.encoder, state.decoder,
+                                    state.marginal,
+                                    SplitConfig().merge_tol).shape[1]
     _dump_json({
         **labels,
         "beta": config.beta,

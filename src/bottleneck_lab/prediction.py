@@ -182,36 +182,94 @@ class ErrorCurve:
     seed: int
 
 
+#: Rows of the ``(trials, max_n)`` uniform block drawn and binned at a time.
+_SAMPLE_CHUNK = 1024
+
+#: A row is left to the exact divergences when a second score lies within
+#: ``_TIE_RTOL * (1 + |best|)`` of its best score.
+_TIE_RTOL = 1e-8
+
+
 def _empirical_counts(problem: ClassificationProblem, n_values, trials: int,
                       seed: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Common-random-number sample streams for the whole experiment.
 
-    One generator seeded by ``seed`` draws the class labels and a single
-    ``(trials, max_n)`` uniform block; those fixed draws are turned into
-    per-class samples by inverse CDF, so every (framework, beta) pairing
-    sees identical data.  Returns the labels and, per test size ``n``, the
-    empirical input distribution of the first ``n`` samples of each trial.
+    One generator seeded by ``seed`` draws the class labels and then the
+    ``(trials, max_n)`` uniform block, ``_SAMPLE_CHUNK`` rows at a time
+    from the same stream (so the block equals one single draw); those
+    fixed draws are turned into per-class samples by inverse CDF, so every
+    (framework, beta) pairing sees identical data.  Returns the labels
+    and, per test size ``n``, the empirical input distribution of the
+    first ``n`` samples of each trial.
     """
     rng = np.random.default_rng(seed)
-    max_n = int(max(n_values))
+    sizes = sorted(int(n) for n in n_values)
+    max_n = sizes[-1]
+    n_x = problem.n_x
     ys = rng.integers(0, problem.n_classes, size=trials)
-    us = rng.random((trials, max_n))
     cdfs = np.cumsum(problem.class_conditionals, axis=1)
     cdfs[:, -1] = 1.0
-    xs = np.empty((trials, max_n), dtype=np.intp)
-    for c in range(problem.n_classes):
-        mask = ys == c
-        xs[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
-    counts = np.zeros((trials, problem.n_x))
-    rows = np.arange(trials)
-    phats: dict[int, np.ndarray] = {}
-    prev = 0
-    for n in sorted(int(n) for n in n_values):
-        segment = xs[:, prev:n]
-        np.add.at(counts, (np.repeat(rows, n - prev), segment.ravel()), 1.0)
-        prev = n
-        phats[n] = counts / n
+    phats = {n: np.empty((trials, n_x)) for n in sizes}
+    for lo in range(0, trials, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, trials)
+        us = rng.random((hi - lo, max_n))
+        labels = ys[lo:hi]
+        # cell index row * n_x + x of every sample, binned segment by segment
+        cells = np.empty(us.shape, dtype=np.intp)
+        for c in range(problem.n_classes):
+            mask = labels == c
+            cells[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
+        cells += np.arange(0, (hi - lo) * n_x, n_x)[:, None]
+        counts = np.zeros((hi - lo) * n_x, dtype=np.intp)
+        prev = 0
+        for n in sizes:
+            counts += np.bincount(cells[:, prev:n].ravel(),
+                                  minlength=counts.size)
+            prev = n
+            phats[n][lo:hi] = counts.reshape(hi - lo, n_x) / n
     return ys, phats
+
+
+def _divergence_argmin(pushed: np.ndarray,
+                       references: np.ndarray) -> np.ndarray:
+    """Row-wise ``argmin_i sum(rel_entr(pushed, references[i]))``, ties to
+    the lowest ``i``: the classifier's exact rule."""
+    divergences = np.stack(
+        [rel_entr(pushed, reference[None, :]).sum(axis=1)
+         for reference in references], axis=1)
+    return np.argmin(divergences, axis=1)
+
+
+def _min_divergence_decisions(pushed: np.ndarray,
+                              references: np.ndarray) -> np.ndarray:
+    """The decisions of :func:`_divergence_argmin`, mostly from one product.
+
+    ``D[t, i] = sum p log p - sum p log r_i`` and the first term does not
+    depend on the class, so a row's argmin is that of the cross-entropy
+    scores ``-log(references) @ pushed.T``.  Duplicate reference rows are
+    scored once, under their lowest class index.  Rounding can still part
+    the two orders when scores nearly tie, so a row goes to the exact rule
+    when another score lies within ``_TIE_RTOL * (1 + |best|)`` of its
+    best, when any of its scores is not finite, or when only one distinct
+    reference is left.  The margin is far above the rounding of either
+    sum (a few ulps per cluster, times the score plus ``log k``), and a
+    one-cluster encoder, whose references equal 1 within an ulp, sends
+    every row to the exact rule.
+    """
+    _, first = np.unique(references, axis=0, return_index=True)
+    keep = np.sort(first)
+    if keep.size == 1:
+        return _divergence_argmin(pushed, references)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = -np.log(references[keep]) @ pushed.T  # (classes, trials)
+        low = scores.min(axis=0)
+        close = scores <= low + _TIE_RTOL * (1.0 + np.abs(low))
+    exact = ((np.count_nonzero(close, axis=0) != 1)
+             | ~np.isfinite(scores).all(axis=0))
+    decisions = keep @ close  # the one close class of every clear row
+    if exact.any():
+        decisions[exact] = _divergence_argmin(pushed[exact], references)
+    return decisions
 
 
 def run_prediction_experiment(problem: ClassificationProblem, frameworks,
@@ -231,9 +289,14 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
     through the trained encoder, and classifies by minimum divergence to
     the per-class pushforwards ``p(x|y_i) @ encoder``; ties take the
     lowest class index, and a class at infinite divergence merely drops
-    out of the argmin.  Sample streams are common random numbers, drawn
-    once per call: every framework and beta sees identical draws, and runs
-    with equal ``seed`` reuse them.
+    out of the argmin.  Per (framework, beta, n) the argmin is read off
+    the cross-entropy scores, one ``(classes, k) @ (k, trials)`` product;
+    rows whose best two scores nearly tie, or that hold a non-finite
+    score, are decided by the exact ``rel_entr`` divergences instead, so
+    every decision is the exact rule's (:func:`_min_divergence_decisions`).
+    Sample streams are common random numbers, drawn once per call: every
+    framework and beta sees identical draws, and runs with equal ``seed``
+    reuse them.
     """
     if isinstance(frameworks, str):  # Framework members are strings too
         frameworks = (frameworks,)
@@ -263,10 +326,7 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
             p_err = np.empty(n_values.size)
             for j, n in enumerate(n_values):
                 pushed = phats[int(n)] @ encoder  # (trials, k)
-                divergences = np.stack(
-                    [rel_entr(pushed, references[i][None, :]).sum(axis=1)
-                     for i in range(problem.n_classes)], axis=1)
-                decisions = np.argmin(divergences, axis=1)
+                decisions = _min_divergence_decisions(pushed, references)
                 p_err[j] = np.mean(decisions != ys)
             half = 1.96 * np.sqrt(p_err * (1.0 - p_err) / trials)
             curves.append(ErrorCurve(

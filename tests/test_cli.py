@@ -420,6 +420,25 @@ class TestSolveCommand:
         assert payload["units"] == "nats"
         assert_allclose(payload["i_x"], nats, atol=5e-4)
 
+    def test_coinciding_clusters_count_once(self, tmp_path, capsys):
+        """Below the first transition the three started clusters share one
+        decoder row, so the summary and the artifact report one cluster
+        (as a sweep would after its merge) while the artifact keeps all
+        three rows."""
+        runs = [("solve", "ib", "2"), ("solve", "dual", "2"),
+                ("expfam", "expfam", "3.0")]
+        for command, tag, beta in runs:
+            argv = [command, "--problem", str(RULE_FIXTURE), "--beta", beta,
+                    "--n-clusters", "3", "--output-dir", str(tmp_path)]
+            if command == "solve":
+                argv += ["--framework", tag]
+            assert main(argv) == 0
+            assert "clusters = 1\n" in capsys.readouterr().out
+            payload = json.loads(
+                (tmp_path / f"binary_overlap5_{tag}_solve.json").read_text())
+            assert payload["effective_clusters"] == 1
+            assert len(payload["decoder"]) == 3
+
     def test_single_beta_solves_skip_the_functional_trace(
             self, tmp_path, capsys, monkeypatch):
         """No artifact or console line reads the per-iteration functional,

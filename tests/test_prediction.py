@@ -9,9 +9,12 @@ encoder-consistent dual state.
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
@@ -24,6 +27,7 @@ from bottleneck_lab.prediction import (
     ClassificationProblem,
     ErrorCurve,
     _empirical_counts,
+    _min_divergence_decisions,
     chernoff_information,
     error_curves_to_csv,
     mean_exponent_bound,
@@ -35,6 +39,7 @@ from bottleneck_lab.probability import (
     JointDistribution,
     entropy,
     kl_divergence,
+    rel_entr,
 )
 from bottleneck_lab.solvers import (
     derive_state,
@@ -43,7 +48,9 @@ from bottleneck_lab.solvers import (
     functional_value,
     solve,
 )
-from conftest import random_encoder, random_problem
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+
+CHUNK = prediction._SAMPLE_CHUNK
 
 
 def smoothed_pair(rng, n=6):
@@ -249,6 +256,147 @@ class TestEmpiricalCounts:
             rows = phats[64][ys == c]
             assert rows.shape[0] > trials / 3
             assert_allclose(rows.mean(axis=0), self.COND[c], atol=0.02)
+
+    @pytest.mark.parametrize("n_values", [(1, 2, 8), (3, 5, 100)])
+    @pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, 3 * CHUNK + 37])
+    def test_chunks_equal_one_block(self, n_values, trials):
+        """Drawing and binning the uniform block in row chunks gives the
+        labels and every empirical law of one single block, bit for bit,
+        whether the trials fall below, on or past a chunk boundary."""
+        problem = ClassificationProblem(make_class_mixture(3, 5, seed=4))
+        ys, phats = _empirical_counts(problem, n_values, trials, 7)
+        want_ys, want = one_block_counts(problem, n_values, trials, 7)
+        assert_array_equal(ys, want_ys)
+        assert sorted(phats) == sorted(want)
+        for n in n_values:
+            assert phats[n].tobytes() == want[n].tobytes()
+
+    def test_peak_memory_at_full_size(self):
+        """10 000 trials at the default test sizes peak below 32 MiB: the
+        sampler never holds the whole (trials, 256) block."""
+        problem = ClassificationProblem(make_class_mixture())
+        tracemalloc.start()
+        try:
+            _empirical_counts(problem, DEFAULT_N_VALUES, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def one_block_counts(problem, n_values, trials, seed):
+    """The sampler as one ``(trials, max_n)`` uniform block whose prefix
+    counts are accumulated by ``np.add.at``: the oracle of the chunks."""
+    rng = np.random.default_rng(seed)
+    max_n = int(max(n_values))
+    ys = rng.integers(0, problem.n_classes, size=trials)
+    us = rng.random((trials, max_n))
+    cdfs = np.cumsum(problem.class_conditionals, axis=1)
+    cdfs[:, -1] = 1.0
+    xs = np.empty((trials, max_n), dtype=np.intp)
+    for c in range(problem.n_classes):
+        mask = ys == c
+        xs[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
+    counts = np.zeros((trials, problem.n_x))
+    rows = np.arange(trials)
+    phats = {}
+    prev = 0
+    for n in n_values:
+        np.add.at(counts, (np.repeat(rows, n - prev), xs[:, prev:n].ravel()),
+                  1.0)
+        prev = n
+        phats[n] = counts / n
+    return ys, phats
+
+
+def exact_decisions(pushed, references):
+    """Minimum ``rel_entr`` divergence per row, first class on ties: the
+    classifier's defining rule."""
+    divergences = np.stack(
+        [rel_entr(pushed, references[i][None, :]).sum(axis=1)
+         for i in range(references.shape[0])], axis=1)
+    return np.argmin(divergences, axis=1)
+
+
+def sampled_rows(local, cond, n, trials=300):
+    """Empirical laws of ``n`` draws from random classes: rows with zero
+    cells whenever ``n`` is below the alphabet size."""
+    labels = local.integers(0, cond.shape[0], size=trials)
+    return np.stack([local.multinomial(n, cond[y]) for y in labels]) / n
+
+
+def mixed_conditionals(local, n_classes, n_x):
+    cond = local.dirichlet(np.ones(n_x), size=n_classes)
+    return 0.9 * cond + 0.1 / n_x
+
+
+class TestMinDivergenceDecisions:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 6),
+           n_x=st.integers(2, 8), k=st.integers(1, 4),
+           n=st.sampled_from((1, 2, 3, 16)), hard=st.booleans(),
+           duplicate=st.booleans(), zero_reference=st.booleans())
+    def test_equal_the_exact_argmin(self, seed, n_classes, n_x, k, n, hard,
+                                    duplicate, zero_reference):
+        """Decisions equal the exact ``rel_entr`` argmin on any class
+        problem and encoder: soft and hard encoders, empirical rows with
+        zero cells, duplicate references (the lowest index wins), a
+        reference with a zero cell, and one-cluster encoders, whose
+        references and rows equal 1 within a few ulps."""
+        local = np.random.default_rng(seed)
+        cond = mixed_conditionals(local, n_classes, n_x)
+        if duplicate:
+            cond[-1] = cond[0]
+        if k == 1:
+            encoder = np.ones((n_x, 1))
+        elif hard:
+            encoder = np.eye(k)[local.integers(0, k, size=n_x)]
+        else:
+            encoder = random_encoder(local, n_x, k)
+        pushed = sampled_rows(local, cond, n) @ encoder
+        references = cond @ encoder
+        if k == 1:
+            pushed += 2.0**-53 * local.integers(-4, 5, size=pushed.shape)
+            references += 2.0**-53 * local.integers(-4, 5, size=n_classes)[
+                :, None]
+        if zero_reference:
+            references[-1, 0] = 0.0
+        assert_array_equal(_min_divergence_decisions(pushed, references),
+                           exact_decisions(pushed, references))
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 6),
+           n_x=st.integers(2, 8), k=st.integers(2, 6),
+           n=st.sampled_from((1, 2, 3, 16)))
+    def test_ties_are_resolved_as_exactly(self, seed, n_classes, n_x, k, n):
+        """Class 1 mirrors class 0 and every row is symmetric, so the two
+        divergences are equal in exact arithmetic; the decision between
+        them is the exact rule's, whichever way rounding tips it."""
+        local = np.random.default_rng(seed)
+        cond = mixed_conditionals(local, n_classes, n_x)
+        pushed = sampled_rows(local, cond, n) @ random_encoder(local, n_x, k)
+        pushed = (pushed + pushed[:, ::-1]) / 2.0
+        references = cond @ random_encoder(local, n_x, k)
+        references[1] = references[0][::-1]
+        assert_array_equal(_min_divergence_decisions(pushed, references),
+                           exact_decisions(pushed, references))
+
+    def test_one_cluster_rounding_is_reproduced(self):
+        """References a few ulps under 1: the exact divergences of rows
+        near 1 tie or part by rounding alone, and the decisions follow."""
+        pushed = (1.0 + 2.0**-53 * np.arange(-4, 5))[:, None]
+        references = np.array([[0.9999999999999996], [0.9999999999999998],
+                               [0.9999999999999999]])
+        want = exact_decisions(pushed, references)
+        assert np.unique(want).size > 1
+        assert_array_equal(_min_divergence_decisions(pushed, references),
+                           want)
+
+    def test_one_distinct_reference_takes_the_first_class(self):
+        references = np.tile([[0.25, 0.75]], (3, 1))
+        pushed = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        assert_array_equal(_min_divergence_decisions(pushed, references),
+                           [0, 0, 0])
 
 
 class TestPredictionExperiment:
