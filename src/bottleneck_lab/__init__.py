@@ -10,8 +10,6 @@ rules, and finite-sample prediction-error experiments.
 """
 from __future__ import annotations
 
-import os
-
 
 def _cap_blas_threads() -> None:
     """Honor ``BOTTLENECK_LAB_THREADS`` before numpy starts BLAS pools.
@@ -19,6 +17,8 @@ def _cap_blas_threads() -> None:
     Runs at package import (the only reliable spot ahead of the numpy
     import below).  Explicitly-set pool variables are left alone.
     """
+    import os
+
     cap = os.environ.get("BOTTLENECK_LAB_THREADS")
     if not cap:
         return
@@ -83,7 +83,6 @@ from .solvers import (  # noqa: E402
     encoder_update,
     expected_distortion,
     functional_value,
-    information_point,
     solve,
 )
 from .stability import (  # noqa: E402
@@ -100,65 +99,3 @@ from .stability import (  # noqa: E402
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnealTrace",
-    "SplitConfig",
-    "SweepRecord",
-    "log_grid",
-    "merge_close_clusters",
-    "run_sweep",
-    "split_and_perturb",
-    "sweep",
-    "sweep_with_states",
-    "trace_from_csv",
-    "trace_to_csv",
-    "binary_overlap5",
-    "make_class_mixture",
-    "ClosedFormInformation",
-    "ExactFitError",
-    "ExpFamilyModel",
-    "ExpState",
-    "closed_information",
-    "derive_exp_state",
-    "exp_solve",
-    "exp_sweep",
-    "exp_sweep_with_states",
-    "ClassificationProblem",
-    "ErrorCurve",
-    "chernoff_information",
-    "error_curves_to_csv",
-    "mean_exponent_bound",
-    "run_prediction_experiment",
-    "tilted_mixture",
-    "DEFAULT_SMOOTHING",
-    "DistributionError",
-    "JointDistribution",
-    "NormalizationError",
-    "UndefinedDivergenceError",
-    "entropy",
-    "kl_divergence",
-    "mutual_information",
-    "BottleneckState",
-    "Framework",
-    "SolveReport",
-    "derive_state",
-    "distortion_matrix",
-    "dual_distortion_split",
-    "encoder_update",
-    "expected_distortion",
-    "functional_value",
-    "information_point",
-    "solve",
-    "ComplexEigenvalueWarning",
-    "CriticalPoint",
-    "CriticalReport",
-    "StabilityMatrices",
-    "build_dual_matrices",
-    "build_ib_matrices",
-    "build_matrices",
-    "cluster_second_eigenvalues",
-    "find_critical_points",
-    "second_eigenvalue",
-    "__version__",
-]

@@ -239,7 +239,8 @@ def _load_classes(raw: dict) -> ClassificationProblem:
     try:
         return ClassificationProblem(cond, prior)
     except ValueError as exc:
-        raise ValidationError(f"class_conditionals: {exc}") from exc
+        raise ValidationError(
+            f"class_conditionals problem file: {exc}") from exc
 
 
 def parse_beta_grid(spec) -> np.ndarray:

@@ -7,11 +7,12 @@ When the rule has the log-linear form
 the geometric decoder stays inside the same family: a cluster is fully
 described by the d expected features ``A_beta[c] = E_{p(x|c)} features[x]``
 and its decoder row by the d expected multipliers
-``lam_beta[c] = E_{p(y|c)} params[y]`` plus a scalar normalizer.  The
-alternating updates therefore close over d-dimensional aggregates: the
-iteration here costs ``O(n_x k d + k n_y d)`` per step and never forms the
-``n_x x n_y`` rule table (the model builds it once, for reporting
-``I(Y;Xhat)``).
+``lam_beta[c] = E_{p(y|c)} params[y]`` plus a scalar normalizer.  So the
+reduced step is the dual table step's shape (cluster statistics, logits,
+``-inf`` for dead clusters, one row softmax) on the ``d + 1`` columns of
+``[p(x) A(x) | p(x)]`` in place of ``[p(x) log p(y|x) | p(x)]``: it costs
+``O(n_x k d + k n_y d)`` and never forms the ``n_x x n_y`` rule table (the
+model builds it once, for reporting ``I(Y;Xhat)``).
 """
 from __future__ import annotations
 
@@ -35,10 +36,11 @@ from .solvers import (
     ClusterCounts,
     Framework,
     SolveReport,
+    _cluster_statistics,
+    _row_softmax,
     backend_solve,
     cluster_label_joint,
     encoder_information,
-    encoder_update,
     inverse_encoder,
 )
 
@@ -79,6 +81,9 @@ class ExpFamilyModel:
                 f"{self.features.shape[1]}-D, params {self.params.shape[1]}-D")
         if self.p_x.shape != (self.features.shape[0],):
             raise ValueError("p_x length must match the number of inputs")
+        for name in ("features", "params", "p_x"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DistributionError(f"{name} must be finite")
         if np.any(self.p_x <= 0.0):
             raise DistributionError("p_x must be strictly positive")
         if abs(self.p_x.sum() - 1.0) > 1e-9:
@@ -114,6 +119,11 @@ class ExpFamilyModel:
         inter = self.interactions()
         return smooth_rows(np.exp(inter - logsumexp(inter, axis=1)[:, None]),
                            0.0)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``[p(x) A(x) | p(x)]`` (n_x, d + 1), the reduced step's table."""
+        return np.column_stack([self.p_x[:, None] * self.features, self.p_x])
 
     @cached_property
     def mean_log_normalizer(self) -> float:
@@ -186,16 +196,24 @@ class ExpState(ClusterCounts):
         return np.exp(self.log_decoder)
 
 
-def _effective_distortion(model: ExpFamilyModel,
-                          state: ExpState) -> np.ndarray:
-    """The (n_x, k) encoder-update cost in reduced form.
+def _reduced_decode(params: np.ndarray, stats: np.ndarray):
+    """``(cluster_features, cluster_params, cluster_normalizers,
+    log_decoder)``, in :class:`ExpState` order, from the cluster statistics
+    on :attr:`ExpFamilyModel.table`."""
+    cluster_features = stats[:, :-1] / stats[:, -1:]
+    unnorm = -cluster_features @ params.T
+    normalizers = logsumexp(unnorm, axis=1)
+    log_decoder = unnorm - normalizers[:, None]
+    return (cluster_features, np.exp(log_decoder) @ params, normalizers,
+            log_decoder)
 
-    Differs from the true per-pair prediction cost only by a per-``x``
-    constant (the rule's own log-partition), which the softmax cancels.
-    """
-    offsets = state.cluster_normalizers + np.sum(
-        state.cluster_params * state.cluster_features, axis=1)
-    return model.features @ state.cluster_params.T - offsets[None, :]
+
+def _encoder_logits(neg_beta_features, log_marginal, beta, cluster_features,
+                    cluster_params, normalizers) -> np.ndarray:
+    """``log p(xhat) - beta * d[x, xhat]`` (n_x, k) in reduced form, up to
+    the per-``x`` constant ``beta * log_normalizer(x)``."""
+    return neg_beta_features @ cluster_params.T + (log_marginal + beta * (
+        normalizers + np.sum(cluster_params * cluster_features, axis=1)))
 
 
 def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
@@ -204,20 +222,21 @@ def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
     return ExpBackend(model).derive(encoder, beta)
 
 
-def _reduced_functional(model: ExpFamilyModel,
-                        state: ExpState) -> tuple[float, float, float]:
+def _reduced_functional(model: ExpFamilyModel, beta, encoder, marginal,
+                        normalizers) -> tuple[float, float, float]:
     """``(I(X;Xhat), E[d], functional)`` from reduced aggregates only."""
-    i_x = encoder_information(model.p_x, state.encoder, state.marginal)
-    mean_d = model.mean_log_normalizer - float(
-        state.marginal @ state.cluster_normalizers)
-    return i_x, mean_d, i_x + state.beta * mean_d
+    i_x = encoder_information(model.p_x, encoder, marginal)
+    mean_d = model.mean_log_normalizer - float(marginal @ normalizers)
+    return i_x, mean_d, i_x + beta * mean_d
 
 
 def _reduced_observables(model: ExpFamilyModel, state: ExpState
                          ) -> tuple[float, float, float, float]:
     """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state;
     ``I(Y;Xhat)`` is the one value that reads the rule rows."""
-    i_x, mean_d, functional = _reduced_functional(model, state)
+    i_x, mean_d, functional = _reduced_functional(
+        model, state.beta, state.encoder, state.marginal,
+        state.cluster_normalizers)
     i_y = mutual_information(cluster_label_joint(model, state))
     return i_x, i_y, mean_d, functional
 
@@ -252,8 +271,10 @@ def closed_information(model: ExpFamilyModel,
     """
     m = state.marginal
     with np.errstate(divide="ignore"):
-        logits = (np.log(m)[None, :]
-                  - state.beta * _effective_distortion(model, state))
+        log_m = np.log(m)
+    logits = _encoder_logits(-state.beta * model.features, log_m, state.beta,
+                             state.cluster_features, state.cluster_params,
+                             state.cluster_normalizers)
     log_z_encoder = logsumexp(logits, axis=1)
     mean_cluster_norm = float(m @ state.cluster_normalizers)
     i_x = state.beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
@@ -280,36 +301,39 @@ class ExpBackend:
         self.n_x, self.n_y = model.n_x, model.n_y
 
     def derive(self, encoder: np.ndarray, beta: float) -> ExpState:
-        """The reduced state implied by an encoder.
+        """The reduced state implied by an encoder: the step's statistics
+        and decode, plus the inverse encoder.
 
         Dead clusters get the prior as placeholder weights, exactly as in
         the full-table solver, so split/merge bookkeeping behaves
         identically.
         """
         model = self.model
-        marginal, weights = inverse_encoder(encoder, model.p_x)
-        cluster_features = weights @ model.features
-        unnorm = -cluster_features @ model.params.T
-        normalizers = logsumexp(unnorm, axis=1)
-        log_decoder = unnorm - normalizers[:, None]
-        return ExpState(beta=float(beta), encoder=encoder, marginal=marginal,
-                        weights=weights, cluster_features=cluster_features,
-                        cluster_params=np.exp(log_decoder) @ model.params,
-                        cluster_normalizers=normalizers,
-                        log_decoder=log_decoder)
+        marginal, stats, _ = _cluster_statistics(encoder, model.table)
+        return ExpState(float(beta), encoder, marginal,
+                        inverse_encoder(encoder, model.p_x)[1],
+                        *_reduced_decode(model.params, stats))
 
     def stepper(self, beta: float):
-        """The step at ``beta``: derive the reduced state of the encoder and
-        apply the softmax update with the reduced cost."""
-        model, derive = self.model, self.derive
+        """The step at ``beta``, shaped as the table step: cluster
+        statistics on the model's table, their reduced decode, the logits,
+        ``-inf`` for dead clusters and one row softmax."""
+        model, table = self.model, self.model.table
+        neg_beta_features = -beta * model.features
 
         def step(encoder, traced):
-            state = derive(encoder, beta)
-            functional = (_reduced_functional(model, state)[2] if traced
-                          else None)
-            return (encoder_update(state.marginal,
-                                   _effective_distortion(model, state), beta),
-                    functional)
+            marginal, stats, dead = _cluster_statistics(encoder, table)
+            cluster_features, cluster_params, normalizers, _ = (
+                _reduced_decode(model.params, stats))
+            logits = _encoder_logits(neg_beta_features, np.log(stats[:, -1]),
+                                     beta, cluster_features, cluster_params,
+                                     normalizers)
+            if dead is not None:
+                logits[:, dead] = -np.inf
+            functional = (_reduced_functional(model, beta, encoder, marginal,
+                                              normalizers)[2]
+                          if traced else None)
+            return _row_softmax(logits), functional
 
         return step
 

@@ -18,6 +18,7 @@ from .annealing import SplitConfig, sweep_with_states
 from .probability import (
     DistributionError,
     JointDistribution,
+    _as_float_array,
     logsumexp,
     rel_entr,
 )
@@ -133,10 +134,13 @@ class ClassificationProblem:
     prior: np.ndarray | None = None
 
     def __post_init__(self):
-        self.class_conditionals = np.asarray(self.class_conditionals,
-                                             dtype=float)
+        self.class_conditionals = _as_float_array(self.class_conditionals,
+                                                  "class_conditionals")
         if self.class_conditionals.ndim != 2:
             raise ValueError("class_conditionals must be 2-D")
+        if min(self.class_conditionals.shape) < 2:
+            raise DistributionError("class_conditionals needs at least two "
+                                    "classes and two inputs")
         if np.any(self.class_conditionals <= 0.0):
             raise DistributionError(
                 "class conditionals must be strictly positive; smooth "
@@ -147,7 +151,7 @@ class ClassificationProblem:
         if self.prior is None:
             self.prior = np.full(self.n_classes, 1.0 / self.n_classes)
         else:
-            self.prior = np.asarray(self.prior, dtype=float)
+            self.prior = _as_float_array(self.prior, "prior")
             if self.prior.shape != (self.n_classes,):
                 raise ValueError("prior length must match class count")
             if np.any(self.prior <= 0.0) or abs(self.prior.sum() - 1.0) > 1e-9:

@@ -133,22 +133,17 @@ def inverse_encoder(encoder: np.ndarray,
     """
     marginal = encoder.T @ p_x
     joint = encoder * p_x[:, None]
-    # Same arithmetic without the slower masked indexing when every cluster
-    # is alive; ``min`` propagates NaN, so this is ``(marginal > 0).all()``.
-    if marginal.min() > 0.0:
-        joint /= marginal
-    else:
-        alive = marginal > 0.0
-        joint[:, alive] /= marginal[alive]
-        joint[:, ~alive] = p_x[:, None]
+    alive = marginal > 0.0
+    joint[:, alive] /= marginal[alive]
+    joint[:, ~alive] = p_x[:, None]
     return marginal, joint.T
 
 
 def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
-    """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` is
-    ``(k, n_y + 1)``, its last column the marginal ``p(xhat)``; the others
-    divided by it give the Bayes decoder (``ib_table``) or
-    ``weights @ log_rule`` (``dual_table``).  Dead (zero-mass) clusters get
+    """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` has the
+    marginal ``p(xhat)`` as its last column; the others divided by it give
+    the Bayes decoder (``ib_table``), ``weights @ log_rule`` (``dual_table``)
+    or the expected features (``ExpFamilyModel.table``).  Dead clusters get
     the table's column sums, the statistics of the prior placeholder of
     :func:`inverse_encoder`; ``dead`` masks them (``None`` if there are none).
     """
@@ -209,13 +204,8 @@ def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
     Computed in log space with a per-row max shift; zero-mass clusters give
     ``log p(xhat) = -inf`` and therefore stay at exactly zero.
     """
-    # Without a zero mass there is no log(0) to silence, and np.errstate
-    # would cost about a tenth of a table step.
-    if np.count_nonzero(marginal) == marginal.size:
+    with np.errstate(divide="ignore"):
         log_marginal = np.log(marginal)
-    else:
-        with np.errstate(divide="ignore"):
-            log_marginal = np.log(marginal)
     return _row_softmax(log_marginal - beta * distortion)
 
 
@@ -243,14 +233,6 @@ def cluster_label_joint(problem, state) -> np.ndarray:
     return state.marginal[:, None] * (state.weights @ problem.rule)
 
 
-def information_point(problem: JointDistribution,
-                      state: BottleneckState) -> tuple[float, float]:
-    """``(I(X;Xhat), I(Y;Xhat))`` of a state, in nats."""
-    i_x = encoder_information(problem.p_x, state.encoder, state.marginal)
-    i_y = mutual_information(cluster_label_joint(problem, state))
-    return i_x, i_y
-
-
 def state_observables(problem: JointDistribution, state: BottleneckState
                       ) -> tuple[float, float, float, float]:
     """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state, in nats.
@@ -261,7 +243,8 @@ def state_observables(problem: JointDistribution, state: BottleneckState
     ``ib``:   ``I(X;Xhat) - beta * I(Y;Xhat)``
     ``dual``: ``I(X;Xhat) + beta * E[KL(decoder || rule)]``
     """
-    i_x, i_y = information_point(problem, state)
+    i_x = encoder_information(problem.p_x, state.encoder, state.marginal)
+    i_y = mutual_information(cluster_label_joint(problem, state))
     mean_d = float(np.sum(problem.p_x[:, None] * state.encoder
                           * distortion_matrix(problem, state)))
     if state.framework is Framework.IB:

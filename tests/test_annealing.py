@@ -214,15 +214,11 @@ class TestStateWork:
             return original(encoder, beta)
 
         backend.derive = counting
-        trace, _ = run_sweep(backend, self.BETAS, SplitConfig(), 1e-10,
-                             DEFAULT_MAX_ITER)
-        # The reduced step derives the state it steps from.
-        steps = (sum(trace.column("n_iterations")) if solver == "reduced"
-                 else 0)
+        run_sweep(backend, self.BETAS, SplitConfig(), 1e-10,
+                  DEFAULT_MAX_ITER)
         assert len(narrowing_merges) == self.BETAS.size
         assert any(narrowing_merges) and not all(narrowing_merges)
-        assert len(derived) == (steps + self.BETAS.size
-                                + sum(narrowing_merges))
+        assert len(derived) == self.BETAS.size + sum(narrowing_merges)
 
     def test_dual_sweep_normalizes_only_used_decoders(self, monkeypatch,
                                                       narrowing_merges):

@@ -721,21 +721,39 @@ class TestExitCodes:
                                                    argv, flag):
         assert_rejected(argv, flag, tmp_path, capsys)
 
-    @pytest.mark.parametrize("argv, wrong_schema", [
-        (["solve", "--problem", None, "--beta", "2"], CLASSES_FIXTURE),
-        (["sweep", "--problem", None, "--beta-grid", "log:2:6:4"],
-         CLASSES_FIXTURE),
-        (["critical", "--problem", None, "--beta-grid", "log:2:6:4"],
-         CLASSES_FIXTURE),
-        (["expfam", "--problem", None, "--beta", "2"], CLASSES_FIXTURE),
-        (["error-exp", "--classes", None], RULE_FIXTURE),
-    ], ids=["solve", "sweep", "critical", "expfam", "error-exp"])
-    @pytest.mark.parametrize("missing", [False, True],
-                             ids=["wrong-schema", "missing"])
+    REJECTED_FILES = {
+        "solve": (["solve", "--problem", None, "--beta", "2"],
+                  CLASSES_FIXTURE),
+        "sweep": (["sweep", "--problem", None, "--beta-grid", "log:2:6:4"],
+                  CLASSES_FIXTURE),
+        "critical": (["critical", "--problem", None,
+                      "--beta-grid", "log:2:6:4"], CLASSES_FIXTURE),
+        "expfam": (["expfam", "--problem", None, "--beta", "2"],
+                   CLASSES_FIXTURE),
+        "error-exp": (["error-exp", "--classes", None], RULE_FIXTURE),
+    }
+
+    @pytest.mark.parametrize("argv, problem", [
+        *(pytest.param(argv, wrong, id=f"wrong-schema-{name}")
+          for name, (argv, wrong) in REJECTED_FILES.items()),
+        *(pytest.param(argv, "nope.json", id=f"missing-{name}")
+          for name, (argv, _) in REJECTED_FILES.items()),
+        pytest.param(["error-exp", "--classes", None],
+                     {"class_conditionals": [[0.5, 0.5]]},
+                     id="one-class-error-exp"),
+        pytest.param(["error-exp", "--classes", None],
+                     {"class_conditionals": [[1.0], [1.0]]},
+                     id="one-input-error-exp"),
+    ])
     def test_rejected_problem_files_leave_no_run_config(
-            self, tmp_path, capsys, argv, wrong_schema, missing):
-        path = tmp_path / "nope.json" if missing else wrong_schema
-        argv = [str(path) if arg is None else arg for arg in argv]
+            self, tmp_path, capsys, argv, problem):
+        """Wrong-schema files, missing files and class files too small to
+        build a joint from exit 2 before writing ``run_config.json``."""
+        if isinstance(problem, dict):
+            problem = write_json(tmp_path / "small.json", problem)
+        elif problem == "nope.json":
+            problem = tmp_path / problem
+        argv = [str(problem) if arg is None else arg for arg in argv]
         assert_rejected(argv, "problem file", tmp_path, capsys)
 
     def test_unknown_flags_exit_two(self, capsys):

@@ -110,6 +110,17 @@ class TestModelConstruction:
             ExpFamilyModel(features=np.zeros((2, 1)),
                            params=np.zeros((2, 1)), p_x=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("field", ["features", "params", "p_x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        """NaN slips past the sign and sum checks of ``p_x``; every field
+        is checked for finiteness and named."""
+        arrays = {"features": np.zeros((2, 1)), "params": np.zeros((2, 1)),
+                  "p_x": np.array([0.5, 0.5])}
+        arrays[field][0] = bad
+        with pytest.raises(DistributionError, match=field):
+            ExpFamilyModel(**arrays)
+
 
 class TestStateInvariants:
     @pytest.fixture()
@@ -212,18 +223,25 @@ class TestEncoder:
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 8),
            n_y=st.integers(2, 5), d=st.integers(0, 3), k=st.integers(1, 5),
-           beta=st.floats(0.0, 16.0))
-    def test_step_matches_table_dual_step(self, seed, n_x, n_y, d, k, beta):
+           n_dead=st.integers(0, 2), beta=st.floats(0.0, 16.0))
+    def test_step_matches_table_dual_step(self, seed, n_x, n_y, d, k, n_dead,
+                                          beta):
         """One step of the reduced loop equals one step of the table dual
-        loop on the model's table, for any model, encoder and beta."""
+        loop on the model's table, for any model, encoder and beta; dead
+        (all-zero) encoder columns stay exactly zero in both."""
         local = np.random.default_rng(seed)
         model = generic_model(local, n_x=n_x, n_y=n_y, d=d)
-        encoder = local.dirichlet(np.ones(k), size=n_x)
+        encoder = np.zeros((n_x, k + n_dead))
+        alive = np.sort(local.permutation(k + n_dead)[:k])
+        encoder[:, alive] = local.dirichlet(np.ones(k), size=n_x)
+        dead = np.setdiff1d(np.arange(k + n_dead), alive)
         table_state, _ = solve(model.reconstruct(), beta, "dual",
                                init_encoder=encoder, max_iter=1,
                                track_functional=False)
         exp_state, _ = exp_solve(model, beta, init_encoder=encoder,
                                  max_iter=1, track_functional=False)
+        assert not exp_state.encoder[:, dead].any()
+        assert not table_state.encoder[:, dead].any()
         np.testing.assert_allclose(exp_state.encoder, table_state.encoder,
                                    atol=1e-9)
         np.testing.assert_allclose(exp_state.decoder, table_state.decoder,
@@ -309,6 +327,24 @@ class TestSolve:
                                   rng=np.random.default_rng(3), tol=1e-12)
             assert report.n_iterations > 30
             assert counts == {"reconstruct": 0, "interactions": 2}
+
+    def test_step_builds_no_inverse_encoder(self, monkeypatch):
+        """The reduced step reads the model's statistics table: an untraced
+        solve builds the ``(k, n_x)`` weights once, for its final state."""
+        calls = []
+        original = expfamily.inverse_encoder
+
+        def counting(encoder, p_x):
+            calls.append(encoder.shape)
+            return original(encoder, p_x)
+
+        monkeypatch.setattr(expfamily, "inverse_encoder", counting)
+        model = ExpFamilyModel.from_conditional(binary_overlap5())
+        _, report = exp_solve(model, 5.0, n_clusters=3, max_iter=25,
+                              rng=np.random.default_rng(3), tol=0.0,
+                              track_functional=False)
+        assert report.n_iterations == 25
+        assert len(calls) == 1
 
     def test_deterministic(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())

@@ -220,6 +220,19 @@ class TestClassificationProblem:
         with pytest.raises(DistributionError):
             ClassificationProblem(good, prior=np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("cond, prior, field", [
+        ([[0.7, np.nan], [0.4, 0.6]], None, "class_conditionals"),
+        ([[0.7, 0.3], [0.4, 0.6]], [0.5, np.nan], "prior"),
+        ([[0.5, 0.5]], None, "class_conditionals"),
+        ([[1.0], [1.0]], None, "class_conditionals"),
+    ], ids=["nan-conditionals", "nan-prior", "one-class", "one-input"])
+    def test_rejects_non_finite_and_degenerate_inputs(self, cond, prior,
+                                                      field):
+        """NaN slips past the sign and sum checks, and one class or one
+        input leaves no joint to build; both are rejected up front."""
+        with pytest.raises(DistributionError, match=field):
+            ClassificationProblem(np.array(cond), prior)
+
 
 class TestEmpiricalCounts:
     COND = np.array([[0.6, 0.3, 0.1],

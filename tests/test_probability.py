@@ -413,3 +413,30 @@ class TestEntropyKernels:
         assert np.array_equal(plogp[3:5], [0.5 * np.log(0.5), np.nan],
                               equal_nan=True)
         assert np.all(plogp[:3] == 0.0)
+
+
+#: Imported and never read on purpose: the benchmark tracer patches
+#: ``mutual_information`` where ``annealing`` would look it up.
+KEPT_IMPORTS = {("annealing.py", "mutual_information")}
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module imports is read in it.  ``__init__`` imports to
+    re-export, so it is not scanned."""
+    unused = []
+    src = Path(bottleneck_lab.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in imported
+                   if name not in read
+                   and (path.name, name) not in KEPT_IMPORTS]
+    assert unused == []

@@ -31,7 +31,6 @@ from bottleneck_lab.solvers import (
     encoder_update,
     expected_distortion,
     functional_value,
-    information_point,
     prepare_encoder,
     solve,
     state_observables,
@@ -110,7 +109,7 @@ class TestExactIdentities:
             k = int(rng.integers(1, problem.n_x + 2))
             state = derive_state(problem, "ib",
                                  random_encoder(rng, problem.n_x, k), 2.0)
-            _, i_y = information_point(problem, state)
+            _, i_y = state_observables(problem, state)[:2]
             assert expected_distortion(problem, state) == pytest.approx(
                 problem.mutual_information() - i_y, abs=1e-12)
 
@@ -143,7 +142,7 @@ class TestExactIdentities:
         enc = random_encoder(rng, problem.n_x, 3)
         for fw in ("ib", "dual"):
             state = derive_state(problem, fw, enc, beta=4.0)
-            i_x, i_y = information_point(problem, state)
+            i_x, i_y = state_observables(problem, state)[:2]
             if fw == "ib":
                 want = i_x - 4.0 * i_y
             else:
