@@ -16,6 +16,10 @@ Problem files are JSON objects holding exactly one of three schemas
     and ``smoothing_epsilon`` (defaults to 0 — measurement data is not
     silently perturbed).
 
+The loader checks the JSON, the schema and its keys; the model's
+constructor checks every array (sums within 1e-6 of 1 are accepted and
+renormalized once).
+
 Every setting is one field of :class:`RunConfig`, whose metadata holds
 its type, check, default and flag; ``--config`` file keys are the field
 names (``problem_path`` for ``--problem``/``--classes``, ``beta_list``
@@ -61,12 +65,7 @@ from .prediction import (
     error_curves_to_csv,
     run_prediction_experiment,
 )
-from .probability import (
-    DEFAULT_SMOOTHING,
-    DistributionError,
-    JointDistribution,
-    smooth_rows,
-)
+from .probability import DistributionError, JointDistribution
 from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, solve
 from .stability import find_critical_points
 
@@ -85,65 +84,14 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _finite_matrix(raw, name: str) -> np.ndarray:
+def _smoothing(raw: dict) -> dict:
+    """``smoothing_epsilon`` as a constructor keyword, if the file sets it."""
+    if raw.get("smoothing_epsilon") is None:
+        return {}
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"{name} must be a rectangular numeric array: {exc}") from exc
-    if arr.ndim != 2 or min(arr.shape) < 1:
-        raise ValidationError(f"{name} must be a non-empty 2-D array")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"{name}[{i}][{j}] is not finite")
-    return arr
-
-
-def _probability_matrix(raw, name: str) -> np.ndarray:
-    arr = _finite_matrix(raw, name)
-    bad = np.argwhere(arr < 0.0)
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(
-            f"{name}[{i}][{j}] = {arr[i, j]:g} is negative")
-    sums = arr.sum(axis=1)
-    worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > 1e-6:
-        raise ValidationError(
-            f"{name}[{worst}] sums to {sums[worst]:.8f}; rows must be "
-            "normalized within 1e-6")
-    return arr / sums[:, None]
-
-
-def _probability_vector(raw, name: str, length: int) -> np.ndarray:
-    try:
-        vec = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a numeric array: {exc}") from exc
-    if vec.shape != (length,):
-        raise ValidationError(f"{name} must have length {length}")
-    bad = np.flatnonzero(~np.isfinite(vec) | (vec < 0.0))
-    if bad.size:
-        i = bad[0]
-        raise ValidationError(f"{name}[{i}] = {vec[i]!r} is not a valid "
-                              "probability")
-    if abs(vec.sum() - 1.0) > 1e-6:
-        raise ValidationError(
-            f"{name} sums to {vec.sum():.8f}; must be normalized within 1e-6")
-    return vec / vec.sum()
-
-
-def _smoothing(raw, default: float) -> float:
-    if raw is None:
-        return default
-    try:
-        eps = float(raw)
-    except (TypeError, ValueError) as exc:
+        return {"smoothing_epsilon": float(raw["smoothing_epsilon"])}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("smoothing_epsilon must be a number") from exc
-    if not 0.0 <= eps < 1.0:
-        raise ValidationError("smoothing_epsilon must lie in [0, 1)")
-    return eps
 
 
 def _check_keys(present, allowed, context: str) -> None:
@@ -152,12 +100,20 @@ def _check_keys(present, allowed, context: str) -> None:
         raise ValidationError(f"unknown field '{unknown[0]}' in {context}")
 
 
+#: each problem-file schema and its optional top-level keys
+_SCHEMAS = {"p_y_given_x": ("p_x", "smoothing_epsilon"),
+                  "exp_family": (),
+                  "class_conditionals": ("prior", "smoothing_epsilon")}
+
+
 def load_problem(path):
     """Load a problem file, dispatching on its schema.
 
     Returns a :class:`JointDistribution`, :class:`ExpFamilyModel` or
-    :class:`ClassificationProblem`.  All schema violations raise
-    :class:`ValidationError` naming the offending field.
+    :class:`ClassificationProblem`.  This function checks only the JSON,
+    the schema and its keys; the constructor checks every array, and
+    any violation raises :class:`ValidationError` naming the offending
+    field.
     """
     try:
         with open(path) as fh:
@@ -170,77 +126,38 @@ def load_problem(path):
     if not isinstance(raw, dict):
         raise ValidationError("problem file must hold a JSON object")
 
-    schemas = [key for key in ("p_y_given_x", "exp_family",
-                               "class_conditionals") if key in raw]
+    schemas = [key for key in _SCHEMAS if key in raw]
     if len(schemas) > 1:
         raise ValidationError(
             "ambiguous problem file: " + " and ".join(schemas)
             + " are mutually exclusive")
     if not schemas:
-        raise ValidationError(
-            "problem file needs exactly one of: p_y_given_x, exp_family, "
-            "class_conditionals")
-
+        raise ValidationError("problem file needs exactly one of: "
+                              + ", ".join(_SCHEMAS))
+    schema = schemas[0]
+    _check_keys(raw, (schema, *_SCHEMAS[schema]),
+                f"{schema} problem file")
     try:
-        if schemas[0] == "p_y_given_x":
-            return _load_joint(raw)
-        if schemas[0] == "exp_family":
-            return _load_exp_family(raw)
-        return _load_classes(raw)
+        if schema == "p_y_given_x":
+            return JointDistribution.from_conditional(
+                raw["p_y_given_x"], raw.get("p_x"), **_smoothing(raw))
+        if schema == "exp_family":
+            return _load_exp_family(raw["exp_family"])
+        return ClassificationProblem(raw["class_conditionals"],
+                                     raw.get("prior"), **_smoothing(raw))
     except DistributionError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"{schema} problem file: {exc}") from exc
 
 
-def _load_joint(raw: dict) -> JointDistribution:
-    _check_keys(raw, ("p_y_given_x", "p_x", "smoothing_epsilon"),
-                "p_y_given_x problem file")
-    rule = _probability_matrix(raw["p_y_given_x"], "p_y_given_x")
-    p_x = None
-    if raw.get("p_x") is not None:
-        p_x = _probability_vector(raw["p_x"], "p_x", rule.shape[0])
-    eps = _smoothing(raw.get("smoothing_epsilon"), DEFAULT_SMOOTHING)
-    return JointDistribution.from_conditional(rule, p_x,
-                                              smoothing_epsilon=eps)
-
-
-def _load_exp_family(raw: dict) -> ExpFamilyModel:
-    _check_keys(raw, ("exp_family",), "exp_family problem file")
-    block = raw["exp_family"]
+def _load_exp_family(block) -> ExpFamilyModel:
     if not isinstance(block, dict):
         raise ValidationError("exp_family must be a JSON object")
     _check_keys(block, ("features", "params", "p_x"), "exp_family block")
     for key in ("features", "params"):
         if key not in block:
             raise ValidationError(f"exp_family.{key} is required")
-    features = _finite_matrix(block["features"], "exp_family.features")
-    params = _finite_matrix(block["params"], "exp_family.params")
-    if block.get("p_x") is not None:
-        p_x = _probability_vector(block["p_x"], "exp_family.p_x",
-                                  features.shape[0])
-    else:
-        p_x = np.full(features.shape[0], 1.0 / features.shape[0])
-    try:
-        return ExpFamilyModel(features=features, params=params, p_x=p_x)
-    except ValueError as exc:
-        raise ValidationError(f"exp_family: {exc}") from exc
-
-
-def _load_classes(raw: dict) -> ClassificationProblem:
-    _check_keys(raw, ("class_conditionals", "prior", "smoothing_epsilon"),
-                "class_conditionals problem file")
-    cond = _probability_matrix(raw["class_conditionals"],
-                               "class_conditionals")
-    eps = _smoothing(raw.get("smoothing_epsilon"), 0.0)
-    if eps:
-        cond = smooth_rows(cond, eps)
-    prior = None
-    if raw.get("prior") is not None:
-        prior = _probability_vector(raw["prior"], "prior", cond.shape[0])
-    try:
-        return ClassificationProblem(cond, prior)
-    except ValueError as exc:
-        raise ValidationError(
-            f"class_conditionals problem file: {exc}") from exc
+    return ExpFamilyModel(block["features"], block["params"],
+                          block.get("p_x"))
 
 
 def parse_beta_grid(spec) -> np.ndarray:
@@ -316,8 +233,9 @@ class RunConfig:
     trials: int | None = _setting(
         int, 10_000, _AT_LEAST_ONE,
         help="Monte-Carlo trials per point (default: 10000)")
-    n_clusters: int | None = _setting(int, check=_AT_LEAST_ONE,
-                                      help="cluster budget (default: n_x)")
+    n_clusters: int | None = _setting(
+        int, check=_AT_LEAST_ONE, help="cluster budget (default: n_x; each "
+        "step then works on n_x x n_x arrays: slow on large models)")
     g_tol: float | None = _setting(
         float, 1e-9, _POSITIVE, help="|beta * lambda2 - 1| refinement target")
     split_eps: float | None = _setting(

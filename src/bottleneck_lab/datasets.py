@@ -19,25 +19,27 @@ def binary_overlap5() -> JointDistribution:
     return JointDistribution.from_conditional(rule, smoothing_epsilon=0.0)
 
 
+#: Weight of each class's own draw against the shared base in
+#: :func:`make_class_mixture`, and the uniform floor mixed in afterwards.
+MIXTURE_SHRINK, MIXTURE_FLOOR = 0.55, 1e-4
+
+
 def make_class_mixture(n_classes: int = 8, n_x: int = 16, *,
-                       shrink: float = 0.55, seed: int = 10,
-                       floor: float = 1e-4) -> np.ndarray:
+                       seed: int = 10) -> np.ndarray:
     """Seeded overlapping class conditionals for error-rate experiments.
 
     Each class row is a flat-Dirichlet draw shrunk toward one shared
-    flat-Dirichlet base, ``(1 - shrink) * base + shrink * row``, then mixed
-    with a small uniform floor so every cell is strictly positive.  The
-    default ``shrink``/``seed`` pair was chosen by measurement: classes
-    overlap enough that a 10000-trial run still sees error rates around
-    5e-3 at 256 samples (so decay stays quantifiable), while structure
-    appears early enough in beta that compressed encoders show clear
-    error differences.
+    flat-Dirichlet base, ``(1 - shrink) * base + shrink * row`` with
+    ``shrink = MIXTURE_SHRINK``, then mixed with the small uniform floor
+    ``MIXTURE_FLOOR`` so every cell is strictly positive.  The shrink/seed
+    pair was chosen by measurement: classes overlap enough that a
+    10000-trial run still sees error rates around 5e-3 at 256 samples (so
+    decay stays quantifiable), while structure appears early enough in
+    beta that compressed encoders show clear error differences.
     """
-    if not 0.0 <= shrink <= 1.0:
-        raise ValueError("shrink must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     base = rng.dirichlet(np.ones(n_x))
     rows = rng.dirichlet(np.ones(n_x), size=n_classes)
-    conditionals = (1.0 - shrink) * base + shrink * rows
-    conditionals = (1.0 - floor) * conditionals + floor / n_x
+    conditionals = (1.0 - MIXTURE_SHRINK) * base + MIXTURE_SHRINK * rows
+    conditionals = (1.0 - MIXTURE_FLOOR) * conditionals + MIXTURE_FLOOR / n_x
     return conditionals / conditionals.sum(axis=1, keepdims=True)

@@ -25,6 +25,8 @@ from .annealing import SplitConfig, run_sweep
 from .probability import (
     DistributionError,
     JointDistribution,
+    as_finite,
+    as_marginal,
     entropy,
     logsumexp,
     mutual_information,
@@ -63,31 +65,24 @@ class ExpFamilyModel:
     ``-features[x] @ params.T``, i.e. the per-``x`` normalizer is
 
         ``log_normalizer(x) = log sum_y exp(-sum_r params[y,r] features[x,r])``
+
+    ``features`` and ``params`` must be finite.  ``p_x`` defaults to
+    uniform; a given one is checked and renormalized by
+    :func:`~bottleneck_lab.probability.as_marginal`.
     """
 
-    features: np.ndarray  # (n_x, d)
-    params: np.ndarray    # (n_y, d)
-    p_x: np.ndarray       # (n_x,)
+    features: np.ndarray       # (n_x, d)
+    params: np.ndarray         # (n_y, d)
+    p_x: np.ndarray | None = None  # (n_x,)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.params = np.asarray(self.params, dtype=float)
-        self.p_x = np.asarray(self.p_x, dtype=float)
-        if self.features.ndim != 2 or self.params.ndim != 2:
-            raise ValueError("features and params must be 2-D arrays")
+        self.features = as_finite(self.features, "features")
+        self.params = as_finite(self.params, "params")
         if self.features.shape[1] != self.params.shape[1]:
-            raise ValueError(
+            raise DistributionError(
                 f"feature dimension mismatch: features are "
                 f"{self.features.shape[1]}-D, params {self.params.shape[1]}-D")
-        if self.p_x.shape != (self.features.shape[0],):
-            raise ValueError("p_x length must match the number of inputs")
-        for name in ("features", "params", "p_x"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DistributionError(f"{name} must be finite")
-        if np.any(self.p_x <= 0.0):
-            raise DistributionError("p_x must be strictly positive")
-        if abs(self.p_x.sum() - 1.0) > 1e-9:
-            raise DistributionError("p_x must sum to 1")
+        self.p_x = as_marginal(self.p_x, "p_x", self.n_x)
 
     @property
     def n_x(self) -> int:

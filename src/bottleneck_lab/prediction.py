@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -18,9 +18,11 @@ from .annealing import SplitConfig, sweep_with_states
 from .probability import (
     DistributionError,
     JointDistribution,
-    _as_float_array,
+    as_distribution,
+    as_marginal,
     logsumexp,
     rel_entr,
+    smooth_rows,
 )
 from .solvers import (
     DEFAULT_MAX_ITER,
@@ -34,6 +36,9 @@ from .solvers import (
 #: Golden ratio conjugate: interval shrink factor per golden-section step.
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+#: Golden-section search stops once its bracket on ``lam`` is this narrow.
+CHERNOFF_TOL = 1e-9
+
 #: Targets beta = 2, 4, ..., 64 land exactly on this warm-start ladder.
 WARM_LADDER = np.exp2(np.arange(-2.0, 6.25, 0.25))
 
@@ -41,16 +46,16 @@ DEFAULT_BETAS = np.exp2(np.arange(1.0, 7.0))        # log2 beta in 1..6
 DEFAULT_N_VALUES = tuple(2 ** k for k in range(9))  # 1, 2, 4, ..., 256
 
 
-def chernoff_information(p0, p1, tol: float = 1e-9) -> tuple[float, float]:
+def chernoff_information(p0, p1) -> tuple[float, float]:
     """Best achievable pairwise error exponent and its mixing weight.
 
     Minimizes the log-partition ``g(lam) = log sum_x p0^lam p1^(1-lam)``
     over ``lam in (0, 1)`` by golden-section search (``g`` is convex; the
-    bracket shrinks below ``tol``) and returns ``(-g(lam*), lam*)``.
+    bracket shrinks below ``CHERNOFF_TOL``) and returns ``(-g(lam*), lam*)``.
     Identical inputs return ``(0.0, 0.5)`` by convention.  At the
     minimizer the tilted distribution ``p_lam* ∝ p0^lam* p1^(1-lam*)`` is
     equidistant from both inputs in divergence; the residual distance gap
-    scales with ``tol`` times the curvature of ``g``.
+    scales with ``CHERNOFF_TOL`` times the curvature of ``g``.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -72,7 +77,7 @@ def chernoff_information(p0, p1, tol: float = 1e-9) -> tuple[float, float]:
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     g_c, g_d = g(c), g(d)
-    while b - a > tol:
+    while b - a > CHERNOFF_TOL:
         if g_c <= g_d:
             b, d, g_d = d, c, g_c
             c = b - GOLDEN * (b - a)
@@ -126,37 +131,32 @@ class ClassificationProblem:
     """M classes over a finite input alphabet.
 
     ``class_conditionals`` rows are ``p(x | class)``; ``prior`` defaults
-    to uniform.  ``joint()`` assembles the induced solver problem whose
-    rule is ``p(class | x)``.
+    to uniform.  They are checked and renormalized by
+    :func:`~bottleneck_lab.probability.as_distribution` and
+    :func:`~bottleneck_lab.probability.as_marginal`; a nonzero
+    ``smoothing_epsilon`` (in ``[0, 1)``) is then added to every
+    conditional cell and the rows renormalized.  ``joint()`` assembles the
+    induced solver problem whose rule is ``p(class | x)``.
     """
 
     class_conditionals: np.ndarray  # (M, n_x)
     prior: np.ndarray | None = None
+    smoothing_epsilon: InitVar[float] = 0.0
 
-    def __post_init__(self):
-        self.class_conditionals = _as_float_array(self.class_conditionals,
-                                                  "class_conditionals")
-        if self.class_conditionals.ndim != 2:
-            raise ValueError("class_conditionals must be 2-D")
-        if min(self.class_conditionals.shape) < 2:
+    def __post_init__(self, smoothing_epsilon):
+        cond = as_distribution(self.class_conditionals, "class_conditionals",
+                               axis=1)
+        if min(cond.shape) < 2:
             raise DistributionError("class_conditionals needs at least two "
                                     "classes and two inputs")
-        if np.any(self.class_conditionals <= 0.0):
+        if smoothing_epsilon:  # unsmoothed rows are renormalized only once
+            cond = smooth_rows(cond, smoothing_epsilon)
+        if np.any(cond <= 0.0):
             raise DistributionError(
                 "class conditionals must be strictly positive; smooth "
                 "first")
-        sums = self.class_conditionals.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise DistributionError("class conditional rows must sum to 1")
-        if self.prior is None:
-            self.prior = np.full(self.n_classes, 1.0 / self.n_classes)
-        else:
-            self.prior = _as_float_array(self.prior, "prior")
-            if self.prior.shape != (self.n_classes,):
-                raise ValueError("prior length must match class count")
-            if np.any(self.prior <= 0.0) or abs(self.prior.sum() - 1.0) > 1e-9:
-                raise DistributionError("prior must be positive, summing "
-                                        "to 1")
+        self.class_conditionals = cond
+        self.prior = as_marginal(self.prior, "prior", self.n_classes)
 
     @property
     def n_classes(self) -> int:

@@ -18,10 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-# Tolerance for "this array should already be normalized" checks.  Inputs
-# passing the check are renormalized exactly, so downstream code may rely on
-# sums of 1.0 up to rounding of the division itself.
+# Tolerance of the information functions below for "this array should
+# already be normalized"; they compute on their input as given.
 NORMALIZATION_ATOL = 1e-12
+# The one sum tolerance of problem data (rules, priors, class
+# conditionals): the model constructors accept sums within it of 1 and
+# renormalize once, so downstream code may rely on sums of 1.0 up to the
+# rounding of that division.
+INPUT_SUM_TOL = 1e-6
 # Conditional rules read from user files get this added to every cell by
 # default (then rows are renormalized) so that logs and KL divergences exist.
 DEFAULT_SMOOTHING = 1e-9
@@ -41,23 +45,74 @@ class UndefinedDivergenceError(DistributionError):
     """KL divergence requested where the reference has a support hole."""
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DistributionError(f"{name} contains non-finite entries")
-    if arr.size and arr.min() < 0.0:
-        raise DistributionError(f"{name} contains negative entries")
+def _require_normalized(arr: np.ndarray, name: str) -> None:
+    total = arr.sum()
+    if abs(total - 1.0) > NORMALIZATION_ATOL:
+        raise NormalizationError(
+            f"{name} must be normalized within {NORMALIZATION_ATOL:g} "
+            f"(deviation {abs(total - 1.0):.3e})")
+
+
+def _reject_cells(mask: np.ndarray, name: str, reason: str) -> None:
+    if mask.any():
+        index = np.argwhere(mask)[0]
+        raise DistributionError(
+            name + "".join(f"[{i}]" for i in index) + reason)
+
+
+def as_finite(values, name: str, ndim: int = 2) -> np.ndarray:
+    """``values`` as a float array of ``ndim`` dimensions and at least one
+    row whose cells are all finite; the first bad cell is named
+    ``name[i][j]``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DistributionError(
+            f"{name} must be a rectangular numeric array: {exc}") from exc
+    if arr.ndim != ndim or not len(arr):
+        raise DistributionError(f"{name} must be a non-empty {ndim}-D array")
+    _reject_cells(~np.isfinite(arr), name, " is not finite")
     return arr
 
 
-def _require_normalized(arr: np.ndarray, name: str, axis: int | None = None,
-                        atol: float = NORMALIZATION_ATOL) -> None:
-    sums = arr.sum(axis=axis)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=atol):
-        worst = float(np.max(np.abs(sums - 1.0)))
+def _non_negative(values, name: str, ndim: int) -> np.ndarray:
+    arr = as_finite(values, name, ndim)
+    _reject_cells(arr < 0.0, name, " is negative")
+    return arr
+
+
+def as_distribution(values, name: str, axis: int | None = None
+                    ) -> np.ndarray:
+    """A checked probability vector (``axis=None``) or table of rows
+    (``axis=1``), renormalized once.
+
+    Cells must be finite and non-negative, and every sum must lie within
+    ``INPUT_SUM_TOL`` of 1; errors name the first bad cell ``name[i][j]``
+    or the worst row ``name[i]``.
+    """
+    arr = _non_negative(values, name, 1 if axis is None else 2)
+    sums = arr.sum(axis=axis, keepdims=True)
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums.flat[worst] - 1.0) > INPUT_SUM_TOL:
+        label = name if axis is None else f"{name}[{worst}]"
         raise NormalizationError(
-            f"{name} must be normalized within {atol:g} "
-            f"(worst deviation {worst:.3e})")
+            f"{label} sums to {sums.flat[worst]:.8f}; must sum to 1 within "
+            f"{INPUT_SUM_TOL:g}")
+    return arr / sums
+
+
+def as_marginal(values, name: str, n: int) -> np.ndarray:
+    """A strictly positive length-``n`` distribution checked by
+    :func:`as_distribution`; ``None`` gives the uniform one."""
+    if values is None:
+        return np.full(n, 1.0 / n)
+    vec = as_distribution(values, name)
+    if vec.shape != (n,):
+        raise DistributionError(f"{name} must have length {n}")
+    if vec.min() <= 0.0:
+        raise DistributionError(
+            f"{name} must be strictly positive (drop unused symbols)")
+    return vec
 
 
 def entropy(p) -> float:
@@ -66,7 +121,7 @@ def entropy(p) -> float:
     Zero cells contribute zero.  Raises :class:`NormalizationError` if ``p``
     does not sum to one within ``NORMALIZATION_ATOL``.
     """
-    p = _as_float_array(p, "p")
+    p = _non_negative(p, "p", 1)
     _require_normalized(p, "p")
     return float(-xlogx(p).sum())
 
@@ -80,8 +135,8 @@ def kl_divergence(p, q) -> float:
     normalized — callers occasionally compare against unnormalized reference
     weights — but every standard use in this package passes distributions.
     """
-    p = _as_float_array(p, "p")
-    q = _as_float_array(q, "q")
+    p = _non_negative(p, "p", 1)
+    q = _non_negative(q, "q", 1)
     if p.shape != q.shape:
         raise DistributionError(
             f"shape mismatch: p {p.shape} vs q {q.shape}")
@@ -99,9 +154,7 @@ def mutual_information(joint) -> float:
     ``NORMALIZATION_ATOL``.  Computed as ``KL(joint || outer(margins))``;
     zero cells contribute zero.
     """
-    joint = _as_float_array(joint, "joint")
-    if joint.ndim != 2:
-        raise DistributionError("joint must be a 2-D table")
+    joint = _non_negative(joint, "joint", 2)
     _require_normalized(joint, "joint")
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -141,9 +194,7 @@ def conditional_from_joint(joint):
     Rows with zero marginal mass are returned uniform, so the result is
     always row-stochastic.
     """
-    joint = _as_float_array(joint, "joint")
-    if joint.ndim != 2:
-        raise DistributionError("joint must be a 2-D table")
+    joint = _non_negative(joint, "joint", 2)
     _require_normalized(joint, "joint")
     p_a = joint.sum(axis=1)
     rows = np.empty_like(joint)
@@ -199,9 +250,13 @@ def _max_shifted_logsumexp(a: np.ndarray, a_max: np.ndarray,
 
 
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:
-    """Add ``epsilon`` to every cell and renormalize each row exactly."""
-    if epsilon < 0.0:
-        raise DistributionError("smoothing epsilon must be non-negative")
+    """Add ``epsilon`` to every cell and renormalize each row exactly.
+
+    ``epsilon`` must lie in ``[0, 1)``; NaN and infinities are rejected.
+    """
+    if not 0.0 <= epsilon < 1.0:
+        raise DistributionError(
+            f"smoothing_epsilon must lie in [0, 1), got {epsilon!r}")
     rows = rows + epsilon
     return rows / rows.sum(axis=1, keepdims=True)
 
@@ -232,34 +287,24 @@ class JointDistribution:
                          ) -> "JointDistribution":
         """Build from ``p(y|x)`` rows and an optional input marginal.
 
-        ``rule`` rows must be normalized within 1e-9 on input; they are
-        smoothed by ``smoothing_epsilon`` and renormalized exactly.  With
-        ``smoothing_epsilon = 0`` the rule must already be strictly
-        positive.  ``p_x`` defaults to uniform and must be strictly
-        positive (drop unused symbols before building the problem).
+        ``rule`` (named ``p_y_given_x`` in messages) is checked by
+        :func:`as_distribution` and ``p_x`` by :func:`as_marginal`: sums
+        within ``INPUT_SUM_TOL`` of 1 are accepted and renormalized.  The
+        rows are then smoothed by ``smoothing_epsilon`` (in ``[0, 1)``) and
+        renormalized exactly; with ``smoothing_epsilon = 0`` the rule must
+        already be strictly positive.  ``p_x`` defaults to uniform and must
+        be strictly positive (drop unused symbols before building the
+        problem).
         """
-        rule = _as_float_array(rule, "rule")
-        if rule.ndim != 2 or min(rule.shape) < 2:
-            raise DistributionError(
-                "rule must be a 2-D table with at least two rows and columns")
-        _require_normalized(rule, "rule rows", axis=1, atol=1e-9)
+        rule = as_distribution(rule, "p_y_given_x", axis=1)
+        if min(rule.shape) < 2:
+            raise DistributionError("p_y_given_x needs at least two rows "
+                                    "and two columns")
         rule = smooth_rows(rule, smoothing_epsilon)
         if rule.min() <= 0.0:
             raise DistributionError(
-                "rule has zero cells; pass a positive smoothing_epsilon")
-        n_x = rule.shape[0]
-        if p_x is None:
-            p_x = np.full(n_x, 1.0 / n_x)
-        else:
-            p_x = _as_float_array(p_x, "p_x")
-            if p_x.shape != (n_x,):
-                raise DistributionError(
-                    f"p_x has shape {p_x.shape}, expected ({n_x},)")
-            _require_normalized(p_x, "p_x")
-            if p_x.min() <= 0.0:
-                raise DistributionError(
-                    "p_x must be strictly positive (drop unused symbols)")
-            p_x = p_x / p_x.sum()
+                "p_y_given_x has zero cells; use a positive smoothing_epsilon")
+        p_x = as_marginal(p_x, "p_x", rule.shape[0])
         joint = p_x[:, None] * rule
         return cls(p_x=p_x, rule=rule, log_rule=np.log(rule), joint=joint,
                    p_y=joint.sum(axis=0))
@@ -270,9 +315,6 @@ class JointDistribution:
                    ) -> "JointDistribution":
         """Build from a full joint table (rows with zero mass are rejected)."""
         p_x, rows = conditional_from_joint(joint)
-        if p_x.min() <= 0.0:
-            raise DistributionError(
-                "joint has empty input rows; drop unused symbols")
         return cls.from_conditional(rows, p_x,
                                     smoothing_epsilon=smoothing_epsilon)
 

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .annealing import SplitConfig, sweep_with_states
+from .annealing import sweep_with_states
 from .probability import JointDistribution
 from .solvers import (
     DEFAULT_MAX_ITER,
@@ -48,6 +48,10 @@ from .solvers import fixed_point as solve
 #: Eigenvalues whose imaginary part exceeds this trigger a warning when a
 #: real "second eigenvalue" is requested.
 COMPLEX_WARN_TOL = 1e-8
+
+#: Bisection halvings per bracket: 60 halvings shrink any grid bracket
+#: below the spacing of doubles, so further halvings cannot move beta.
+MAX_BISECT = 60
 
 
 class ComplexEigenvalueWarning(UserWarning):
@@ -226,29 +230,28 @@ def _stability_gaps(problem, state) -> np.ndarray:
 
 
 def find_critical_points(problem: JointDistribution, framework, betas, *,
-                         split: SplitConfig | None = None,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER,
-                         g_tol: float = 1e-9, max_bisect: int = 60,
+                         g_tol: float = 1e-9,
                          sweep_result: tuple | None = None) -> CriticalReport:
     """Locate the phase transitions of one framework on a beta grid.
 
-    Runs an annealed sweep (or reuses ``sweep_result`` from
-    :func:`bottleneck_lab.annealing.sweep_with_states`), brackets each
-    increase of the effective cluster count between consecutive grid
-    points, and refines the bracket by bisection *along the unsplit parent
-    branch*: warm-started solves that skip split-and-perturb keep the
-    parent's cluster count, where ``g(beta) = beta * lambda2 - 1`` is
-    continuous and crosses zero exactly at the transition.
+    Runs an annealed sweep at the default split settings (or reuses
+    ``sweep_result`` from :func:`bottleneck_lab.annealing.sweep_with_states`),
+    brackets each increase of the effective cluster count between
+    consecutive grid points, and refines the bracket by bisection *along
+    the unsplit parent branch*: warm-started solves that skip
+    split-and-perturb keep the parent's cluster count, where
+    ``g(beta) = beta * lambda2 - 1`` is continuous and crosses zero
+    exactly at the transition.
 
-    Refinement stops when ``|g| <= g_tol`` or after ``max_bisect`` halvings.
+    Refinement stops when ``|g| <= g_tol`` or after ``MAX_BISECT`` halvings.
     """
     framework = as_framework(framework)
     betas = np.asarray(betas, dtype=float)
     if sweep_result is None:
         sweep_result = sweep_with_states(problem, framework, betas,
-                                         split=split, tol=tol,
-                                         max_iter=max_iter)
+                                         tol=tol, max_iter=max_iter)
     trace, states = sweep_result
     counts = trace.column("effective_clusters")
     backend = TableBackend(problem, framework)
@@ -270,21 +273,20 @@ def find_critical_points(problem: JointDistribution, framework, betas, *,
             continue
         for c in crossing:
             points.append(_bisect_branch(backend, parent, int(c), beta_lo,
-                                         beta_hi, tol, max_iter, g_tol,
-                                         max_bisect))
+                                         beta_hi, tol, max_iter, g_tol))
     return CriticalReport(framework=str(framework.value), points=points,
                           grid_min=float(betas[0]), grid_max=float(betas[-1]),
                           grid_points=int(betas.size))
 
 
 def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
-                   max_iter, g_tol, max_bisect) -> CriticalPoint:
+                   max_iter, g_tol) -> CriticalPoint:
     lo, hi = beta_lo, beta_hi
     warm = parent
     beta_mid = 0.5 * (lo + hi)
     gap = np.nan
     lam = np.nan
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         beta_mid = 0.5 * (lo + hi)
         warm, _ = solve(backend, beta_mid, init_encoder=warm.encoder,
                         tol=tol, max_iter=max_iter)

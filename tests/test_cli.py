@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bottleneck_lab import prediction
@@ -28,6 +30,8 @@ from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
 from bottleneck_lab.prediction import ClassificationProblem
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import DEFAULT_TOL, solve
+
+from conftest import PROPERTY_SETTINGS
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RULE_FIXTURE = PROBLEMS / "binary_overlap5.json"
@@ -175,6 +179,60 @@ class TestLoadProblem:
             load_problem(bad)
         with pytest.raises(ValidationError, match="JSON object"):
             load_problem(write_json(tmp_path / "list.json", [1, 2]))
+
+
+#: Any JSON value: null, booleans, strings, integers (one beyond the
+#: float range), floats with NaN, +-inf and 1e308, and nested, possibly
+#: ragged lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.integers()
+    | st.just(10 ** 400) | st.floats() | st.sampled_from([1e308, -1e308]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=12)
+
+
+def problem_fields(valid: dict, required: tuple) -> st.SearchStrategy:
+    """Objects holding each field of ``valid`` (the optional ones only
+    sometimes, plus a ``name``) as its valid value or as any JSON value."""
+    def value(key):
+        return st.just(valid[key]) | JSON_VALUES
+    return st.fixed_dictionaries(
+        {key: value(key) for key in required},
+        optional={**{key: value(key) for key in valid if key not in required},
+                  "name": JSON_VALUES})
+
+
+RULE = [[0.5, 0.5], [0.2, 0.8]]
+FUZZED_PROBLEMS = {
+    "p_y_given_x": problem_fields(
+        {"p_y_given_x": RULE, "p_x": [0.4, 0.6], "smoothing_epsilon": 0.1},
+        ("p_y_given_x",)),
+    "exp_family": st.fixed_dictionaries({
+        "exp_family": JSON_VALUES | problem_fields(
+            {"features": [[1.0], [2.0]], "params": [[0.0], [1.0]],
+             "p_x": [0.4, 0.6]}, ())}),
+    "class_conditionals": problem_fields(
+        {"class_conditionals": RULE, "prior": [0.4, 0.6],
+         "smoothing_epsilon": 0.1}, ("class_conditionals",)),
+}
+
+
+@pytest.mark.parametrize("schema", FUZZED_PROBLEMS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_any_problem_file_loads_or_fails_validation(schema, data,
+                                                    tmp_path_factory):
+    """Whatever JSON a problem field holds, loading it either succeeds or
+    raises ``ValidationError`` (exit 2), never another exception (exit
+    1)."""
+    payload = data.draw(FUZZED_PROBLEMS[schema])
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "p.json", payload)
+    try:
+        load_problem(path)
+    except ValidationError:
+        pass
 
 
 class TestResolveConfig:
@@ -603,6 +661,27 @@ class TestExpfamCommand:
         assert report["converged"]
         assert len(report["decoder"]) == 4
 
+    @pytest.mark.parametrize("mode", [["--beta", "2"],
+                                      ["--beta-grid", "log:0.25:2:8"]],
+                             ids=["beta", "beta-grid"])
+    def test_zero_dimensional_model(self, tmp_path, capsys, mode):
+        """``d = 0`` describes the uniform rule, which leaves nothing to
+        learn: every solve ends at zero information."""
+        path = write_json(tmp_path / "flat.json", {"exp_family": {
+            "features": [[], [], []], "params": [[], []]}})
+        rc = main(["expfam", "--problem", path, *mode,
+                   "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        if mode[0] == "--beta":
+            report = json.loads(
+                (tmp_path / "flat_expfam_solve.json").read_text())
+            i_values = [report["i_x"], report["i_y"]]
+        else:
+            trace = trace_from_csv(tmp_path / "flat_expfam_trace.csv")
+            i_values = [*trace.column("i_x"), *trace.column("i_y")]
+        assert_allclose(i_values, 0.0, atol=1e-12)
+
     def test_cluster_budget_is_rejected_with_a_grid(self, tmp_path, capsys):
         argv = ["expfam", "--problem", str(RULE_FIXTURE), "--beta-grid",
                 "log:2:6:4"]
@@ -744,11 +823,23 @@ class TestExitCodes:
         pytest.param(["error-exp", "--classes", None],
                      {"class_conditionals": [[1.0], [1.0]]},
                      id="one-input-error-exp"),
+        pytest.param(["solve", "--problem", None, "--beta", "2"],
+                     {"p_y_given_x": [[0.5, 0.5], [0.4, 0.6]],
+                      "p_x": [0.5, 0.6]}, id="bad-p_x-solve"),
+        *(pytest.param(["solve", "--problem", None, "--beta", "2"],
+                       {"p_y_given_x": [[0.5, 0.5], [0.4, 0.6]],
+                        "smoothing_epsilon": eps}, id=f"smoothing-{eps}-solve")
+          for eps in (float("nan"), float("inf"), 1.0)),
+        pytest.param(["error-exp", "--classes", None],
+                     {"class_conditionals": [[0.5, 0.5], [0.4, 0.6]],
+                      "smoothing_epsilon": float("nan")},
+                     id="smoothing-nan-error-exp"),
     ])
     def test_rejected_problem_files_leave_no_run_config(
             self, tmp_path, capsys, argv, problem):
-        """Wrong-schema files, missing files and class files too small to
-        build a joint from exit 2 before writing ``run_config.json``."""
+        """Wrong-schema files, missing files, class files too small to
+        build a joint from, and files with a bad ``p_x`` or
+        ``smoothing_epsilon`` exit 2 before writing ``run_config.json``."""
         if isinstance(problem, dict):
             problem = write_json(tmp_path / "small.json", problem)
         elif problem == "nope.json":

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -279,6 +280,66 @@ class TestJointDistribution:
         rows = rng.dirichlet(np.ones(4), size=3)
         out = smooth_rows(rows, 0.01)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 1.0])
+    def test_rejects_bad_smoothing(self, eps):
+        """NaN and infinity used to slip past ``eps < 0`` and return an
+        all-NaN problem."""
+        with pytest.raises(DistributionError,
+                           match=r"smoothing_epsilon must lie in \[0, 1\)"):
+            JointDistribution.from_conditional([[0.9, 0.1], [0.2, 0.8]],
+                                               smoothing_epsilon=eps)
+
+
+ROWS = [[0.3, 0.7], [0.6, 0.4]]
+
+#: Every constructor field that holds a distribution, keyed by the name
+#: its messages use (``expfam-`` marks the model's own ``p_x``): a call
+#: that builds from the field's value and returns the stored array.
+SUM_FIELDS = {
+    "p_y_given_x": lambda v: JointDistribution.from_conditional(
+        v, smoothing_epsilon=0.0).rule,
+    "p_x": lambda v: JointDistribution.from_conditional(
+        ROWS, v, smoothing_epsilon=0.0).p_x,
+    "expfam-p_x": lambda v: expfamily.ExpFamilyModel(
+        np.zeros((2, 1)), np.zeros((2, 1)), v).p_x,
+    "class_conditionals": lambda v: prediction.ClassificationProblem(
+        v).class_conditionals,
+    "prior": lambda v: prediction.ClassificationProblem(ROWS, v).prior,
+}
+
+
+def is_vector(field: str) -> bool:
+    return field.endswith(("p_x", "prior"))
+
+
+def skewed(field: str, offset: float) -> np.ndarray:
+    """``ROWS`` with ``offset`` added to row 1, or that row alone for a
+    vector field."""
+    rows = np.array(ROWS)
+    rows[1, 0] += offset
+    return rows[1] if is_vector(field) else rows
+
+
+class TestInputSums:
+    """One sum tolerance, ``INPUT_SUM_TOL = 1e-6``, for every field, and
+    one renormalization of what it accepts."""
+
+    @pytest.mark.parametrize("field", SUM_FIELDS)
+    def test_near_sums_are_renormalized(self, field):
+        values = skewed(field, 5e-7)
+        stored = SUM_FIELDS[field](values)
+        np.testing.assert_allclose(stored.sum(axis=-1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(
+            stored, values / values.sum(axis=-1, keepdims=True), atol=1e-15)
+
+    @pytest.mark.parametrize("field", SUM_FIELDS)
+    def test_far_sums_name_the_field_and_row(self, field):
+        name = field.removeprefix("expfam-")
+        label = name if is_vector(field) else f"{name}[1]"
+        with pytest.raises(NormalizationError,
+                           match=re.escape(label) + " sums to .*sum to 1"):
+            SUM_FIELDS[field](skewed(field, 2e-6))
 
 
 class TestLogSumExp:
