@@ -66,8 +66,8 @@ class ExpFamilyModel:
 
         ``log_normalizer(x) = log sum_y exp(-sum_r params[y,r] features[x,r])``
 
-    ``features`` and ``params`` must be finite.  ``p_x`` defaults to
-    uniform; a given one is checked and renormalized by
+    ``features``, ``params`` and their products must be finite.  ``p_x``
+    defaults to uniform; a given one is checked and renormalized by
     :func:`~bottleneck_lab.probability.as_marginal`.
     """
 
@@ -82,6 +82,12 @@ class ExpFamilyModel:
             raise DistributionError(
                 f"feature dimension mismatch: features are "
                 f"{self.features.shape[1]}-D, params {self.params.shape[1]}-D")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.interactions())
+        if not finite.all():
+            x, y = np.argwhere(~finite)[0]
+            raise DistributionError(
+                f"features[{x}] @ params[{y}] is not finite")
         self.p_x = as_marginal(self.p_x, "p_x", self.n_x)
 
     @property

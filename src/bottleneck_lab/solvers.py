@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .probability import (JointDistribution, logsumexp, mutual_information,
-                          xlogx)
+# logsumexp is unused here; perfbench/tracing.py patches it by name.
+from .probability import (JointDistribution, logsumexp,  # noqa: F401
+                          mutual_information, xlogx)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -161,13 +162,17 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
 def _decode(framework: Framework, stats: np.ndarray):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
-    normalized geometric mixture ``exp(weights @ log_rule - log_z)``."""
+    normalized geometric mixture ``exp(weights @ log_rule - log_z)`` as a
+    max-shifted row softmax."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework is Framework.IB:
         return ratio, np.log(ratio), None
-    log_z = logsumexp(ratio, axis=1)
-    log_decoder = ratio - log_z[:, None]
-    return np.exp(log_decoder), log_decoder, log_z
+    shift = np.maximum.reduce(ratio, axis=1, keepdims=True)
+    ratio -= shift
+    decoder = np.exp(ratio)
+    total = np.add.reduce(decoder, axis=1, keepdims=True)
+    log_total = np.log(total)
+    return decoder / total, ratio - log_total, (shift + log_total)[:, 0]
 
 
 def derive_state(problem: JointDistribution, framework,

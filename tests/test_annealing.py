@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bottleneck_lab import annealing, probability, solvers
+from bottleneck_lab import annealing, solvers
 from bottleneck_lab.annealing import (
     AnnealTrace,
     SplitConfig,
@@ -220,17 +220,19 @@ class TestStateWork:
         assert any(narrowing_merges) and not all(narrowing_merges)
         assert len(derived) == self.BETAS.size + sum(narrowing_merges)
 
-    def test_dual_sweep_normalizes_only_used_decoders(self, monkeypatch,
-                                                      narrowing_merges):
-        """Each dual step normalizes its decoder once; beyond the steps,
-        only the solved and the narrowed states do."""
+    def test_dual_sweep_decodes_only_used_states(self, monkeypatch,
+                                                 narrowing_merges):
+        """Each dual step normalizes its decoder once, through the one
+        ``_decode``; beyond the steps, only the solved and the narrowed
+        states do."""
         calls = []
+        original = solvers._decode
 
-        def counting(a, axis=None):
-            calls.append(axis)
-            return probability.logsumexp(a, axis)
+        def counting(framework, stats):
+            calls.append(framework)
+            return original(framework, stats)
 
-        monkeypatch.setattr(solvers, "logsumexp", counting)
+        monkeypatch.setattr(solvers, "_decode", counting)
         trace = sweep(binary_overlap5(), "dual", self.BETAS)
         assert len(calls) == (sum(trace.column("n_iterations"))
                               + self.BETAS.size + sum(narrowing_merges))

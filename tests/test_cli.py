@@ -834,12 +834,17 @@ class TestExitCodes:
                      {"class_conditionals": [[0.5, 0.5], [0.4, 0.6]],
                       "smoothing_epsilon": float("nan")},
                      id="smoothing-nan-error-exp"),
+        pytest.param(["expfam", "--problem", None, "--beta", "2"],
+                     {"exp_family": {"features": [[1e308], [1.0]],
+                                     "params": [[1e308], [0.0]]}},
+                     id="overflowing-interactions-expfam"),
     ])
     def test_rejected_problem_files_leave_no_run_config(
             self, tmp_path, capsys, argv, problem):
         """Wrong-schema files, missing files, class files too small to
-        build a joint from, and files with a bad ``p_x`` or
-        ``smoothing_epsilon`` exit 2 before writing ``run_config.json``."""
+        build a joint from, files with a bad ``p_x`` or
+        ``smoothing_epsilon``, and exp-family files whose interactions
+        overflow exit 2 before writing ``run_config.json``."""
         if isinstance(problem, dict):
             problem = write_json(tmp_path / "small.json", problem)
         elif problem == "nope.json":

@@ -2,6 +2,8 @@
 equivalence with the full-table prediction-side solver."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -120,6 +122,16 @@ class TestModelConstruction:
         arrays[field][0] = bad
         with pytest.raises(DistributionError, match=field):
             ExpFamilyModel(**arrays)
+
+    def test_overflowing_interactions_rejected(self):
+        """Finite features and params whose products overflow are named
+        in the constructor, before any solve runs on inf or NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistributionError,
+                               match=r"features\[0\] @ params\[0\]"):
+                ExpFamilyModel(features=[[1e308], [1.0]],
+                               params=[[1e308], [0.0]])
 
 
 class TestStateInvariants:

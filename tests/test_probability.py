@@ -477,8 +477,10 @@ class TestEntropyKernels:
 
 
 #: Imported and never read on purpose: the benchmark tracer patches
-#: ``mutual_information`` where ``annealing`` would look it up.
-KEPT_IMPORTS = {("annealing.py", "mutual_information")}
+#: ``mutual_information`` in ``annealing`` and ``logsumexp`` in ``solvers``
+#: by name.
+KEPT_IMPORTS = {("annealing.py", "mutual_information"),
+                ("solvers.py", "logsumexp")}
 
 
 def test_package_has_no_unused_imports():

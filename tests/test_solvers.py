@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from bottleneck_lab import probability, solvers
+from bottleneck_lab import solvers
 from bottleneck_lab.annealing import (
     SplitConfig,
     TableBackend,
@@ -20,7 +20,8 @@ from bottleneck_lab.annealing import (
 )
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
-from bottleneck_lab.probability import JointDistribution, kl_divergence
+from bottleneck_lab.probability import (JointDistribution, kl_divergence,
+                                        logsumexp)
 from bottleneck_lab.solvers import (
     Framework,
     as_framework,
@@ -48,6 +49,42 @@ class TestElementarySteps:
             enc,
             [[0.803049686686028, 0.19695031331397192],
              [0.03246670007383685, 0.9675332999261631]], atol=1e-15)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           n_y=st.integers(1, 5), dead=st.integers(0, 5),
+           level=st.sampled_from([0.0, 800.0]),
+           spread=st.sampled_from([0.0, 30.0, 1000.0]))
+    def test_dual_decode_matches_log_sum_exp(self, seed, k, n_y, dead,
+                                             level, spread):
+        """The dual decoder, a max-shifted row softmax, is the
+        ``logsumexp`` formula ``exp(ratio - log_z)`` within 1e-13, without
+        warnings, on statistics tables with one cluster, with dead clusters
+        (the table's column sums), with every ``exp(ratio)`` underflowing
+        (``level``) and with rows spread wider than ``exp``'s range
+        (``spread``), whose far cells are exact zeros with finite logs."""
+        rng = np.random.default_rng(seed)
+        n_x = int(rng.integers(1, 7))
+        log_rule = -5.0 * rng.random((n_x, n_y)) - level
+        log_rule[:, 0] -= spread
+        p_x = rng.dirichlet(np.ones(n_x))
+        table = np.column_stack([p_x[:, None] * log_rule, p_x])
+        enc = random_encoder(rng, n_x, k)
+        enc[:, :min(dead, k - 1)] = 0.0
+        _, stats, _ = solvers._cluster_statistics(
+            enc / enc.sum(axis=1, keepdims=True), table)
+        ratio = stats[:, :-1] / stats[:, -1:]
+        log_z = logsumexp(ratio, axis=1)
+        log_decoder = ratio - log_z[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solvers._decode(Framework.DUAL, stats)
+        for value, want in zip(got, (np.exp(log_decoder), log_decoder,
+                                     log_z)):
+            np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-13)
+        assert np.isfinite(got[1]).all()
+        if spread > 745.0 and n_y > 1:
+            assert not got[0][:, 0].any()
 
     def test_distortion_rows_are_kls(self, rng):
         """Each distortion cell equals the corresponding KL divergence."""
@@ -283,17 +320,18 @@ class TestSolve:
         assert np.array_equal(report.functional_trace, expected)
 
     @pytest.mark.parametrize("track", [False, True])
-    def test_dual_solve_calls_logsumexp_once_per_derivation(
+    def test_dual_solve_decodes_once_per_derivation(
             self, track, rng, monkeypatch):
         """Each dual step normalizes its decoder once and the final state
-        once more, through the module-level name the tracer wraps."""
+        once more, through the one module-level ``_decode``."""
         calls = []
+        original = solvers._decode
 
-        def counting(a, axis=None):
-            calls.append(axis)
-            return probability.logsumexp(a, axis)
+        def counting(framework, stats):
+            calls.append(framework)
+            return original(framework, stats)
 
-        monkeypatch.setattr(solvers, "logsumexp", counting)
+        monkeypatch.setattr(solvers, "_decode", counting)
         _, report = solve(random_problem(rng), 3.0, "dual", n_clusters=3,
                           rng=rng, track_functional=track)
         assert report.n_iterations > 1
