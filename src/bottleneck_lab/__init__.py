@@ -7,6 +7,9 @@ decoder) — plus the machinery built on top of them: deterministic-annealing
 sweeps, phase-transition (critical point) detection via perturbation
 eigenvalues, a reduced sufficient-statistics solver for exponential-family
 rules, and finite-sample prediction-error experiments.
+
+The package root re-exports nothing; import the submodules
+(``bottleneck_lab.solvers``, ``bottleneck_lab.annealing``, ...).
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from __future__ import annotations
 def _cap_blas_threads() -> None:
     """Honor ``BOTTLENECK_LAB_THREADS`` before numpy starts BLAS pools.
 
-    Runs at package import (the only reliable spot ahead of the numpy
-    import below).  Explicitly-set pool variables are left alone.
+    Runs at package import, which precedes every submodule's numpy
+    import.  Explicitly-set pool variables are left alone.
     """
     import os
 
@@ -28,74 +31,5 @@ def _cap_blas_threads() -> None:
 
 
 _cap_blas_threads()
-
-from .annealing import (  # noqa: E402
-    AnnealTrace,
-    SplitConfig,
-    SweepRecord,
-    log_grid,
-    merge_close_clusters,
-    run_sweep,
-    split_and_perturb,
-    sweep,
-    sweep_with_states,
-    trace_from_csv,
-    trace_to_csv,
-)
-from .datasets import binary_overlap5, make_class_mixture  # noqa: E402
-from .expfamily import (  # noqa: E402
-    ClosedFormInformation,
-    ExactFitError,
-    ExpFamilyModel,
-    ExpState,
-    closed_information,
-    derive_exp_state,
-    exp_solve,
-    exp_sweep,
-    exp_sweep_with_states,
-)
-from .prediction import (  # noqa: E402
-    ClassificationProblem,
-    ErrorCurve,
-    chernoff_information,
-    error_curves_to_csv,
-    mean_exponent_bound,
-    run_prediction_experiment,
-    tilted_mixture,
-)
-from .probability import (  # noqa: E402
-    DEFAULT_SMOOTHING,
-    DistributionError,
-    JointDistribution,
-    NormalizationError,
-    UndefinedDivergenceError,
-    entropy,
-    kl_divergence,
-    mutual_information,
-)
-from .solvers import (  # noqa: E402
-    BottleneckState,
-    Framework,
-    SolveReport,
-    derive_state,
-    distortion_matrix,
-    dual_distortion_split,
-    encoder_update,
-    expected_distortion,
-    functional_value,
-    solve,
-)
-from .stability import (  # noqa: E402
-    ComplexEigenvalueWarning,
-    CriticalPoint,
-    CriticalReport,
-    StabilityMatrices,
-    build_dual_matrices,
-    build_ib_matrices,
-    build_matrices,
-    cluster_second_eigenvalues,
-    find_critical_points,
-    second_eigenvalue,
-)
 
 __version__ = "0.1.0"

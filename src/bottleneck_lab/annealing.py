@@ -20,15 +20,11 @@ import numpy as np
 
 # mutual_information is unused here; perfbench/tracing.py patches it by name.
 from .probability import JointDistribution, mutual_information  # noqa: F401
-from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, TableBackend
+from .solvers import (DEAD_CLUSTER_MASS, DEFAULT_MAX_ITER, DEFAULT_TOL,
+                      TableBackend)
 # Sweep solves record their own observables, so they run the report-free
 # solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
 from .solvers import fixed_point as solve
-
-#: Clusters whose merged marginal mass falls below this are dropped during
-#: the merge step (they cannot re-acquire mass and would otherwise double on
-#: every split).
-MASS_FLOOR = 1e-12
 
 
 @dataclass
@@ -71,8 +67,9 @@ class AnnealTrace:
 
 def log_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """Geometric grid from ``lo`` to ``hi`` inclusive."""
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"beta grid needs finite 0 < lo < hi, got "
+                         f"lo={lo}, hi={hi}")
     if n_points < 2:
         raise ValueError("need at least two grid points")
     return np.geomspace(lo, hi, n_points)
@@ -101,8 +98,9 @@ def merge_close_clusters(encoder: np.ndarray, decoder: np.ndarray,
 
     Groups greedily by lowest index: a column joins the first earlier
     representative whose decoder row is within sup-norm ``merge_tol``.
-    Encoder columns of a group are summed (mass-conserving); groups left
-    with less than ``MASS_FLOOR`` total mass are dropped.
+    Encoder columns of a group are summed (mass-conserving); dead groups
+    (total mass at most ``DEAD_CLUSTER_MASS``) are dropped, since they
+    cannot re-acquire mass and would otherwise double on every split.
     """
     k = encoder.shape[1]
     representative: list[int] = []
@@ -118,7 +116,7 @@ def merge_close_clusters(encoder: np.ndarray, decoder: np.ndarray,
             representative.append(c)
             columns.append(encoder[:, c].copy())
             masses.append(float(marginal[c]))
-    keep = [g for g, mass in enumerate(masses) if mass > MASS_FLOOR]
+    keep = [g for g, mass in enumerate(masses) if mass > DEAD_CLUSTER_MASS]
     if not keep:  # pathological, but never lose the whole encoder
         keep = list(range(len(columns)))
     return np.column_stack([columns[g] for g in keep])
@@ -140,8 +138,10 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise ValueError("betas must be a non-empty 1-D array")
-    if np.any(betas <= 0.0) or np.any(np.diff(betas) <= 0.0):
-        raise ValueError("betas must be positive and strictly increasing")
+    if not (np.all(np.isfinite(betas)) and betas[0] > 0.0
+            and np.all(np.diff(betas) > 0.0)):
+        raise ValueError("betas must be finite, positive and strictly "
+                         "increasing")
 
     trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y,
                         split=split)
@@ -167,22 +167,13 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
     return trace, states
 
 
-def sweep_with_states(problem: JointDistribution, framework, betas, *,
-                      split: SplitConfig | None = None,
-                      tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER
-                      ) -> tuple[AnnealTrace, list]:
-    backend = TableBackend(problem, framework)
-    return run_sweep(backend, betas, split or SplitConfig(), tol, max_iter)
-
-
 def sweep(problem: JointDistribution, framework, betas, *,
           split: SplitConfig | None = None, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> AnnealTrace:
-    """Annealed sweep of one framework over an ascending beta grid."""
-    trace, _ = sweep_with_states(problem, framework, betas, split=split,
-                                 tol=tol, max_iter=max_iter)
-    return trace
+          max_iter: int = DEFAULT_MAX_ITER) -> tuple[AnnealTrace, list]:
+    """Annealed sweep of one framework over an ascending beta grid: the
+    trace and the per-grid-point states, as :func:`run_sweep` returns."""
+    return run_sweep(TableBackend(problem, framework), betas,
+                     split or SplitConfig(), tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

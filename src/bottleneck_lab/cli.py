@@ -54,7 +54,7 @@ from .annealing import (
     SplitConfig,
     log_grid,
     merge_close_clusters,
-    sweep_with_states,
+    sweep,
     trace_to_csv,
 )
 from .expfamily import ExpFamilyModel, exp_solve, exp_sweep
@@ -485,14 +485,13 @@ def _scan_frameworks(config: RunConfig, problem: JointDistribution,
     stem = Path(config.problem_path).stem
     reports = {}
     for framework in _frameworks(config.framework):
-        result = sweep_with_states(problem, framework, betas, split=split,
-                                   tol=config.tol, max_iter=config.max_iter)
+        result = sweep(problem, framework, betas, split=split,
+                       tol=config.tol, max_iter=config.max_iter)
         trace, _ = result
-        report = find_critical_points(problem, framework, betas,
+        report = find_critical_points(problem, framework, result,
                                       tol=config.tol,
                                       max_iter=config.max_iter,
-                                      g_tol=config.g_tol,
-                                      sweep_result=result)
+                                      g_tol=config.g_tol)
         reports[framework] = report
         counts = trace.column("effective_clusters")
         line = (f"{framework}: {betas.size} betas, clusters "
@@ -526,8 +525,8 @@ def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
         return
 
     betas = parse_beta_grid(config.beta_grid)
-    trace = exp_sweep(model, betas, split=_split_config(config),
-                      tol=config.tol, max_iter=config.max_iter)
+    trace, _ = exp_sweep(model, betas, split=_split_config(config),
+                         tol=config.tol, max_iter=config.max_iter)
     trace_path = out / f"{stem}_expfam_trace.csv"
     trace_to_csv(trace, trace_path)
     counts = trace.column("effective_clusters")

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .annealing import SplitConfig, run_sweep
+from .annealing import AnnealTrace, SplitConfig, run_sweep
 from .probability import (
     DistributionError,
     JointDistribution,
@@ -217,12 +217,6 @@ def _encoder_logits(neg_beta_features, log_marginal, beta, cluster_features,
         normalizers + np.sum(cluster_params * cluster_features, axis=1)))
 
 
-def derive_exp_state(model: ExpFamilyModel, encoder: np.ndarray,
-                     beta: float) -> ExpState:
-    """Recompute every reduced quantity implied by an encoder."""
-    return ExpBackend(model).derive(encoder, beta)
-
-
 def _reduced_functional(model: ExpFamilyModel, beta, encoder, marginal,
                         normalizers) -> tuple[float, float, float]:
     """``(I(X;Xhat), E[d], functional)`` from reduced aggregates only."""
@@ -359,19 +353,10 @@ def exp_solve(model: ExpFamilyModel, beta: float, *,
                          track_functional=track_functional, **options)
 
 
-def exp_sweep_with_states(model: ExpFamilyModel, betas, *,
-                          split: SplitConfig | None = None,
-                          tol: float = DEFAULT_TOL,
-                          max_iter: int = DEFAULT_MAX_ITER):
-    """Annealed sweep of the reduced solver (trace plus per-point states)."""
-    return run_sweep(ExpBackend(model), betas, split or SplitConfig(), tol,
-                     max_iter)
-
-
 def exp_sweep(model: ExpFamilyModel, betas, *,
               split: SplitConfig | None = None, tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER):
-    """Annealed sweep of the reduced solver over an ascending beta grid."""
-    trace, _ = exp_sweep_with_states(model, betas, split=split, tol=tol,
-                                     max_iter=max_iter)
-    return trace
+              max_iter: int = DEFAULT_MAX_ITER) -> tuple[AnnealTrace, list]:
+    """Annealed sweep of the reduced solver over an ascending beta grid:
+    the trace and the per-grid-point states, as ``run_sweep`` returns."""
+    return run_sweep(ExpBackend(model), betas, split or SplitConfig(), tol,
+                     max_iter)

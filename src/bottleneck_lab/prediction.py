@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .annealing import SplitConfig, sweep_with_states
+from .annealing import SplitConfig, sweep
 from .probability import (
     DistributionError,
     JointDistribution,
@@ -30,7 +30,7 @@ from .solvers import (
     BottleneckState,
     Framework,
     as_framework,
-    functional_value,
+    state_observables,
 )
 
 #: Golden ratio conjugate: interval shrink factor per golden-section step.
@@ -113,7 +113,7 @@ def mean_exponent_bound(state: BottleneckState,
     bound = float(np.sum(state.marginal[:, None] * state.decoder
                          * kl_matrix))
     if state.framework is Framework.DUAL:
-        functional = functional_value(joint, state)
+        functional = state_observables(joint, state)[3]
         if state.beta >= 1.0 and not bound <= functional + 1e-9:
             raise AssertionError(
                 f"exponent bound {bound:.12g} exceeds the functional "
@@ -320,9 +320,8 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
 
     curves: list[ErrorCurve] = []
     for framework in frameworks:
-        _, states = sweep_with_states(joint, framework, grid,
-                                      split=split or SplitConfig(), tol=tol,
-                                      max_iter=max_iter)
+        _, states = sweep(joint, framework, grid, split=split, tol=tol,
+                          max_iter=max_iter)
         for beta in beta_list:
             state = states[int(np.searchsorted(grid, beta))]
             encoder = state.encoder[:, state.alive()]

@@ -30,8 +30,6 @@ INPUT_SUM_TOL = 1e-6
 # default (then rows are renormalized) so that logs and KL divergences exist.
 DEFAULT_SMOOTHING = 1e-9
 
-LN2 = float(np.log(2.0))
-
 
 class DistributionError(ValueError):
     """Invalid probability data (shape, sign, normalization, support)."""

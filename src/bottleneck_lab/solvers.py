@@ -33,7 +33,8 @@ from .probability import (JointDistribution, logsumexp,  # noqa: F401
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-# Clusters with marginal mass below this are reported as dead/frozen.
+# Clusters with marginal mass at or below this are dead: reported as
+# frozen, and dropped when a sweep merges clusters.
 DEAD_CLUSTER_MASS = 1e-12
 
 
@@ -175,12 +176,6 @@ def _decode(framework: Framework, stats: np.ndarray):
     return decoder / total, ratio - log_total, (shift + log_total)[:, 0]
 
 
-def derive_state(problem: JointDistribution, framework,
-                 encoder: np.ndarray, beta: float) -> BottleneckState:
-    """Recompute marginal / weights / decoder implied by an encoder."""
-    return TableBackend(problem, framework).derive(encoder, beta)
-
-
 def distortion_matrix(problem: JointDistribution,
                       state: BottleneckState) -> np.ndarray:
     """The ``(n_x, k)`` per-pair cost of the state's framework:
@@ -255,18 +250,6 @@ def state_observables(problem: JointDistribution, state: BottleneckState
     if state.framework is Framework.IB:
         return i_x, i_y, mean_d, i_x - state.beta * i_y
     return i_x, i_y, mean_d, i_x + state.beta * mean_d
-
-
-def expected_distortion(problem: JointDistribution,
-                        state: BottleneckState) -> float:
-    """Mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``."""
-    return state_observables(problem, state)[2]
-
-
-def functional_value(problem: JointDistribution,
-                     state: BottleneckState) -> float:
-    """The quantity each framework minimizes, at this state."""
-    return state_observables(problem, state)[3]
 
 
 @dataclass
@@ -426,8 +409,8 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
     until a step moves the encoder by at most ``tol`` in sup norm, or for
     ``max_iter`` steps.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     encoder = prepare_encoder(backend.n_x, n_clusters, init_encoder, rng)
     step = backend.stepper(beta)
     functionals: list[float] | None = [] if track_functional else None

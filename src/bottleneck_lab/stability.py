@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .annealing import sweep_with_states
+from .annealing import AnnealTrace
 from .probability import JointDistribution
 from .solvers import (
     DEFAULT_MAX_ITER,
@@ -229,30 +229,26 @@ def _stability_gaps(problem, state) -> np.ndarray:
     return state.beta * lams - 1.0
 
 
-def find_critical_points(problem: JointDistribution, framework, betas, *,
+def find_critical_points(problem: JointDistribution, framework,
+                         sweep_result: tuple[AnnealTrace, list], *,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER,
-                         g_tol: float = 1e-9,
-                         sweep_result: tuple | None = None) -> CriticalReport:
-    """Locate the phase transitions of one framework on a beta grid.
+                         g_tol: float = 1e-9) -> CriticalReport:
+    """Locate the phase transitions of one framework on a swept beta grid.
 
-    Runs an annealed sweep at the default split settings (or reuses
-    ``sweep_result`` from :func:`bottleneck_lab.annealing.sweep_with_states`),
-    brackets each increase of the effective cluster count between
-    consecutive grid points, and refines the bracket by bisection *along
-    the unsplit parent branch*: warm-started solves that skip
-    split-and-perturb keep the parent's cluster count, where
-    ``g(beta) = beta * lambda2 - 1`` is continuous and crosses zero
-    exactly at the transition.
+    ``sweep_result`` is the ``(trace, states)`` pair of
+    :func:`bottleneck_lab.annealing.sweep` over the grid ``trace.betas``.
+    Each increase of the effective cluster count between consecutive grid
+    points is a bracket, refined by bisection *along the unsplit parent
+    branch*: warm-started solves that skip split-and-perturb keep the
+    parent's cluster count, where ``g(beta) = beta * lambda2 - 1`` is
+    continuous and crosses zero exactly at the transition.
 
     Refinement stops when ``|g| <= g_tol`` or after ``MAX_BISECT`` halvings.
     """
     framework = as_framework(framework)
-    betas = np.asarray(betas, dtype=float)
-    if sweep_result is None:
-        sweep_result = sweep_with_states(problem, framework, betas,
-                                         tol=tol, max_iter=max_iter)
     trace, states = sweep_result
+    betas = trace.betas
     counts = trace.column("effective_clusters")
     backend = TableBackend(problem, framework)
 

@@ -57,13 +57,13 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import entropy
 
-from bottleneck_lab.annealing import log_grid, sweep_with_states
+from bottleneck_lab.annealing import log_grid, sweep
 from bottleneck_lab.cli import main as cli_main
 from bottleneck_lab.datasets import binary_overlap5, make_class_mixture
 from bottleneck_lab.expfamily import (
     ExpFamilyModel,
     closed_information,
-    exp_sweep_with_states,
+    exp_sweep,
 )
 from bottleneck_lab.prediction import (
     DEFAULT_BETAS,
@@ -77,9 +77,8 @@ from bottleneck_lab.probability import kl_divergence, mutual_information
 from bottleneck_lab.solvers import (
     dual_distortion_split,
     encoder_information,
-    expected_distortion,
-    functional_value,
     solve,
+    state_observables,
 )
 from bottleneck_lab.stability import (
     build_dual_matrices,
@@ -123,12 +122,12 @@ class GoldenSweep:
 def golden() -> GoldenSweep:
     problem = binary_overlap5()
     t0 = perf_counter()
-    pairs = {fw: sweep_with_states(problem, fw, GOLDEN_GRID, tol=SWEEP_TOL)
+    pairs = {fw: sweep(problem, fw, GOLDEN_GRID, tol=SWEEP_TOL)
              for fw in FRAMEWORKS}
     sweep_seconds = perf_counter() - t0
     t0 = perf_counter()
-    reports = {fw: find_critical_points(problem, fw, GOLDEN_GRID,
-                                        tol=SWEEP_TOL, sweep_result=pairs[fw])
+    reports = {fw: find_critical_points(problem, fw, pairs[fw],
+                                        tol=SWEEP_TOL)
                for fw in FRAMEWORKS}
     refine_seconds = perf_counter() - t0
     return GoldenSweep(problem=problem,
@@ -221,12 +220,12 @@ def test_criterion_2_distortion_identities_on_random_states(identity_suite):
     for problem, states in identity_suite.cases:
         state, report = states["ib"]
         n_converged += report.converged
-        d_ib = expected_distortion(problem, state)
+        d_ib = state_observables(problem, state)[2]
         worst_ib = max(worst_ib, abs(
             d_ib - (mutual_information(problem.joint) - report.i_y)))
         state, report = states["dual"]
         n_converged += report.converged
-        d_dual = expected_distortion(problem, state)
+        d_dual = state_observables(problem, state)[2]
         split = dual_distortion_split(problem, state)
         worst_split = max(worst_split, abs(
             d_dual - (split.label_info_shift + split.prediction_mismatch)))
@@ -437,8 +436,8 @@ def test_criterion_6_reduced_solver_equivalence():
     n_nonconverged = 0
     for problem in problems:
         model = ExpFamilyModel.from_conditional(problem)
-        exp_trace, exp_states = exp_sweep_with_states(model, grid, tol=1e-9)
-        dual_trace, _ = sweep_with_states(problem, "dual", grid, tol=1e-9)
+        exp_trace, exp_states = exp_sweep(model, grid, tol=1e-9)
+        dual_trace, _ = sweep(problem, "dual", grid, tol=1e-9)
         n_nonconverged += sum(not c for c in exp_trace.column("converged"))
         n_nonconverged += sum(not c for c in dual_trace.column("converged"))
         for name in ("i_x", "i_y"):
@@ -542,7 +541,7 @@ def test_criterion_8_prediction_error_experiment():
 
     joint = problem.joint()
     betas = np.union1d(WARM_LADDER, DEFAULT_BETAS)
-    trace, states = sweep_with_states(joint, "dual", betas)
+    trace, states = sweep(joint, "dual", betas)
     worst_bound_gap = -np.inf
     n_bounded = 0
     for record, state in zip(trace.records, states):
@@ -550,7 +549,7 @@ def test_criterion_8_prediction_error_experiment():
             continue
         bound = mean_exponent_bound(state, joint)
         worst_bound_gap = max(worst_bound_gap,
-                              bound - functional_value(joint, state))
+                              bound - state_observables(joint, state)[3])
         n_bounded += 1
     elapsed = perf_counter() - t0
     ok = (ordering_margin >= 0.0 and top_beta_slack >= 0.0

@@ -13,7 +13,6 @@ from bottleneck_lab.annealing import (
     run_sweep,
     split_and_perturb,
     sweep,
-    sweep_with_states,
     trace_from_csv,
     trace_to_csv,
 )
@@ -45,6 +44,9 @@ class TestGrid:
             log_grid(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             log_grid(1.0, 2.0, 1)
+        for lo, hi in [(0.25, np.inf), (np.nan, 2.0), (0.25, np.nan)]:
+            with pytest.raises(ValueError, match="beta grid needs finite"):
+                log_grid(lo, hi, 4)
 
 
 class TestSplitAndPerturb:
@@ -114,16 +116,16 @@ class TestMerge:
 def demo_sweep():
     problem = binary_overlap5()
     betas = log_grid(0.5, 8.0, 40)
-    trace, states = sweep_with_states(problem, "ib", betas,
-                                      split=SplitConfig(seed=0))
+    trace, states = sweep(problem, "ib", betas, split=SplitConfig(seed=0))
     return problem, betas, trace, states
 
 
 @pytest.fixture(scope="module")
 def small_trace():
     problem = binary_overlap5()
-    return sweep(problem, "ib", log_grid(2.0, 6.0, 8),
-                 split=SplitConfig(seed=1))
+    trace, _ = sweep(problem, "ib", log_grid(2.0, 6.0, 8),
+                     split=SplitConfig(seed=1))
+    return trace
 
 
 class TestSweep:
@@ -165,8 +167,8 @@ class TestSweep:
     def test_bit_reproducible(self):
         problem = binary_overlap5()
         betas = log_grid(0.5, 6.0, 12)
-        t1 = sweep(problem, "dual", betas, split=SplitConfig(seed=5))
-        t2 = sweep(problem, "dual", betas, split=SplitConfig(seed=5))
+        t1, _ = sweep(problem, "dual", betas, split=SplitConfig(seed=5))
+        t2, _ = sweep(problem, "dual", betas, split=SplitConfig(seed=5))
         for a, b in zip(t1.records, t2.records):
             assert a.beta == b.beta
             assert a.i_x == b.i_x and a.i_y == b.i_y
@@ -179,6 +181,10 @@ class TestSweep:
             sweep(problem, "ib", [2.0, 1.0])
         with pytest.raises(ValueError):
             sweep(problem, "ib", [])
+        # NaN passes both the sign and the ordering test
+        for betas in ([1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [np.nan, 2.0]):
+            with pytest.raises(ValueError, match="betas must be finite"):
+                sweep(problem, "ib", betas)
 
 
 @pytest.fixture
@@ -233,7 +239,7 @@ class TestStateWork:
             return original(framework, stats)
 
         monkeypatch.setattr(solvers, "_decode", counting)
-        trace = sweep(binary_overlap5(), "dual", self.BETAS)
+        trace, _ = sweep(binary_overlap5(), "dual", self.BETAS)
         assert len(calls) == (sum(trace.column("n_iterations"))
                               + self.BETAS.size + sum(narrowing_merges))
 
@@ -277,7 +283,8 @@ class TestSerialization:
     def test_ragged_decoder_cells(self, tmp_path):
         """Records with fewer clusters than the widest leave empty cells."""
         problem = binary_overlap5()
-        trace = sweep(problem, "ib", [4.0, 4.6], split=SplitConfig(seed=0))
+        trace, _ = sweep(problem, "ib", [4.0, 4.6],
+                         split=SplitConfig(seed=0))
         counts = [r.effective_clusters for r in trace.records]
         assert counts == [1, 2]
         path = tmp_path / "t.csv"

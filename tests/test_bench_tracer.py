@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from bottleneck_lab import cli
 from bottleneck_lab.annealing import log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+RULE_FIXTURE = ROOT / "problems" / "binary_overlap5.json"
 
 
 def load_tracing():
@@ -43,12 +46,38 @@ def test_traced_sweeps_count_every_solve(solver):
     tracer.install()
     try:
         if solver == "reduced":
-            trace = exp_sweep(ExpFamilyModel.from_conditional(problem), betas)
+            trace, _ = exp_sweep(ExpFamilyModel.from_conditional(problem),
+                                 betas)
         else:
-            trace = sweep(problem, solver, betas)
+            trace, _ = sweep(problem, solver, betas)
     finally:
         tracer.uninstall()
     assert tracing.installed_wrappers() == []
     assert tracer.counts["annealing.grid_points"] == betas.size
     assert (tracer.counts["solvers.iterations"]
             == sum(trace.column("n_iterations")) > 0)
+
+
+@pytest.mark.parametrize("command, n_sweeps, bisects", [
+    ("critical", 2, True),    # one sweep per framework, then bisection
+    ("expfam", 1, False),     # the reduced sweep
+])
+def test_traced_cli_commands_count_their_work(command, n_sweeps, bisects,
+                                              tmp_path):
+    """Commands run through ``cli.main`` reach the sweep, solve and
+    bisection names the tracer wraps, so a traced benchmark run counts
+    their grid points and iterations."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main([command, "--problem", str(RULE_FIXTURE),
+                       "--beta-grid", "log:2:8:6",
+                       "--output-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracing.installed_wrappers() == []
+    assert tracer.counts["annealing.grid_points"] == n_sweeps * 6
+    assert tracer.counts["solvers.iterations"] > 0
+    assert (tracer.counts["stability.bisection_solves"] > 0) == bisects

@@ -15,8 +15,8 @@ from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
     ExactFitError,
     ExpFamilyModel,
+    ExpBackend,
     closed_information,
-    derive_exp_state,
     exp_solve,
     exp_sweep,
 )
@@ -26,7 +26,7 @@ from bottleneck_lab.probability import (
     kl_divergence,
 )
 from bottleneck_lab.solvers import (
-    derive_state,
+    TableBackend,
     distortion_matrix,
     encoder_update,
     solve,
@@ -140,7 +140,7 @@ class TestStateInvariants:
         problem = binary_problem(rng)
         model = ExpFamilyModel.from_conditional(problem)
         encoder = rng.dirichlet(np.ones(3), size=model.n_x)
-        return model, derive_exp_state(model, encoder, beta=2.5)
+        return model, ExpBackend(model).derive(encoder, beta=2.5)
 
     def test_expectation_consistency(self, model_and_state):
         model, state = model_and_state
@@ -176,7 +176,7 @@ class TestStateInvariants:
         encoder = np.zeros((model.n_x, 2))
         encoder[0, 0] = 1.0
         encoder[1:, 1] = 1.0
-        state = derive_exp_state(model, encoder, beta=3.0)
+        state = ExpBackend(model).derive(encoder, beta=3.0)
         np.testing.assert_allclose(state.decoder[0], problem.rule[0],
                                    atol=1e-12)
 
@@ -188,9 +188,9 @@ class TestStateInvariants:
         encoder = np.zeros((5, 2))
         encoder[:2, 0] = 1.0  # cluster 0 weighs inputs 0 and 1 by half
         encoder[2:, 1] = 1.0
-        reduced = derive_exp_state(model, encoder, beta=1.0)
+        reduced = ExpBackend(model).derive(encoder, beta=1.0)
         np.testing.assert_array_equal(reduced.weights[0], [0.5, 0.5, 0, 0, 0])
-        direct = derive_state(problem, "dual", encoder, beta=1.0).decoder
+        direct = TableBackend(problem, "dual").derive(encoder, 1.0).decoder
         np.testing.assert_allclose(reduced.decoder[0], direct[0], atol=1e-10)
 
 
@@ -199,7 +199,7 @@ class TestEncoder:
         problem = binary_problem(rng)
         model = ExpFamilyModel.from_conditional(problem)
         encoder = rng.dirichlet(np.ones(3), size=model.n_x)
-        state = derive_exp_state(model, encoder, beta=0.0)
+        state = ExpBackend(model).derive(encoder, beta=0.0)
         out = reduced_step(model, encoder, 0.0)
         np.testing.assert_allclose(out, np.tile(state.marginal,
                                                 (model.n_x, 1)), atol=1e-12)
@@ -210,7 +210,7 @@ class TestEncoder:
                                p_x=np.full(4, 0.25))
         encoder = rng.dirichlet(np.ones(2), size=4)
         for beta in (0.0, 1.0, 17.0):
-            state = derive_exp_state(model, encoder, beta)
+            state = ExpBackend(model).derive(encoder, beta)
             np.testing.assert_allclose(
                 reduced_step(model, encoder, beta),
                 np.tile(state.marginal, (4, 1)), atol=1e-12)
@@ -222,8 +222,8 @@ class TestEncoder:
         model = ExpFamilyModel.from_conditional(problem)
         encoder = local.dirichlet(np.ones(3), size=model.n_x)
         beta = float(local.uniform(0.5, 8.0))
-        exp_state = derive_exp_state(model, encoder, beta)
-        table_state = derive_state(problem, "dual", encoder, beta)
+        exp_state = ExpBackend(model).derive(encoder, beta)
+        table_state = TableBackend(problem, "dual").derive(encoder, beta)
         expected = encoder_update(table_state.marginal,
                                   distortion_matrix(problem, table_state),
                                   beta)
@@ -392,8 +392,8 @@ class TestSweepEquivalence:
         problem = binary_overlap5()
         model = ExpFamilyModel.from_conditional(problem)
         betas = log_grid(0.5, 16.0, 25)
-        reduced = exp_sweep(model, betas, split=SplitConfig(seed=0))
-        table = sweep(problem, "dual", betas, split=SplitConfig(seed=0))
+        reduced, _ = exp_sweep(model, betas, split=SplitConfig(seed=0))
+        table, _ = sweep(problem, "dual", betas, split=SplitConfig(seed=0))
         for a, b in zip(reduced.records, table.records):
             assert a.effective_clusters == b.effective_clusters
             assert a.i_x == pytest.approx(b.i_x, abs=1e-9)

@@ -42,11 +42,10 @@ from bottleneck_lab.probability import (
     rel_entr,
 )
 from bottleneck_lab.solvers import (
-    derive_state,
+    TableBackend,
     encoder_information,
-    expected_distortion,
-    functional_value,
     solve,
+    state_observables,
 )
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 
@@ -139,7 +138,7 @@ class TestMeanExponentBound:
         joint = JointDistribution.from_conditional(rule, p_x,
                                                    smoothing_epsilon=0.0)
         for framework in ("ib", "dual"):
-            state = derive_state(joint, framework, np.ones((4, 1)), 2.0)
+            state = TableBackend(joint, framework).derive(np.ones((4, 1)), 2.0)
             assert abs(mean_exponent_bound(state, joint)) < 1e-15
 
     def test_identity_encoder_reduces_to_conditional_entropy(self, rng):
@@ -147,7 +146,7 @@ class TestMeanExponentBound:
         # mass and the decoder is the rule row, so the double average
         # collapses to -E[log p(x|y)] = H(X|Y).
         problem = random_problem(rng)
-        state = derive_state(problem, "ib", np.eye(problem.n_x), 3.0)
+        state = TableBackend(problem, "ib").derive(np.eye(problem.n_x), 3.0)
         h_x_given_y = entropy(problem.p_x) - problem.mutual_information()
         assert_allclose(mean_exponent_bound(state, problem), h_x_given_y,
                         atol=1e-12)
@@ -158,10 +157,10 @@ class TestMeanExponentBound:
         for _ in range(5):
             problem = random_problem(rng)
             enc = random_encoder(rng, problem.n_x, 3)
-            state = derive_state(problem, "dual", enc, 2.0)
+            state = TableBackend(problem, "dual").derive(enc, 2.0)
             i_x = encoder_information(problem.p_x, state.encoder,
                                       state.marginal)
-            mean_d = expected_distortion(problem, state)
+            mean_d = state_observables(problem, state)[2]
             dec_gap = float(state.marginal @ [
                 kl_divergence(row, problem.p_y) for row in state.decoder])
             assert_allclose(mean_exponent_bound(state, problem),
@@ -173,17 +172,17 @@ class TestMeanExponentBound:
         state, report = solve(problem, beta, "dual", n_clusters=5)
         assert report.converged
         assert (mean_exponent_bound(state, problem)
-                <= functional_value(problem, state) + 1e-9)
+                <= state_observables(problem, state)[3] + 1e-9)
 
     def test_small_beta_violation_warns(self):
         # A single-cluster state at beta < 1: the bound keeps the full
         # E[d] while the functional only carries beta E[d], so domination
         # genuinely fails there and must warn rather than raise.
         problem = binary_overlap5()
-        state = derive_state(problem, "dual", np.ones((5, 1)), 0.5)
+        state = TableBackend(problem, "dual").derive(np.ones((5, 1)), 0.5)
         with pytest.warns(UserWarning, match="beta >= 1"):
             bound = mean_exponent_bound(state, problem)
-        assert bound > functional_value(problem, state)
+        assert bound > state_observables(problem, state)[3]
 
 
 class TestClassificationProblem:

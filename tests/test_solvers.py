@@ -26,12 +26,9 @@ from bottleneck_lab.solvers import (
     Framework,
     as_framework,
     default_encoder,
-    derive_state,
     distortion_matrix,
     dual_distortion_split,
     encoder_update,
-    expected_distortion,
-    functional_value,
     prepare_encoder,
     solve,
     state_observables,
@@ -91,7 +88,7 @@ class TestElementarySteps:
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 3)
         for fw in (Framework.IB, Framework.DUAL):
-            state = derive_state(problem, fw, enc, beta=2.0)
+            state = TableBackend(problem, fw).derive(enc, beta=2.0)
             d = distortion_matrix(problem, state)
             for x in range(problem.n_x):
                 for c in range(3):
@@ -101,10 +98,10 @@ class TestElementarySteps:
                         want = kl_divergence(state.decoder[c], problem.rule[x])
                     assert d[x, c] == pytest.approx(want, abs=1e-12)
 
-    def test_derive_state_consistency(self, rng):
+    def test_derive_consistency(self, rng):
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 4)
-        state = derive_state(problem, "ib", enc, beta=1.5)
+        state = TableBackend(problem, "ib").derive(enc, beta=1.5)
         np.testing.assert_allclose(state.marginal, enc.T @ problem.p_x,
                                    atol=1e-15)
         np.testing.assert_allclose(state.weights.sum(axis=1), 1.0, atol=1e-12)
@@ -144,10 +141,10 @@ class TestExactIdentities:
         for _ in range(25):
             problem = random_problem(rng)
             k = int(rng.integers(1, problem.n_x + 2))
-            state = derive_state(problem, "ib",
-                                 random_encoder(rng, problem.n_x, k), 2.0)
+            state = TableBackend(problem, "ib").derive(
+                random_encoder(rng, problem.n_x, k), 2.0)
             _, i_y = state_observables(problem, state)[:2]
-            assert expected_distortion(problem, state) == pytest.approx(
+            assert state_observables(problem, state)[2] == pytest.approx(
                 problem.mutual_information() - i_y, abs=1e-12)
 
     def test_dual_mean_distortion_equals_minus_log_z(self, rng):
@@ -155,37 +152,33 @@ class TestExactIdentities:
         for _ in range(25):
             problem = random_problem(rng)
             k = int(rng.integers(1, problem.n_x + 2))
-            state = derive_state(problem, "dual",
-                                 random_encoder(rng, problem.n_x, k), 2.0)
-            assert expected_distortion(problem, state) == pytest.approx(
+            state = TableBackend(problem, "dual").derive(
+                random_encoder(rng, problem.n_x, k), 2.0)
+            assert state_observables(problem, state)[2] == pytest.approx(
                 -float(state.marginal @ state.log_z), abs=1e-12)
 
     def test_dual_distortion_split(self, rng):
         for _ in range(25):
             problem = random_problem(rng)
             k = int(rng.integers(1, problem.n_x + 2))
-            state = derive_state(problem, "dual",
-                                 random_encoder(rng, problem.n_x, k), 2.0)
+            state = TableBackend(problem, "dual").derive(
+                random_encoder(rng, problem.n_x, k), 2.0)
             split = dual_distortion_split(problem, state)
             assert split.total == pytest.approx(
-                expected_distortion(problem, state), abs=1e-11)
+                state_observables(problem, state)[2], abs=1e-11)
             assert split.prediction_mismatch >= -1e-12
             assert split.total == pytest.approx(
                 split.label_info_shift + split.prediction_mismatch,
                 abs=1e-13)
 
-    def test_functional_value_matches_definition(self, rng):
+    def test_functional_matches_definition(self, rng):
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 3)
         for fw in ("ib", "dual"):
-            state = derive_state(problem, fw, enc, beta=4.0)
-            i_x, i_y = state_observables(problem, state)[:2]
-            if fw == "ib":
-                want = i_x - 4.0 * i_y
-            else:
-                want = i_x + 4.0 * expected_distortion(problem, state)
-            assert functional_value(problem, state) == pytest.approx(
-                want, abs=1e-12)
+            state = TableBackend(problem, fw).derive(enc, beta=4.0)
+            i_x, i_y, mean_d, functional = state_observables(problem, state)
+            want = i_x - 4.0 * i_y if fw == "ib" else i_x + 4.0 * mean_d
+            assert functional == pytest.approx(want, abs=1e-12)
 
 
 class TestSolve:
@@ -228,7 +221,7 @@ class TestSolve:
     def test_step_matches_derived_state_update(self, framework, seed, k,
                                                beta, dead):
         """One step of ``solve`` (the statistics-table step) is the
-        cost-based update of the state ``derive_state`` builds within
+        cost-based update of the state ``TableBackend.derive`` builds within
         rounding, keeps dead (all-zero) encoder columns at exactly zero, and
         raises no floating-point warning."""
         rng = np.random.default_rng(seed)
@@ -237,7 +230,7 @@ class TestSolve:
         n_dead = min(dead, k - 1)
         enc[:, :n_dead] = 0.0
         start = prepare_encoder(problem.n_x, None, enc, None)
-        state = derive_state(problem, framework, start, beta)
+        state = TableBackend(problem, framework).derive(start, beta)
         expected = encoder_update(state.marginal,
                                   distortion_matrix(problem, state), beta)
         with warnings.catch_warnings():
@@ -262,7 +255,7 @@ class TestSolve:
                                     log_rule=np.log(rule), joint=joint,
                                     p_y=joint.sum(axis=0))
         enc = random_encoder(rng, problem.n_x, 4)
-        state = derive_state(problem, "ib", enc, beta)
+        state = TableBackend(problem, "ib").derive(enc, beta)
         expected = encoder_update(state.marginal,
                                   distortion_matrix(problem, state), beta)
         stepped, _ = solvers.fixed_point(TableBackend(problem, "ib"), beta,
@@ -274,21 +267,21 @@ class TestSolve:
     def test_sweep_matches_reference_step(self, framework):
         """A golden-table sweep with the statistics-table step follows the
         branch of one whose step is the cost-based update of
-        ``derive_state`` / ``distortion_matrix`` / ``encoder_update``, run
+        ``derive`` / ``distortion_matrix`` / ``encoder_update``, run
         through the same loop."""
         problem = binary_overlap5()
 
         class ReferenceBackend(TableBackend):
             def stepper(self, beta):
                 def step(encoder, traced):
-                    now = derive_state(problem, framework, encoder, beta)
+                    now = self.derive(encoder, beta)
                     d = distortion_matrix(problem, now)
                     return encoder_update(now.marginal, d, beta), None
 
                 return step
 
         betas = log_grid(0.25, 64.0, 60)
-        new = sweep(problem, framework, betas, tol=1e-12)
+        new, _ = sweep(problem, framework, betas, tol=1e-12)
         reference, _ = run_sweep(ReferenceBackend(problem, framework),
                                  betas, SplitConfig(), 1e-12,
                                  solvers.DEFAULT_MAX_ITER)
@@ -303,7 +296,7 @@ class TestSolve:
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_functional_trace_matches_state_path(self, framework, rng):
         """The traced functional is the one ``state_observables`` gives on
-        each state ``derive_state`` builds along the solver's own path,
+        each state ``TableBackend.derive`` builds along the solver's own path,
         value for value."""
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 4)
@@ -355,7 +348,7 @@ class TestSolve:
         assert report.n_iterations >= 1
         assert report.expected_distortion >= -1e-12
         assert report.functional == pytest.approx(
-            functional_value(problem, state), abs=1e-12)
+            state_observables(problem, state)[3], abs=1e-12)
 
     def test_track_functional_off(self, rng):
         problem = random_problem(rng)
@@ -379,6 +372,9 @@ class TestSolve:
             solve(problem, 1.0, "ib", init_encoder=-np.ones((3, 2)))
         with pytest.raises(ValueError):
             solve(problem, -1.0, "ib")
+        for beta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                solve(problem, beta, "ib", max_iter=5)
         with pytest.raises(ValueError):
             solve(problem, 1.0, "ib", n_clusters=0)
 

@@ -21,11 +21,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from bottleneck_lab import solvers
-from bottleneck_lab.annealing import log_grid, sweep_with_states
+from bottleneck_lab.annealing import log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import (
-    derive_state,
+    TableBackend,
     distortion_matrix,
     encoder_update,
     solve,
@@ -97,8 +97,8 @@ class TestIbMatrices:
         weights row, converged or not."""
         problem = random_problem(rng)
         q = rng.dirichlet(np.ones(problem.n_x))
-        state = derive_state(problem, "ib",
-                             q[:, None] * 0 + 1.0, 2.0)  # encoder unused
+        state = TableBackend(problem, "ib").derive(
+            q[:, None] * 0 + 1.0, 2.0)  # encoder unused
         mats = build_ib_matrices(problem, replace(state, weights=q[None, :]),
                                  0)
         dec = q @ problem.rule
@@ -283,7 +283,7 @@ class TestBinaryClosedForms:
 
 def alternating_update(problem, framework, beta, encoder):
     """One full update cycle of the solver as a pure map on encoders."""
-    state = derive_state(problem, framework, encoder, beta)
+    state = TableBackend(problem, framework).derive(encoder, beta)
     return encoder_update(state.marginal,
                           distortion_matrix(problem, state), beta)
 
@@ -396,11 +396,10 @@ class TestObservableWork:
         monkeypatch.setattr(solvers, "state_observables", counting)
         problem = binary_overlap5()
         betas = log_grid(3.0, 6.0, 8)
-        result = sweep_with_states(problem, framework, betas)
+        result = sweep(problem, framework, betas)
         assert calls == betas.tolist()
         calls.clear()
-        report = find_critical_points(problem, framework, betas,
-                                      sweep_result=result)
+        report = find_critical_points(problem, framework, result)
         assert report.points
         assert calls == []
 
@@ -409,8 +408,8 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_first_transition_of_demo_problem(self, framework):
         problem = binary_overlap5()
-        report = find_critical_points(problem, framework,
-                                      log_grid(2.0, 6.0, 25), tol=1e-12)
+        result = sweep(problem, framework, log_grid(2.0, 6.0, 25), tol=1e-12)
+        report = find_critical_points(problem, framework, result, tol=1e-12)
         assert report.framework == framework
         assert report.grid_points == 25
         assert len(report.points) == 1
@@ -427,6 +426,6 @@ class TestCriticalPoints:
         problem = JointDistribution.from_conditional(rule,
                                                      smoothing_epsilon=0.0)
         for framework in ("ib", "dual"):
-            report = find_critical_points(problem, framework,
-                                          log_grid(0.5, 8.0, 10))
+            result = sweep(problem, framework, log_grid(0.5, 8.0, 10))
+            report = find_critical_points(problem, framework, result)
             assert report.points == []
