@@ -22,8 +22,8 @@ import numpy as np
 from .probability import JointDistribution, mutual_information  # noqa: F401
 from .solvers import (DEAD_CLUSTER_MASS, DEFAULT_MAX_ITER, DEFAULT_TOL,
                       TableBackend)
-# Sweep solves record their own observables, so they run the report-free
-# solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
+# Sweeps run any backend, so they call its loop directly; it is bound as
+# ``solve``, the name perfbench/tracing.py wraps.
 from .solvers import fixed_point as solve
 
 
@@ -55,7 +55,6 @@ class AnnealTrace:
     framework: str
     n_y: int
     records: list[SweepRecord] = field(default_factory=list)
-    split: SplitConfig | None = None
 
     @property
     def betas(self) -> np.ndarray:
@@ -143,15 +142,14 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
         raise ValueError("betas must be finite, positive and strictly "
                          "increasing")
 
-    trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y,
-                        split=split)
+    trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y)
     states = []
     encoder = np.ones((backend.n_x, 1))
     for i, beta in enumerate(betas):
         rng = np.random.default_rng([split.seed, i])
         encoder = split_and_perturb(encoder, split.eps, rng)
-        state, run = solve(backend, beta, init_encoder=encoder, tol=tol,
-                           max_iter=max_iter)
+        state, report = solve(backend, beta, init_encoder=encoder, tol=tol,
+                              max_iter=max_iter)
         merged = merge_close_clusters(state.encoder, state.decoder,
                                       state.marginal, split.merge_tol)
         if merged.shape[1] != state.encoder.shape[1]:
@@ -160,9 +158,9 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
         i_x, i_y, _, functional = backend.observables(state)
         trace.records.append(SweepRecord(
             beta=float(beta), i_x=i_x, i_y=i_y, functional=functional,
-            n_iterations=run.n_iterations,
+            n_iterations=report.n_iterations,
             effective_clusters=state.effective_clusters(),
-            converged=run.converged, decoder=state.decoder.copy()))
+            converged=report.converged, decoder=state.decoder.copy()))
         states.append(state)
     return trace, states
 
@@ -212,7 +210,7 @@ def trace_to_csv(trace: AnnealTrace, path) -> None:
 
 
 def trace_from_csv(path) -> AnnealTrace:
-    """Inverse of :func:`trace_to_csv` (split settings are not stored)."""
+    """Inverse of :func:`trace_to_csv`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -57,7 +57,7 @@ from .annealing import (
     sweep,
     trace_to_csv,
 )
-from .expfamily import ExpFamilyModel, exp_solve, exp_sweep
+from .expfamily import ExpBackend, ExpFamilyModel, exp_solve, exp_sweep
 from .prediction import (
     DEFAULT_BETAS,
     DEFAULT_N_VALUES,
@@ -66,7 +66,7 @@ from .prediction import (
     run_prediction_experiment,
 )
 from .probability import DistributionError, JointDistribution
-from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, solve
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, solve, state_observables
 from .stability import find_critical_points
 
 _LN2 = math.log(2.0)
@@ -104,6 +104,10 @@ def _check_keys(present, allowed, context: str) -> None:
 _SCHEMAS = {"p_y_given_x": ("p_x", "smoothing_epsilon"),
                   "exp_family": (),
                   "class_conditionals": ("prior", "smoothing_epsilon")}
+#: the type :func:`load_problem` returns for each schema
+_SCHEMA_TYPES = {"p_y_given_x": JointDistribution,
+                 "exp_family": ExpFamilyModel,
+                 "class_conditionals": ClassificationProblem}
 
 
 def load_problem(path):
@@ -374,52 +378,21 @@ def _dump_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _require_joint(config: RunConfig) -> JointDistribution:
-    problem = load_problem(config.problem_path)
-    if isinstance(problem, JointDistribution):
-        return problem
-    schema = ("exp_family (use the expfam command)"
-              if isinstance(problem, ExpFamilyModel)
-              else "class_conditionals (use the error-exp command)")
-    raise ValidationError(f"{config.command} needs a p_y_given_x problem "
-                          f"file, got {schema}")
-
-
-def _require_model(config: RunConfig) -> ExpFamilyModel:
-    loaded = load_problem(config.problem_path)
-    if isinstance(loaded, ExpFamilyModel):
-        return loaded
-    if not isinstance(loaded, JointDistribution):
-        raise ValidationError("expfam needs a p_y_given_x or exp_family "
-                              "problem file, got class_conditionals")
-    try:
-        return ExpFamilyModel.from_conditional(loaded)
-    except (DistributionError, ValueError) as exc:
-        raise ValidationError(
-            f"cannot fit an exponential-family model to "
-            f"{config.problem_path}: {exc}") from exc
-
-
-def _require_classes(config: RunConfig) -> ClassificationProblem:
-    problem = load_problem(config.problem_path)
-    if not isinstance(problem, ClassificationProblem):
-        raise ValidationError("error-exp needs a class_conditionals "
-                              "problem file")
-    return problem
-
-
 def _split_config(config: RunConfig) -> SplitConfig:
     return SplitConfig(eps=config.split_eps, merge_tol=config.merge_tol,
                        seed=config.seed)
 
 
 def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
-                  state, report, arrays: dict) -> None:
-    """Write one single-beta solve artifact and print its summary line.
+                  state, report, observables, arrays: dict) -> None:
+    """Write one single-beta solve artifact and print its summary line;
+    ``observables`` are the backend's ``(I(X;Xhat), I(Y;Xhat), E[d],
+    functional)`` of ``state``.
 
     Clusters are counted as a sweep counts them after its merge: columns
     whose decoder rows coincide within the default ``merge_tol`` are one.
     """
+    i_x, i_y, mean_d, functional = observables
     clusters = merge_close_clusters(state.encoder, state.decoder,
                                     state.marginal,
                                     SplitConfig().merge_tol).shape[1]
@@ -429,18 +402,18 @@ def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
         "units": "nats",
         "converged": bool(report.converged),
         "n_iterations": int(report.n_iterations),
-        "i_x": float(report.i_x),
-        "i_y": float(report.i_y),
-        "functional": float(report.functional),
-        "expected_distortion": float(report.expected_distortion),
+        "i_x": float(i_x),
+        "i_y": float(i_y),
+        "functional": float(functional),
+        "expected_distortion": float(mean_d),
         "effective_clusters": clusters,
         **{key: array.tolist() for key, array in arrays.items()},
     }, path)
     units = config.units
     print(f"{tag} beta={config.beta:g}: I_x = "
-          f"{_display(report.i_x, units):.3f} {units}, I_y = "
-          f"{_display(report.i_y, units):.3f} {units}, functional = "
-          f"{_display(report.functional, units):.6g}, iterations = "
+          f"{_display(i_x, units):.3f} {units}, I_y = "
+          f"{_display(i_y, units):.3f} {units}, functional = "
+          f"{_display(functional, units):.6g}, iterations = "
           f"{report.n_iterations}, converged = "
           f"{str(bool(report.converged)).lower()}, clusters = {clusters}")
 
@@ -455,6 +428,7 @@ def _cmd_solve(config: RunConfig, problem: JointDistribution) -> None:
                               track_functional=False)
         _report_solve(config, out / f"{stem}_{framework}_solve.json",
                       framework, {"framework": framework}, state, report,
+                      state_observables(problem, state),
                       {"marginal": state.marginal, "decoder": state.decoder})
 
 
@@ -520,8 +494,9 @@ def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
                                   track_functional=False)
         _report_solve(config, out / f"{stem}_expfam_solve.json", "expfam",
                       {"framework": "dual", "solver": "expfam"}, state,
-                      report, {"cluster_params": state.cluster_params,
-                               "decoder": state.decoder})
+                      report, ExpBackend(model).observables(state),
+                      {"cluster_params": state.decoder @ model.params,
+                       "decoder": state.decoder})
         return
 
     betas = parse_beta_grid(config.beta_grid)
@@ -556,8 +531,9 @@ def _cmd_error_exp(config: RunConfig,
     print(f"curves -> {csv_path.name}")
 
 
-#: problem loader (checks the schema), runner, help, settings, required
-_Command = namedtuple("_Command", "load run help fields required")
+#: accepted problem schemas, runner, help, settings, required settings
+_Command = namedtuple("_Command", "schemas run help fields required")
+_JOINT = ("p_y_given_x",)
 _SPLIT = ("split_eps", "merge_tol")
 _SCAN = ("problem_path", "framework", "beta_grid", "g_tol", *_SPLIT)
 #: settings every command takes, listed after --config in its help
@@ -565,25 +541,25 @@ _COMMON = ("output_dir", "units", "tol", "max_iter", "seed")
 
 _COMMANDS = {
     "solve": _Command(
-        _require_joint, _cmd_solve,
+        _JOINT, _cmd_solve,
         "one converged solve per framework at a fixed beta",
         ("problem_path", "framework", "beta", "n_clusters"),
         ("problem_path", "beta")),
     "sweep": _Command(
-        _require_joint, partial(_scan_frameworks, write_traces=True),
+        _JOINT, partial(_scan_frameworks, write_traces=True),
         "annealed sweep over a beta grid; writes traces and refined "
         "critical points", _SCAN, ("problem_path", "beta_grid")),
     "critical": _Command(
-        _require_joint, partial(_scan_frameworks, write_traces=False),
+        _JOINT, partial(_scan_frameworks, write_traces=False),
         "locate and refine phase transitions on a beta grid",
         _SCAN, ("problem_path", "beta_grid")),
     "expfam": _Command(
-        _require_model, _cmd_expfam,
+        ("p_y_given_x", "exp_family"), _cmd_expfam,
         "reduced sufficient-statistics solver (prediction framework)",
         ("problem_path", "beta", "beta_grid", "n_clusters", *_SPLIT),
         ("problem_path",)),
     "error-exp": _Command(
-        _require_classes, _cmd_error_exp,
+        ("class_conditionals",), _cmd_error_exp,
         "misclassification rate vs sample size for trained encoders",
         ("problem_path", "framework", "beta_list", "n_values", "trials",
          *_SPLIT), ("problem_path",)),
@@ -640,7 +616,20 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         command = _COMMANDS[config.command]
-        problem = command.load(config)
+        problem = load_problem(config.problem_path)
+        schema = next(name for name, kind in _SCHEMA_TYPES.items()
+                      if isinstance(problem, kind))
+        if schema not in command.schemas:
+            raise ValidationError(
+                f"{config.command} needs a {' or '.join(command.schemas)} "
+                f"problem file, got {schema}")
+        if schema == "p_y_given_x" and "exp_family" in command.schemas:
+            try:
+                problem = ExpFamilyModel.from_conditional(problem)
+            except (DistributionError, ValueError) as exc:
+                raise ValidationError(
+                    f"cannot fit an exponential-family model to "
+                    f"{config.problem_path}: {exc}") from exc
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -35,14 +35,14 @@ from .probability import (
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    ClusterCounts,
+    BottleneckState,
     Framework,
     SolveReport,
     _cluster_statistics,
     _row_softmax,
-    backend_solve,
     cluster_label_joint,
     encoder_information,
+    fixed_point,
     inverse_encoder,
 )
 
@@ -173,40 +173,16 @@ class ExpFamilyModel:
         return model
 
 
-@dataclass
-class ExpState(ClusterCounts):
-    """Reduced snapshot of the prediction-side solver.
-
-    All cluster quantities are derived from ``encoder``:
-    ``cluster_features[c] = weights[c] @ features`` (expected statistics),
-    ``cluster_params[c] = decoder[c] @ params`` (expected multipliers),
-    and ``cluster_normalizers[c]`` the decoder log-partition.
-    """
-
-    beta: float
-    encoder: np.ndarray              # (n_x, k)
-    marginal: np.ndarray             # (k,)
-    weights: np.ndarray              # (k, n_x)
-    cluster_features: np.ndarray     # (k, d)
-    cluster_params: np.ndarray       # (k, d)
-    cluster_normalizers: np.ndarray  # (k,)
-    log_decoder: np.ndarray          # (k, n_y)
-
-    @property
-    def decoder(self) -> np.ndarray:
-        return np.exp(self.log_decoder)
-
-
 def _reduced_decode(params: np.ndarray, stats: np.ndarray):
-    """``(cluster_features, cluster_params, cluster_normalizers,
-    log_decoder)``, in :class:`ExpState` order, from the cluster statistics
-    on :attr:`ExpFamilyModel.table`."""
+    """``(cluster_features, decoder, log_decoder, log_z)`` from the cluster
+    statistics on :attr:`ExpFamilyModel.table`: the expected features
+    ``weights @ features``, the decoder rows and their log-partition, the
+    normalizer of ``exp(-cluster_features @ params.T)``."""
     cluster_features = stats[:, :-1] / stats[:, -1:]
     unnorm = -cluster_features @ params.T
-    normalizers = logsumexp(unnorm, axis=1)
-    log_decoder = unnorm - normalizers[:, None]
-    return (cluster_features, np.exp(log_decoder) @ params, normalizers,
-            log_decoder)
+    log_z = logsumexp(unnorm, axis=1)
+    log_decoder = unnorm - log_z[:, None]
+    return cluster_features, np.exp(log_decoder), log_decoder, log_z
 
 
 def _encoder_logits(neg_beta_features, log_marginal, beta, cluster_features,
@@ -215,25 +191,6 @@ def _encoder_logits(neg_beta_features, log_marginal, beta, cluster_features,
     the per-``x`` constant ``beta * log_normalizer(x)``."""
     return neg_beta_features @ cluster_params.T + (log_marginal + beta * (
         normalizers + np.sum(cluster_params * cluster_features, axis=1)))
-
-
-def _reduced_functional(model: ExpFamilyModel, beta, encoder, marginal,
-                        normalizers) -> tuple[float, float, float]:
-    """``(I(X;Xhat), E[d], functional)`` from reduced aggregates only."""
-    i_x = encoder_information(model.p_x, encoder, marginal)
-    mean_d = model.mean_log_normalizer - float(marginal @ normalizers)
-    return i_x, mean_d, i_x + beta * mean_d
-
-
-def _reduced_observables(model: ExpFamilyModel, state: ExpState
-                         ) -> tuple[float, float, float, float]:
-    """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state;
-    ``I(Y;Xhat)`` is the one value that reads the rule rows."""
-    i_x, mean_d, functional = _reduced_functional(
-        model, state.beta, state.encoder, state.marginal,
-        state.cluster_normalizers)
-    i_y = mutual_information(cluster_label_joint(model, state))
-    return i_x, i_y, mean_d, functional
 
 
 @dataclass
@@ -253,7 +210,7 @@ class ClosedFormInformation:
 
 
 def closed_information(model: ExpFamilyModel,
-                       state: ExpState) -> ClosedFormInformation:
+                       state: BottleneckState) -> ClosedFormInformation:
     """Evaluate the closed forms
 
     ``I_x  = beta * E[lam0_beta] - E_{p_x}[log Z_enc]``
@@ -262,19 +219,22 @@ def closed_information(model: ExpFamilyModel,
 
     which hold exactly at consistent fixed points (the decoder entropy is
     linear in the expected statistics, and the expected-feature matching
-    kills the cross term in ``I_x``).
+    kills the cross term in ``I_x``).  The aggregates are recomputed from
+    the state of :class:`ExpBackend`: ``A_beta = weights @ features``,
+    ``lam_beta = decoder @ params`` and ``lam0_beta = log_z``.
     """
     m = state.marginal
+    cluster_features = state.weights @ model.features
+    cluster_params = state.decoder @ model.params
     with np.errstate(divide="ignore"):
         log_m = np.log(m)
     logits = _encoder_logits(-state.beta * model.features, log_m, state.beta,
-                             state.cluster_features, state.cluster_params,
-                             state.cluster_normalizers)
+                             cluster_features, cluster_params, state.log_z)
     log_z_encoder = logsumexp(logits, axis=1)
-    mean_cluster_norm = float(m @ state.cluster_normalizers)
+    mean_cluster_norm = float(m @ state.log_z)
     i_x = state.beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
-    decoder_entropies = (np.sum(state.cluster_params * state.cluster_features,
-                                axis=1) + state.cluster_normalizers)
+    decoder_entropies = (np.sum(cluster_params * cluster_features, axis=1)
+                         + state.log_z)
     i_y = entropy(model.p_x @ model.rule) - float(m @ decoder_entropies)
     mean_d = model.mean_log_normalizer - mean_cluster_norm
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
@@ -284,9 +244,12 @@ class ExpBackend:
     """The reduced solver of one model, as a solver backend (see
     :class:`bottleneck_lab.solvers.TableBackend`).
 
-    Sweeps start it from the same one-cluster encoder and noise streams as
-    the full-table backend, so sweeps of a model and of its reconstructed
-    table stay on matching branches.
+    Its states are dual :class:`~bottleneck_lab.solvers.BottleneckState`
+    whose ``log_z`` is the decoder's log-partition over the unnormalized
+    log rule ``-features @ params.T``.  Sweeps start it from the same
+    one-cluster encoder and noise streams as the full-table backend, so
+    sweeps of a model and of its reconstructed table stay on matching
+    branches.
     """
 
     framework = Framework.DUAL
@@ -295,9 +258,9 @@ class ExpBackend:
         self.model = model
         self.n_x, self.n_y = model.n_x, model.n_y
 
-    def derive(self, encoder: np.ndarray, beta: float) -> ExpState:
-        """The reduced state implied by an encoder: the step's statistics
-        and decode, plus the inverse encoder.
+    def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
+        """The state implied by an encoder: the step's statistics and
+        decode, plus the inverse encoder.
 
         Dead clusters get the prior as placeholder weights, exactly as in
         the full-table solver, so split/merge bookkeeping behaves
@@ -305,52 +268,58 @@ class ExpBackend:
         """
         model = self.model
         marginal, stats, _ = _cluster_statistics(encoder, model.table)
-        return ExpState(float(beta), encoder, marginal,
-                        inverse_encoder(encoder, model.p_x)[1],
-                        *_reduced_decode(model.params, stats))
+        _, decoder, log_decoder, log_z = _reduced_decode(model.params, stats)
+        return BottleneckState(
+            framework=Framework.DUAL, beta=float(beta), encoder=encoder,
+            marginal=marginal,
+            weights=inverse_encoder(encoder, model.p_x)[1],
+            decoder=decoder, log_decoder=log_decoder, log_z=log_z)
 
     def stepper(self, beta: float):
-        """The step at ``beta``, shaped as the table step: cluster
-        statistics on the model's table, their reduced decode, the logits,
-        ``-inf`` for dead clusters and one row softmax."""
+        """The map ``step(encoder) -> next encoder`` at ``beta``, shaped as
+        the table step: cluster statistics on the model's table, their
+        reduced decode, the logits, ``-inf`` for dead clusters and one row
+        softmax."""
         model, table = self.model, self.model.table
         neg_beta_features = -beta * model.features
 
-        def step(encoder, traced):
-            marginal, stats, dead = _cluster_statistics(encoder, table)
-            cluster_features, cluster_params, normalizers, _ = (
-                _reduced_decode(model.params, stats))
+        def step(encoder):
+            _, stats, dead = _cluster_statistics(encoder, table)
+            cluster_features, decoder, _, log_z = _reduced_decode(
+                model.params, stats)
             logits = _encoder_logits(neg_beta_features, np.log(stats[:, -1]),
-                                     beta, cluster_features, cluster_params,
-                                     normalizers)
+                                     beta, cluster_features,
+                                     decoder @ model.params, log_z)
             if dead is not None:
                 logits[:, dead] = -np.inf
-            functional = (_reduced_functional(model, beta, encoder, marginal,
-                                              normalizers)[2]
-                          if traced else None)
-            return _row_softmax(logits), functional
+            return _row_softmax(logits)
 
         return step
 
-    def observables(self, state: ExpState
+    def observables(self, state: BottleneckState
                     ) -> tuple[float, float, float, float]:
-        return _reduced_observables(self.model, state)
+        """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state
+        from its aggregates; ``I(Y;Xhat)`` is the one value that reads the
+        rule rows."""
+        model, marginal = self.model, state.marginal
+        i_x = encoder_information(model.p_x, state.encoder, marginal)
+        # E[d] before I(Y;Xhat): the model's first call frees its n_x x n_y
+        # log-partition temporaries before it builds the rule rows.
+        mean_d = model.mean_log_normalizer - float(marginal @ state.log_z)
+        i_y = mutual_information(cluster_label_joint(model, state))
+        return i_x, i_y, mean_d, i_x + state.beta * mean_d
 
 
-def exp_solve(model: ExpFamilyModel, beta: float, *,
-              track_functional: bool = True, **options
-              ) -> tuple[ExpState, SolveReport]:
+def exp_solve(model: ExpFamilyModel, beta: float, **options
+              ) -> tuple[BottleneckState, SolveReport]:
     """Fixed-``beta`` alternating updates in the reduced parametrization.
 
-    Same contract as ``solve(..., framework='dual')`` — identical options
-    (those of ``solvers.fixed_point``), initialization precedence,
-    stopping rule, and report fields — but the iteration touches only
-    d-dimensional aggregates.  The report's ``i_y`` is the mutual
-    information through the cluster variable, assembled from the model's
-    rule rows once, after the loop.
+    Same contract as ``solve(..., framework='dual')`` (the options of
+    ``solvers.fixed_point``, initialization and stopping rule), but the
+    iteration touches only d-dimensional aggregates.  Its information
+    values are ``ExpBackend(model).observables(state)``.
     """
-    return backend_solve(ExpBackend(model), beta,
-                         track_functional=track_functional, **options)
+    return fixed_point(ExpBackend(model), beta, **options)
 
 
 def exp_sweep(model: ExpFamilyModel, betas, *,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +55,26 @@ def as_framework(value) -> Framework:
             f"unknown framework {value!r}; expected 'ib' or 'dual'") from None
 
 
-class ClusterCounts:
-    """Cluster bookkeeping of a state with an ``encoder`` (n_x, k) and its
-    ``marginal`` (k,); the table and reduced solvers' states share it."""
+@dataclass
+class BottleneckState:
+    """One self-consistent snapshot of a solver.
+
+    ``marginal``, ``weights`` and ``decoder`` are always the ones *derived*
+    from ``encoder`` (and the problem), so downstream identities that assume
+    chain consistency hold at machine precision, converged or not.
+
+    ``log_z`` is the per-cluster log-normalizer of a geometric decoder
+    (``None`` for ``ib`` states).
+    """
+
+    framework: Framework
+    beta: float
+    encoder: np.ndarray        # (n_x, k)
+    marginal: np.ndarray       # (k,)
+    weights: np.ndarray        # (k, n_x) rows p(x | xhat)
+    decoder: np.ndarray        # (k, n_y)
+    log_decoder: np.ndarray    # (k, n_y)
+    log_z: np.ndarray | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -73,51 +89,15 @@ class ClusterCounts:
 
 
 @dataclass
-class BottleneckState(ClusterCounts):
-    """One self-consistent snapshot of a solver.
-
-    ``marginal``, ``weights`` and ``decoder`` are always the ones *derived*
-    from ``encoder`` (and the problem), so downstream identities that assume
-    chain consistency hold at machine precision, converged or not.
-
-    ``log_z`` is dual-only: the per-cluster log-normalizer of the geometric
-    decoder (``None`` for ``ib`` states).
-    """
-
-    framework: Framework
-    beta: float
-    encoder: np.ndarray        # (n_x, k)
-    marginal: np.ndarray       # (k,)
-    weights: np.ndarray        # (k, n_x) rows p(x | xhat)
-    decoder: np.ndarray        # (k, n_y)
-    log_decoder: np.ndarray    # (k, n_y)
-    log_z: np.ndarray | None = None
-
-
-@dataclass
 class SolveReport:
-    """Summary of one ``solve`` call.  All information values in nats."""
+    """What the fixed-point loop of one solve did.  ``functional_trace``
+    lists the functional before each step and at the final state when the
+    solve tracks it, else it is ``None``."""
 
-    framework: Framework
-    beta: float
     converged: bool
     n_iterations: int
-    i_x: float
-    i_y: float
-    functional: float
-    expected_distortion: float
     encoder_delta: float
     functional_trace: np.ndarray | None = None
-
-
-class FixedPointRun(NamedTuple):
-    """What the loop of one solve did; ``functionals`` lists the functional
-    before each step when traced, else it is ``None``."""
-
-    converged: bool
-    n_iterations: int
-    encoder_delta: float
-    functionals: list[float] | None
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +275,10 @@ def default_encoder(n_x: int, n_clusters: int) -> np.ndarray:
 
 
 def prepare_encoder(n_x: int, n_clusters: int | None,
-                    init_encoder: np.ndarray | None,
-                    rng: np.random.Generator | None) -> np.ndarray:
-    """Validated starting encoder under the shared precedence rule:
-    ``init_encoder`` if given, else random Dirichlet rows from ``rng`` if
-    given, else the deterministic broad mix."""
+                    init_encoder: np.ndarray | None) -> np.ndarray:
+    """Validated starting encoder: ``init_encoder`` (rows renormalized) if
+    given, else the deterministic broad mix over ``n_clusters`` (default
+    ``n_x``) clusters."""
     if init_encoder is not None:
         enc = np.asarray(init_encoder, dtype=float).copy()
         if enc.ndim != 2 or enc.shape[0] != n_x:
@@ -315,8 +294,6 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
     k = n_clusters if n_clusters is not None else n_x
     if k < 1:
         raise ValueError("n_clusters must be >= 1")
-    if rng is not None:
-        return rng.dirichlet(np.ones(k), size=n_x)
     return default_encoder(n_x, k)
 
 
@@ -340,11 +317,7 @@ class TableBackend:
         """The state implied by an encoder: its cluster statistics, the
         framework decoder and the inverse encoder."""
         marginal, stats, _ = _cluster_statistics(encoder, self.table)
-        return self._state(encoder, beta, marginal,
-                           _decode(self.framework, stats))
-
-    def _state(self, encoder, beta, marginal, decoded) -> BottleneckState:
-        decoder, log_decoder, log_z = decoded
+        decoder, log_decoder, log_z = _decode(self.framework, stats)
         return BottleneckState(
             framework=self.framework, beta=float(beta), encoder=encoder,
             marginal=marginal,
@@ -352,8 +325,8 @@ class TableBackend:
             decoder=decoder, log_decoder=log_decoder, log_z=log_z)
 
     def stepper(self, beta: float):
-        """The step ``(encoder, traced) -> (next encoder, functional at
-        encoder or None)`` at ``beta``, with its constants bound once.
+        """The map ``step(encoder) -> next encoder`` at ``beta``, with its
+        constants bound once.
 
         A step takes the cluster statistics of the encoder, forms the
         logits ``log p(xhat) - beta * d[x, xhat]`` up to a per-row constant
@@ -364,7 +337,6 @@ class TableBackend:
         so they stay at exactly zero.
         """
         problem, framework, table = self.problem, self.framework, self.table
-        state_of = self._state
         ib = framework is Framework.IB
         if ib:
             coefficients = np.column_stack(
@@ -372,22 +344,18 @@ class TableBackend:
         else:
             beta_log_rule = beta * problem.log_rule
 
-        def step(encoder, traced):
-            marginal, stats, dead = _cluster_statistics(encoder, table)
-            decoded = _decode(framework, stats) if traced or not ib else None
+        def step(encoder):
+            _, stats, dead = _cluster_statistics(encoder, table)
             if ib:
                 logits = coefficients @ np.log(stats).T
             else:
-                decoder, log_decoder, _ = decoded
+                decoder, log_decoder, _ = _decode(framework, stats)
                 logits = beta_log_rule @ decoder.T + (
                     np.log(stats[:, -1])
                     - beta * (decoder * log_decoder).sum(axis=1))
             if dead is not None:
                 logits[:, dead] = -np.inf
-            functional = (state_observables(
-                problem, state_of(encoder, beta, marginal, decoded))[3]
-                if traced else None)
-            return _row_softmax(logits), functional
+            return _row_softmax(logits)
 
         return step
 
@@ -398,67 +366,53 @@ class TableBackend:
 
 def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
                 init_encoder: np.ndarray | None = None,
-                rng: np.random.Generator | None = None,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                 track_functional: bool = False
-                ) -> tuple[object, FixedPointRun]:
-    """The fixed-point loop of every solver, without a report: the state
-    the backend derives from the final encoder, and what the loop did.
+                ) -> tuple[object, SolveReport]:
+    """The fixed-point loop of every solver: the state the backend derives
+    from the final encoder, and the report of the loop.
 
     Starts from :func:`prepare_encoder` and repeats the backend's step
     until a step moves the encoder by at most ``tol`` in sup norm, or for
-    ``max_iter`` steps.
+    ``max_iter`` steps.  With ``track_functional`` the report traces the
+    backend's functional of the state derived before each step, and of the
+    final state.
     """
     if not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    encoder = prepare_encoder(backend.n_x, n_clusters, init_encoder, rng)
+    encoder = prepare_encoder(backend.n_x, n_clusters, init_encoder)
     step = backend.stepper(beta)
     functionals: list[float] | None = [] if track_functional else None
     delta = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_encoder, functional = step(encoder, track_functional)
         if track_functional:
-            functionals.append(functional)
+            functionals.append(
+                backend.observables(backend.derive(encoder, beta))[3])
+        new_encoder = step(encoder)
         delta = float(np.abs(new_encoder - encoder).max())
         encoder = new_encoder
         if delta <= tol:
             converged = True
             break
-    return (backend.derive(encoder, beta),
-            FixedPointRun(converged, iterations, delta, functionals))
-
-
-def backend_solve(backend, beta: float, *, track_functional: bool = True,
-                  **options) -> tuple[object, SolveReport]:
-    """:func:`fixed_point` plus the :class:`SolveReport` of its final
-    state; the functional trace ends with the final state's value."""
-    state, run = fixed_point(backend, beta,
-                             track_functional=track_functional, **options)
-    i_x, i_y, mean_d, functional = backend.observables(state)
+    state = backend.derive(encoder, beta)
+    if track_functional:
+        functionals.append(backend.observables(state)[3])
     return state, SolveReport(
-        framework=backend.framework, beta=float(beta),
-        converged=run.converged, n_iterations=run.n_iterations, i_x=i_x,
-        i_y=i_y, functional=functional, expected_distortion=mean_d,
-        encoder_delta=run.encoder_delta,
-        functional_trace=None if run.functionals is None
-        else np.asarray(run.functionals + [functional]))
+        converged, iterations, delta,
+        None if functionals is None else np.asarray(functionals))
 
 
-def solve(problem: JointDistribution, beta: float, framework, *,
-          track_functional: bool = True, **options
+def solve(problem: JointDistribution, beta: float, framework, **options
           ) -> tuple[BottleneckState, SolveReport]:
     """Run the alternating updates at a fixed ``beta`` until the encoder
     moves less than ``tol`` in sup norm (or ``max_iter`` is hit).
 
     ``options`` are those of :func:`fixed_point`: ``n_clusters``,
-    ``init_encoder``, ``rng``, ``tol`` and ``max_iter``.  Initialization
-    precedence: ``init_encoder`` if given, else random Dirichlet rows from
-    ``rng`` if given, else a deterministic broad mix over ``n_clusters``
-    (default ``n_x``) clusters.  The returned state is rebuilt from the
-    final encoder, so marginal, weights and decoder are exactly consistent
-    with it.
+    ``init_encoder``, ``tol``, ``max_iter`` and ``track_functional``.  The
+    returned state is rebuilt from the final encoder, so marginal, weights
+    and decoder are exactly consistent with it; its information values
+    are :func:`state_observables`.
     """
-    return backend_solve(TableBackend(problem, framework), beta,
-                         track_functional=track_functional, **options)
+    return fixed_point(TableBackend(problem, framework), beta, **options)

@@ -41,8 +41,8 @@ from .solvers import (
     TableBackend,
     as_framework,
 )
-# Bisection reads only the solved states, so it runs the report-free
-# solver; it is bound as ``solve``, the name perfbench/tracing.py wraps.
+# Bisection runs the table backend's loop; it is bound as ``solve``, the
+# name perfbench/tracing.py wraps.
 from .solvers import fixed_point as solve
 
 #: Eigenvalues whose imaginary part exceeds this trigger a warning when a
@@ -215,9 +215,6 @@ class CriticalPoint:
 class CriticalReport:
     framework: str
     points: list[CriticalPoint]
-    grid_min: float
-    grid_max: float
-    grid_points: int
 
     def betas(self) -> np.ndarray:
         return np.array([p.beta for p in self.points])
@@ -270,9 +267,7 @@ def find_critical_points(problem: JointDistribution, framework,
         for c in crossing:
             points.append(_bisect_branch(backend, parent, int(c), beta_lo,
                                          beta_hi, tol, max_iter, g_tol))
-    return CriticalReport(framework=str(framework.value), points=points,
-                          grid_min=float(betas[0]), grid_max=float(betas[-1]),
-                          grid_points=int(betas.size))
+    return CriticalReport(framework=str(framework.value), points=points)
 
 
 def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,

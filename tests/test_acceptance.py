@@ -220,9 +220,9 @@ def test_criterion_2_distortion_identities_on_random_states(identity_suite):
     for problem, states in identity_suite.cases:
         state, report = states["ib"]
         n_converged += report.converged
-        d_ib = state_observables(problem, state)[2]
+        _, i_y, d_ib, _ = state_observables(problem, state)
         worst_ib = max(worst_ib, abs(
-            d_ib - (mutual_information(problem.joint) - report.i_y)))
+            d_ib - (mutual_information(problem.joint) - i_y)))
         state, report = states["dual"]
         n_converged += report.converged
         d_dual = state_observables(problem, state)[2]

@@ -20,7 +20,7 @@ from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel
 from bottleneck_lab.solvers import DEFAULT_MAX_ITER, TableBackend, solve
 
-from conftest import random_problem
+from conftest import random_encoder, random_problem
 
 # First phase transition of the demo problem per framework (refined by the
 # stability module and pinned by its tests); used here only to pick betas
@@ -79,7 +79,8 @@ class TestMerge:
     def test_exact_split_merges_back(self, rng):
         # beta past the first transition so the two clusters are distinct
         problem = binary_overlap5()
-        state, _ = solve(problem, 8.0, "ib", n_clusters=2, rng=rng)
+        state, _ = solve(problem, 8.0, "ib",
+                         init_encoder=random_encoder(rng, problem.n_x, 2))
         assert np.max(np.abs(state.decoder[0] - state.decoder[1])) > 1e-2
         children = split_and_perturb(state.encoder, 0.0, rng)
         dup = np.repeat(state.decoder, 2, axis=0)

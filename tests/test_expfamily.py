@@ -30,9 +30,10 @@ from bottleneck_lab.solvers import (
     distortion_matrix,
     encoder_update,
     solve,
+    state_observables,
 )
 
-from conftest import PROPERTY_SETTINGS, random_problem
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 
 
 def binary_problem(rng):
@@ -44,6 +45,13 @@ def generic_model(rng, n_x=4, n_y=3, d=2):
     params = rng.normal(0.0, 1.0, size=(n_y, d))
     p_x = rng.dirichlet(np.full(n_x, 2.0))
     return ExpFamilyModel(features=features, params=params, p_x=p_x)
+
+
+def cluster_features_of(model, state):
+    """The expected features ``E_{p(x|c)} features[x]`` the reduced step
+    reads off its statistics table."""
+    stats = state.encoder.T @ model.table
+    return stats[:, :-1] / stats[:, -1:]
 
 
 def reduced_step(model, encoder, beta):
@@ -144,16 +152,14 @@ class TestStateInvariants:
 
     def test_expectation_consistency(self, model_and_state):
         model, state = model_and_state
-        np.testing.assert_allclose(state.cluster_features,
+        cluster_features = cluster_features_of(model, state)
+        np.testing.assert_allclose(cluster_features,
                                    state.weights @ model.features,
-                                   atol=1e-10)
-        np.testing.assert_allclose(state.cluster_params,
-                                   state.decoder @ model.params,
                                    atol=1e-10)
         from scipy.special import logsumexp
         np.testing.assert_allclose(
-            state.cluster_normalizers,
-            logsumexp(-state.cluster_features @ model.params.T, axis=1),
+            state.log_z,
+            logsumexp(-cluster_features @ model.params.T, axis=1),
             atol=1e-10)
 
     def test_decoder_rows_normalized(self, model_and_state):
@@ -165,8 +171,8 @@ class TestStateInvariants:
         """Rows rebuilt from (params, cluster features, normalizer) equal
         the decoder bit for bit — the family is closed under clustering."""
         model, state = model_and_state
-        rebuilt = np.exp(-state.cluster_features @ model.params.T
-                         - state.cluster_normalizers[:, None])
+        rebuilt = np.exp(-cluster_features_of(model, state) @ model.params.T
+                         - state.log_z[:, None])
         np.testing.assert_array_equal(state.decoder, rebuilt)
 
     def test_point_mass_cluster_recovers_rule_row(self, rng):
@@ -263,31 +269,38 @@ class TestEncoder:
 class TestSolve:
     def test_beta_zero_collapses(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())
-        _, report = exp_solve(model, 0.0, n_clusters=3)
-        assert report.i_x == pytest.approx(0.0, abs=1e-12)
+        state, report = exp_solve(model, 0.0, n_clusters=3)
+        i_x = ExpBackend(model).observables(state)[0]
+        assert i_x == pytest.approx(0.0, abs=1e-12)
         assert report.converged
 
     @pytest.mark.parametrize("beta", [1.0, 5.0, 20.0])
     def test_matches_full_table_solver(self, beta):
         model = ExpFamilyModel.from_conditional(binary_overlap5())
         problem = binary_overlap5()
-        _, exp_report = exp_solve(model, beta, n_clusters=3,
-                                  rng=np.random.default_rng(7), tol=1e-12)
-        _, dual_report = solve(problem, beta, "dual", n_clusters=3,
-                               rng=np.random.default_rng(7), tol=1e-12)
-        assert exp_report.i_x == pytest.approx(dual_report.i_x, abs=1e-6)
-        assert exp_report.i_y == pytest.approx(dual_report.i_y, abs=1e-6)
-        assert exp_report.functional == pytest.approx(
-            dual_report.functional, abs=1e-6)
+        exp_state, _ = exp_solve(model, beta, init_encoder=random_encoder(
+            np.random.default_rng(7), model.n_x, 3), tol=1e-12)
+        dual_state, _ = solve(problem, beta, "dual",
+                              init_encoder=random_encoder(
+                                  np.random.default_rng(7), problem.n_x, 3),
+                              tol=1e-12)
+        exp_i_x, exp_i_y, _, exp_functional = (
+            ExpBackend(model).observables(exp_state))
+        dual_i_x, dual_i_y, _, dual_functional = state_observables(
+            problem, dual_state)
+        assert exp_i_x == pytest.approx(dual_i_x, abs=1e-6)
+        assert exp_i_y == pytest.approx(dual_i_y, abs=1e-6)
+        assert exp_functional == pytest.approx(dual_functional, abs=1e-6)
 
     @pytest.mark.parametrize("beta", [2.0, 5.0, 10.0])
     def test_closed_forms_match_direct_computation(self, beta, rng):
         problem = binary_problem(rng)
         model = ExpFamilyModel.from_conditional(problem)
-        state, report = exp_solve(model, beta, n_clusters=3,
-                                  rng=np.random.default_rng(1), tol=1e-12)
+        state, _ = exp_solve(model, beta, init_encoder=random_encoder(
+            np.random.default_rng(1), model.n_x, 3), tol=1e-12)
+        i_x, _, mean_d, _ = ExpBackend(model).observables(state)
         closed = closed_information(model, state)
-        assert closed.i_x == pytest.approx(report.i_x, abs=1e-8)
+        assert closed.i_x == pytest.approx(i_x, abs=1e-8)
         dec = state.decoder
         i_y_direct = entropy(problem.p_y) - float(
             state.marginal @ np.array([entropy(row) for row in dec]))
@@ -298,23 +311,20 @@ class TestSolve:
             for x in range(model.n_x) for c in range(state.n_clusters)
             if state.encoder[x, c] > 0.0)
         assert closed.mean_distortion == pytest.approx(d_direct, abs=1e-8)
-        assert report.expected_distortion == pytest.approx(d_direct,
-                                                           abs=1e-8)
+        assert mean_d == pytest.approx(d_direct, abs=1e-8)
 
     def test_functional_trace_non_increasing(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())
-        _, report = exp_solve(model, 6.0, n_clusters=2,
-                              rng=np.random.default_rng(2))
+        _, report = exp_solve(model, 6.0, init_encoder=random_encoder(
+            np.random.default_rng(2), model.n_x, 2), track_functional=True)
         trace = report.functional_trace
         slack = 1e-9 * max(1.0, abs(trace[0]))
         assert np.all(np.diff(trace) <= slack)
 
     def test_iteration_is_table_free(self, monkeypatch):
-        """The loop consumes d-dimensional aggregates only, and the model
-        builds its constants once: a first solve forms the (n_x, n_y)
-        interaction matrix twice (rule rows + log-partition constant), a
-        second solve not at all, and neither assembles the validated
-        table."""
+        """The loop consumes d-dimensional aggregates only and a solve
+        computes no observables: no solve forms the (n_x, n_y) interaction
+        matrix or assembles the validated table."""
         fit = ExpFamilyModel.from_conditional(binary_overlap5())
         model = ExpFamilyModel(features=fit.features, params=fit.params,
                                p_x=fit.p_x)
@@ -335,10 +345,10 @@ class TestSolve:
         monkeypatch.setattr(ExpFamilyModel, "interactions",
                             counting_interactions)
         for _ in range(2):
-            _, report = exp_solve(model, 5.0, n_clusters=2,
-                                  rng=np.random.default_rng(3), tol=1e-12)
+            _, report = exp_solve(model, 5.0, init_encoder=random_encoder(
+                np.random.default_rng(3), model.n_x, 2), tol=1e-12)
             assert report.n_iterations > 30
-            assert counts == {"reconstruct": 0, "interactions": 2}
+            assert counts == {"reconstruct": 0, "interactions": 0}
 
     def test_step_builds_no_inverse_encoder(self, monkeypatch):
         """The reduced step reads the model's statistics table: an untraced
@@ -352,19 +362,22 @@ class TestSolve:
 
         monkeypatch.setattr(expfamily, "inverse_encoder", counting)
         model = ExpFamilyModel.from_conditional(binary_overlap5())
-        _, report = exp_solve(model, 5.0, n_clusters=3, max_iter=25,
-                              rng=np.random.default_rng(3), tol=0.0,
-                              track_functional=False)
+        _, report = exp_solve(model, 5.0, max_iter=25,
+                              init_encoder=random_encoder(
+                                  np.random.default_rng(3), model.n_x, 3),
+                              tol=0.0, track_functional=False)
         assert report.n_iterations == 25
         assert len(calls) == 1
 
     def test_deterministic(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())
-        _, r1 = exp_solve(model, 4.0, n_clusters=2,
-                          rng=np.random.default_rng(5))
-        _, r2 = exp_solve(model, 4.0, n_clusters=2,
-                          rng=np.random.default_rng(5))
-        assert r1.i_x == r2.i_x and r1.functional == r2.functional
+        s1, _ = exp_solve(model, 4.0, init_encoder=random_encoder(
+            np.random.default_rng(5), model.n_x, 2))
+        s2, _ = exp_solve(model, 4.0, init_encoder=random_encoder(
+            np.random.default_rng(5), model.n_x, 2))
+        i_x1, _, _, functional1 = ExpBackend(model).observables(s1)
+        i_x2, _, _, functional2 = ExpBackend(model).observables(s2)
+        assert i_x1 == i_x2 and functional1 == functional2
 
     def test_negative_beta_rejected(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())
@@ -377,13 +390,13 @@ class TestSweepEquivalence:
         """A reduced sweep computes each grid point's observables once,
         for its record, not also in the solve."""
         calls = []
-        original = expfamily._reduced_observables
+        original = ExpBackend.observables
 
-        def counting(model, state):
+        def counting(backend, state):
             calls.append(state.beta)
-            return original(model, state)
+            return original(backend, state)
 
-        monkeypatch.setattr(expfamily, "_reduced_observables", counting)
+        monkeypatch.setattr(ExpBackend, "observables", counting)
         betas = log_grid(0.5, 16.0, 6)
         exp_sweep(ExpFamilyModel.from_conditional(binary_overlap5()), betas)
         assert calls == betas.tolist()

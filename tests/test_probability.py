@@ -484,9 +484,42 @@ KEPT_IMPORTS = {("annealing.py", "mutual_information"),
                 ("solvers.py", "logsumexp")}
 
 
+def _private_definitions(tree):
+    """The module-level private functions, classes and constants of a
+    module, and the private methods of its classes (dunders are not
+    private)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets
+                        if isinstance(target, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            yield node.target.id
+
+
+def _references(tree):
+    """Every name a module reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def test_package_has_no_unused_imports():
-    """Every name a module imports is read in it."""
+    """Every name a module imports is read in it, and every private name
+    a module defines is read by some module of the package."""
     unused = []
+    private = []
+    referenced = set()
     src = Path(bottleneck_lab.__file__).parent
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -500,4 +533,9 @@ def test_package_has_no_unused_imports():
         unused += [(path.name, name) for name in imported
                    if name not in read
                    and (path.name, name) not in KEPT_IMPORTS]
+        private += [(path.name, name) for name in _private_definitions(tree)
+                    if name.startswith("_") and not name.endswith("__")]
+        referenced.update(_references(tree))
     assert unused == []
+    assert private
+    assert [entry for entry in private if entry[1] not in referenced] == []

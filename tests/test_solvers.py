@@ -19,7 +19,7 @@ from bottleneck_lab.annealing import (
     sweep,
 )
 from bottleneck_lab.datasets import binary_overlap5
-from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
+from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel, exp_solve
 from bottleneck_lab.probability import (JointDistribution, kl_divergence,
                                         logsumexp)
 from bottleneck_lab.solvers import (
@@ -185,9 +185,10 @@ class TestSolve:
     def test_beta_zero_collapses(self, rng):
         problem = random_problem(rng)
         state, report = solve(problem, 0.0, "ib")
+        i_x, i_y, _, _ = state_observables(problem, state)
         assert report.converged
-        assert report.i_x == pytest.approx(0.0, abs=1e-9)
-        assert report.i_y == pytest.approx(0.0, abs=1e-9)
+        assert i_x == pytest.approx(0.0, abs=1e-9)
+        assert i_y == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
     @PROPERTY_SETTINGS
@@ -203,12 +204,17 @@ class TestSolve:
             model = ExpFamilyModel(features=rng.normal(size=(n_x, d)),
                                    params=rng.normal(size=(n_y, d)),
                                    p_x=rng.dirichlet(np.full(n_x, 2.0)))
-            _, report = exp_solve(model, beta, n_clusters=k, rng=rng,
-                                  tol=1e-9, max_iter=20_000)
+            _, report = exp_solve(model, beta,
+                                  init_encoder=random_encoder(rng, n_x, k),
+                                  tol=1e-9, max_iter=20_000,
+                                  track_functional=True)
         else:
-            _, report = solve(random_problem(rng), beta, framework,
-                              n_clusters=k, rng=rng, tol=1e-9,
-                              max_iter=20_000)
+            problem = random_problem(rng)
+            _, report = solve(problem, beta, framework,
+                              init_encoder=random_encoder(rng, problem.n_x,
+                                                          k),
+                              tol=1e-9, max_iter=20_000,
+                              track_functional=True)
         trace = report.functional_trace
         assert trace is not None and len(trace) >= 2
         slack = 1e-9 * max(1.0, abs(trace[0]))
@@ -229,7 +235,7 @@ class TestSolve:
         enc = random_encoder(rng, problem.n_x, k)
         n_dead = min(dead, k - 1)
         enc[:, :n_dead] = 0.0
-        start = prepare_encoder(problem.n_x, None, enc, None)
+        start = prepare_encoder(problem.n_x, None, enc)
         state = TableBackend(problem, framework).derive(start, beta)
         expected = encoder_update(state.marginal,
                                   distortion_matrix(problem, state), beta)
@@ -273,10 +279,10 @@ class TestSolve:
 
         class ReferenceBackend(TableBackend):
             def stepper(self, beta):
-                def step(encoder, traced):
+                def step(encoder):
                     now = self.derive(encoder, beta)
                     d = distortion_matrix(problem, now)
-                    return encoder_update(now.marginal, d, beta), None
+                    return encoder_update(now.marginal, d, beta)
 
                 return step
 
@@ -293,30 +299,41 @@ class TestSolve:
                                        reference.column(name), rtol=0,
                                        atol=1e-10)
 
-    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
     def test_functional_trace_matches_state_path(self, framework, rng):
-        """The traced functional is the one ``state_observables`` gives on
-        each state ``TableBackend.derive`` builds along the solver's own path,
-        value for value."""
+        """The traced functional is the one the backend's ``observables``
+        gives on each state its ``derive`` builds along the solver's own
+        path, value for value, for the table backends and the reduced
+        one."""
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 4)
         enc[:, 0] = 0.0  # one dead cluster
-        _, report = solve(problem, 3.0, framework, init_encoder=enc,
-                          tol=1e-12, max_iter=60)
+        options = dict(init_encoder=enc, tol=1e-12, max_iter=60,
+                       track_functional=True)
+        if framework == "reduced":
+            model = ExpFamilyModel(
+                features=rng.normal(size=(problem.n_x, 2)),
+                params=rng.normal(size=(problem.n_y, 2)), p_x=problem.p_x)
+            backend = ExpBackend(model)
+            _, report = exp_solve(model, 3.0, **options)
+        else:
+            backend = TableBackend(problem, framework)
+            _, report = solve(problem, 3.0, framework, **options)
         expected = []
         for n in range(report.n_iterations + 1):
-            # The state after n steps of the same (deterministic) loop.
-            state, _ = solvers.fixed_point(TableBackend(problem, framework),
-                                           3.0, init_encoder=enc, tol=-1.0,
-                                           max_iter=n)
-            expected.append(state_observables(problem, state)[3])
+            # The state derived after n steps of the same (deterministic)
+            # loop.
+            state, _ = solvers.fixed_point(backend, 3.0, init_encoder=enc,
+                                           tol=-1.0, max_iter=n)
+            expected.append(backend.observables(state)[3])
         assert np.array_equal(report.functional_trace, expected)
 
     @pytest.mark.parametrize("track", [False, True])
     def test_dual_solve_decodes_once_per_derivation(
             self, track, rng, monkeypatch):
         """Each dual step normalizes its decoder once and the final state
-        once more, through the one module-level ``_decode``."""
+        once more, through the one module-level ``_decode``; a traced step
+        also derives the state it evaluates, one more decode per step."""
         calls = []
         original = solvers._decode
 
@@ -325,16 +342,20 @@ class TestSolve:
             return original(framework, stats)
 
         monkeypatch.setattr(solvers, "_decode", counting)
-        _, report = solve(random_problem(rng), 3.0, "dual", n_clusters=3,
-                          rng=rng, track_functional=track)
+        problem = random_problem(rng)
+        _, report = solve(problem, 3.0, "dual",
+                          init_encoder=random_encoder(rng, problem.n_x, 3),
+                          track_functional=track)
         assert report.n_iterations > 1
-        assert len(calls) == report.n_iterations + 1
+        assert len(calls) == (1 + track) * report.n_iterations + 1
 
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     def test_converged_state_is_fixed_point(self, framework, rng):
         problem = random_problem(rng)
-        state, report = solve(problem, 3.0, framework, rng=rng, tol=1e-12,
-                              max_iter=100_000)
+        state, report = solve(problem, 3.0, framework,
+                              init_encoder=random_encoder(rng, problem.n_x,
+                                                          problem.n_x),
+                              tol=1e-12, max_iter=100_000)
         assert report.converged
         again = encoder_update(state.marginal,
                                distortion_matrix(problem, state), state.beta)
@@ -342,26 +363,27 @@ class TestSolve:
 
     def test_bounds_and_report_fields(self, rng):
         problem = random_problem(rng)
-        state, report = solve(problem, 2.5, "ib", rng=rng)
-        assert -1e-12 <= report.i_x <= math.log(problem.n_x) + 1e-12
-        assert -1e-12 <= report.i_y <= problem.mutual_information() + 1e-9
+        state, report = solve(problem, 2.5, "ib",
+                              init_encoder=random_encoder(rng, problem.n_x,
+                                                          problem.n_x))
+        i_x, i_y, mean_d, _ = state_observables(problem, state)
+        assert -1e-12 <= i_x <= math.log(problem.n_x) + 1e-12
+        assert -1e-12 <= i_y <= problem.mutual_information() + 1e-9
         assert report.n_iterations >= 1
-        assert report.expected_distortion >= -1e-12
-        assert report.functional == pytest.approx(
-            state_observables(problem, state)[3], abs=1e-12)
+        assert mean_d >= -1e-12
 
     def test_track_functional_off(self, rng):
         problem = random_problem(rng)
-        _, report = solve(problem, 2.0, "dual", track_functional=False)
+        state, report = solve(problem, 2.0, "dual", track_functional=False)
         assert report.functional_trace is None
-        assert np.isfinite(report.functional)
+        assert np.isfinite(state_observables(problem, state)[3])
 
     def test_deterministic_given_seed(self, rng):
         problem = random_problem(rng)
-        s1, _ = solve(problem, 3.0, "dual",
-                      rng=np.random.default_rng(7))
-        s2, _ = solve(problem, 3.0, "dual",
-                      rng=np.random.default_rng(7))
+        s1, _ = solve(problem, 3.0, "dual", init_encoder=random_encoder(
+            np.random.default_rng(7), problem.n_x, problem.n_x))
+        s2, _ = solve(problem, 3.0, "dual", init_encoder=random_encoder(
+            np.random.default_rng(7), problem.n_x, problem.n_x))
         np.testing.assert_array_equal(s1.encoder, s2.encoder)
 
     def test_init_validation(self, rng):
@@ -392,7 +414,10 @@ class TestSolve:
 
     def test_unconverged_flag(self, rng):
         problem = random_problem(rng)
-        _, report = solve(problem, 8.0, "ib", rng=rng, max_iter=2)
+        _, report = solve(problem, 8.0, "ib",
+                          init_encoder=random_encoder(rng, problem.n_x,
+                                                      problem.n_x),
+                          max_iter=2)
         assert not report.converged
         assert report.n_iterations == 2
 
@@ -447,8 +472,10 @@ class TestAgainstDirectMinimization:
         problem = random_problem(rng, n_x=3, n_y=2)
         beta = 3.0
         best_solver = min(
-            solve(problem, beta, framework, n_clusters=2, rng=rng,
-                  tol=1e-13)[1].functional
+            state_observables(problem, solve(
+                problem, beta, framework,
+                init_encoder=random_encoder(rng, problem.n_x, 2),
+                tol=1e-13)[0])[3]
             for _ in range(20))
         value = self._oracle_functional(problem, framework, beta)
         best_direct = min(

@@ -41,7 +41,7 @@ from bottleneck_lab.stability import (
     second_eigenvalue,
 )
 
-from conftest import random_problem
+from conftest import random_encoder, random_problem
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
@@ -50,8 +50,10 @@ FIRST_CRITICAL = {"ib": 4.443238126, "dual": 3.336990631}
 
 
 def converged_state(problem, framework, beta, k, seed):
-    state, report = solve(problem, beta, framework, n_clusters=k,
-                          rng=np.random.default_rng(seed), tol=1e-13)
+    state, report = solve(problem, beta, framework,
+                          init_encoder=random_encoder(
+                              np.random.default_rng(seed), problem.n_x, k),
+                          tol=1e-13)
     assert report.converged
     return state
 
@@ -411,7 +413,6 @@ class TestCriticalPoints:
         result = sweep(problem, framework, log_grid(2.0, 6.0, 25), tol=1e-12)
         report = find_critical_points(problem, framework, result, tol=1e-12)
         assert report.framework == framework
-        assert report.grid_points == 25
         assert len(report.points) == 1
         point = report.points[0]
         assert point.cluster_index == 0
