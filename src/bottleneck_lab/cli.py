@@ -424,8 +424,7 @@ def _cmd_solve(config: RunConfig, problem: JointDistribution) -> None:
     for framework in _frameworks(config.framework):
         state, report = solve(problem, config.beta, framework,
                               n_clusters=config.n_clusters, tol=config.tol,
-                              max_iter=config.max_iter,
-                              track_functional=False)
+                              max_iter=config.max_iter)
         _report_solve(config, out / f"{stem}_{framework}_solve.json",
                       framework, {"framework": framework}, state, report,
                       state_observables(problem, state),
@@ -462,8 +461,7 @@ def _scan_frameworks(config: RunConfig, problem: JointDistribution,
         result = sweep(problem, framework, betas, split=split,
                        tol=config.tol, max_iter=config.max_iter)
         trace, _ = result
-        report = find_critical_points(problem, framework, result,
-                                      tol=config.tol,
+        report = find_critical_points(problem, result, tol=config.tol,
                                       max_iter=config.max_iter,
                                       g_tol=config.g_tol)
         reports[framework] = report
@@ -490,8 +488,7 @@ def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
     if config.beta is not None:
         state, report = exp_solve(model, config.beta,
                                   n_clusters=config.n_clusters,
-                                  tol=config.tol, max_iter=config.max_iter,
-                                  track_functional=False)
+                                  tol=config.tol, max_iter=config.max_iter)
         _report_solve(config, out / f"{stem}_expfam_solve.json", "expfam",
                       {"framework": "dual", "solver": "expfam"}, state,
                       report, ExpBackend(model).observables(state),

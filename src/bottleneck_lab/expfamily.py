@@ -4,12 +4,12 @@ When the rule has the log-linear form
 
     p(y | x) = exp(-sum_r params[y, r] * features[x, r] - log_normalizer(x))
 
-the geometric decoder stays inside the same family: a cluster is fully
-described by the d expected features ``A_beta[c] = E_{p(x|c)} features[x]``
-and its decoder row by the d expected multipliers
-``lam_beta[c] = E_{p(y|c)} params[y]`` plus a scalar normalizer.  So the
-reduced step is the dual table step's shape (cluster statistics, logits,
-``-inf`` for dead clusters, one row softmax) on the ``d + 1`` columns of
+the geometric decoder stays inside the same family (the paper's claim
+(iii)): a cluster is described by the d expected features
+``A_beta[c] = E_{p(x|c)} features[x]`` and its decoder row by the d expected
+multipliers ``lam_beta[c] = E_{p(y|c)} params[y]`` plus a normalizer.  So
+the reduced solver is the dual table step on the factor ``U = features``,
+``V = -params`` of the log-rule ``U @ V.T - log_normalizer``, on the table
 ``[p(x) A(x) | p(x)]`` in place of ``[p(x) log p(y|x) | p(x)]``: it costs
 ``O(n_x k d + k n_y d)`` and never forms the ``n_x x n_y`` rule table (the
 model builds it once, for reporting ``I(Y;Xhat)``).
@@ -38,12 +38,10 @@ from .solvers import (
     BottleneckState,
     Framework,
     SolveReport,
-    _cluster_statistics,
-    _row_softmax,
+    TableBackend,
     cluster_label_joint,
     encoder_information,
     fixed_point,
-    inverse_encoder,
 )
 
 #: Max absolute error allowed between a model's reconstructed rule and the
@@ -107,8 +105,8 @@ class ExpFamilyModel:
         return -self.features @ self.params.T
 
     def log_normalizers(self) -> np.ndarray:
-        """Per-input log-partition values (n_x,)."""
-        return logsumexp(self.interactions(), axis=1)
+        """Per-input log-partition values (n_x,), built with :attr:`rule`."""
+        return self._rule_and_log_normalizers[1]
 
     @cached_property
     def rule(self) -> np.ndarray:
@@ -117,9 +115,16 @@ class ExpFamilyModel:
         Cells that underflow stay zero; only :meth:`reconstruct` rejects
         them.
         """
-        inter = self.interactions()
-        return smooth_rows(np.exp(inter - logsumexp(inter, axis=1)[:, None]),
-                           0.0)
+        return self._rule_and_log_normalizers[0]
+
+    @cached_property
+    def _rule_and_log_normalizers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rule rows and log-normalizers from one interaction matrix."""
+        log_rule = self.interactions()
+        log_normalizers = logsumexp(log_rule, axis=1)
+        log_rule -= log_normalizers[:, None]
+        return (smooth_rows(np.exp(log_rule, out=log_rule), 0.0),
+                log_normalizers)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -173,26 +178,6 @@ class ExpFamilyModel:
         return model
 
 
-def _reduced_decode(params: np.ndarray, stats: np.ndarray):
-    """``(cluster_features, decoder, log_decoder, log_z)`` from the cluster
-    statistics on :attr:`ExpFamilyModel.table`: the expected features
-    ``weights @ features``, the decoder rows and their log-partition, the
-    normalizer of ``exp(-cluster_features @ params.T)``."""
-    cluster_features = stats[:, :-1] / stats[:, -1:]
-    unnorm = -cluster_features @ params.T
-    log_z = logsumexp(unnorm, axis=1)
-    log_decoder = unnorm - log_z[:, None]
-    return cluster_features, np.exp(log_decoder), log_decoder, log_z
-
-
-def _encoder_logits(neg_beta_features, log_marginal, beta, cluster_features,
-                    cluster_params, normalizers) -> np.ndarray:
-    """``log p(xhat) - beta * d[x, xhat]`` (n_x, k) in reduced form, up to
-    the per-``x`` constant ``beta * log_normalizer(x)``."""
-    return neg_beta_features @ cluster_params.T + (log_marginal + beta * (
-        normalizers + np.sum(cluster_params * cluster_features, axis=1)))
-
-
 @dataclass
 class ClosedFormInformation:
     """Information quantities assembled from reduced aggregates only
@@ -223,25 +208,28 @@ def closed_information(model: ExpFamilyModel,
     the state of :class:`ExpBackend`: ``A_beta = weights @ features``,
     ``lam_beta = decoder @ params`` and ``lam0_beta = log_z``.
     """
-    m = state.marginal
+    m, beta = state.marginal, state.beta
     cluster_features = state.weights @ model.features
     cluster_params = state.decoder @ model.params
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m)
-    logits = _encoder_logits(-state.beta * model.features, log_m, state.beta,
-                             cluster_features, cluster_params, state.log_z)
-    log_z_encoder = logsumexp(logits, axis=1)
-    mean_cluster_norm = float(m @ state.log_z)
-    i_x = state.beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
     decoder_entropies = (np.sum(cluster_params * cluster_features, axis=1)
                          + state.log_z)
+    with np.errstate(divide="ignore"):
+        log_m = np.log(m)
+    # log p(xhat) - beta * d[x, xhat] up to beta * log_normalizer(x).
+    logits = -beta * model.features @ cluster_params.T + (
+        log_m + beta * decoder_entropies)
+    log_z_encoder = logsumexp(logits, axis=1)
+    mean_cluster_norm = float(m @ state.log_z)
+    i_x = beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
     i_y = entropy(model.p_x @ model.rule) - float(m @ decoder_entropies)
     mean_d = model.mean_log_normalizer - mean_cluster_norm
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
 
-class ExpBackend:
-    """The reduced solver of one model, as a solver backend (see
+class ExpBackend(TableBackend):
+    """The reduced solver of one model: the dual table backend on the
+    factor ``U = features``, ``V = -params`` of the model's log-rule and
+    the table ``[p(x) A(x) | p(x)]`` (see
     :class:`bottleneck_lab.solvers.TableBackend`).
 
     Its states are dual :class:`~bottleneck_lab.solvers.BottleneckState`
@@ -252,49 +240,12 @@ class ExpBackend:
     branches.
     """
 
-    framework = Framework.DUAL
-
     def __init__(self, model: ExpFamilyModel):
         self.model = model
+        self.framework = Framework.DUAL
         self.n_x, self.n_y = model.n_x, model.n_y
-
-    def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
-        """The state implied by an encoder: the step's statistics and
-        decode, plus the inverse encoder.
-
-        Dead clusters get the prior as placeholder weights, exactly as in
-        the full-table solver, so split/merge bookkeeping behaves
-        identically.
-        """
-        model = self.model
-        marginal, stats, _ = _cluster_statistics(encoder, model.table)
-        _, decoder, log_decoder, log_z = _reduced_decode(model.params, stats)
-        return BottleneckState(
-            framework=Framework.DUAL, beta=float(beta), encoder=encoder,
-            marginal=marginal,
-            weights=inverse_encoder(encoder, model.p_x)[1],
-            decoder=decoder, log_decoder=log_decoder, log_z=log_z)
-
-    def stepper(self, beta: float):
-        """The map ``step(encoder) -> next encoder`` at ``beta``, shaped as
-        the table step: cluster statistics on the model's table, their
-        reduced decode, the logits, ``-inf`` for dead clusters and one row
-        softmax."""
-        model, table = self.model, self.model.table
-        neg_beta_features = -beta * model.features
-
-        def step(encoder):
-            _, stats, dead = _cluster_statistics(encoder, table)
-            cluster_features, decoder, _, log_z = _reduced_decode(
-                model.params, stats)
-            logits = _encoder_logits(neg_beta_features, np.log(stats[:, -1]),
-                                     beta, cluster_features,
-                                     decoder @ model.params, log_z)
-            if dead is not None:
-                logits[:, dead] = -np.inf
-            return _row_softmax(logits)
-
-        return step
+        self.p_x = model.p_x
+        self.table, self.u, self.v = model.table, model.features, -model.params
 
     def observables(self, state: BottleneckState
                     ) -> tuple[float, float, float, float]:
@@ -303,8 +254,6 @@ class ExpBackend:
         rule rows."""
         model, marginal = self.model, state.marginal
         i_x = encoder_information(model.p_x, state.encoder, marginal)
-        # E[d] before I(Y;Xhat): the model's first call frees its n_x x n_y
-        # log-partition temporaries before it builds the rule rows.
         mean_d = model.mean_log_normalizer - float(marginal @ state.log_z)
         i_y = mutual_information(cluster_label_joint(model, state))
         return i_x, i_y, mean_d, i_x + state.beta * mean_d

@@ -140,14 +140,19 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
     return marginal, stats, dead
 
 
-def _decode(framework: Framework, stats: np.ndarray):
+def _decode(framework: Framework, stats: np.ndarray,
+            v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
-    normalized geometric mixture ``exp(weights @ log_rule - log_z)`` as a
-    max-shifted row softmax."""
+    normalized geometric mixture ``exp(weights @ U @ V.T - log_z)`` as a
+    max-shifted row softmax, where the log-rule is ``U @ V.T`` up to a
+    per-input constant, ``U`` is in the table and ``v`` is ``V`` (``None``,
+    the identity, for the table's ``U = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework is Framework.IB:
         return ratio, np.log(ratio), None
+    if v is not None:
+        ratio = ratio @ v.T
     shift = np.maximum.reduce(ratio, axis=1, keepdims=True)
     ratio -= shift
     decoder = np.exp(ratio)
@@ -310,18 +315,19 @@ class TableBackend:
         self.problem = problem
         self.framework = as_framework(framework)
         self.n_x, self.n_y = problem.n_x, problem.n_y
+        self.p_x = problem.p_x
         self.table = (problem.ib_table if self.framework is Framework.IB
                       else problem.dual_table)
+        self.u, self.v = problem.log_rule, None  # see _decode
 
     def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
         """The state implied by an encoder: its cluster statistics, the
         framework decoder and the inverse encoder."""
         marginal, stats, _ = _cluster_statistics(encoder, self.table)
-        decoder, log_decoder, log_z = _decode(self.framework, stats)
+        decoder, log_decoder, log_z = _decode(self.framework, stats, self.v)
         return BottleneckState(
             framework=self.framework, beta=float(beta), encoder=encoder,
-            marginal=marginal,
-            weights=inverse_encoder(encoder, self.problem.p_x)[1],
+            marginal=marginal, weights=inverse_encoder(encoder, self.p_x)[1],
             decoder=decoder, log_decoder=log_decoder, log_z=log_z)
 
     def stepper(self, beta: float):
@@ -332,25 +338,26 @@ class TableBackend:
         logits ``log p(xhat) - beta * d[x, xhat]`` up to a per-row constant
         (which the row softmax ignores) and softmaxes them.  For ib the
         logits are ``[beta * rule | 1 - beta * rowsum(rule)] @ log(stats).T``;
-        for dual, ``beta * log_rule @ dec.T + log p(xhat)
-        - beta * sum_y dec log dec``.  Dead clusters get ``-inf`` logits,
-        so they stay at exactly zero.
+        for dual, on the log-rule factor of :func:`_decode`,
+        ``beta * U @ (dec @ V).T + log p(xhat) - beta * sum_y dec log dec``.
+        Dead clusters get ``-inf`` logits, so they stay at exactly zero.
         """
-        problem, framework, table = self.problem, self.framework, self.table
+        framework, table = self.framework, self.table
         ib = framework is Framework.IB
         if ib:
+            rule = self.problem.rule
             coefficients = np.column_stack(
-                [beta * problem.rule, 1.0 - beta * problem.rule.sum(axis=1)])
+                [beta * rule, 1.0 - beta * rule.sum(axis=1)])
         else:
-            beta_log_rule = beta * problem.log_rule
+            beta_u, v = beta * self.u, self.v
 
         def step(encoder):
             _, stats, dead = _cluster_statistics(encoder, table)
             if ib:
                 logits = coefficients @ np.log(stats).T
             else:
-                decoder, log_decoder, _ = _decode(framework, stats)
-                logits = beta_log_rule @ decoder.T + (
+                decoder, log_decoder, _ = _decode(framework, stats, v)
+                logits = beta_u @ (decoder if v is None else decoder @ v).T + (
                     np.log(stats[:, -1])
                     - beta * (decoder * log_decoder).sum(axis=1))
             if dead is not None:

@@ -226,15 +226,16 @@ def _stability_gaps(problem, state) -> np.ndarray:
     return state.beta * lams - 1.0
 
 
-def find_critical_points(problem: JointDistribution, framework,
+def find_critical_points(problem: JointDistribution,
                          sweep_result: tuple[AnnealTrace, list], *,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER,
                          g_tol: float = 1e-9) -> CriticalReport:
-    """Locate the phase transitions of one framework on a swept beta grid.
+    """Locate the phase transitions of a sweep on its beta grid.
 
     ``sweep_result`` is the ``(trace, states)`` pair of
-    :func:`bottleneck_lab.annealing.sweep` over the grid ``trace.betas``.
+    :func:`bottleneck_lab.annealing.sweep` over the grid ``trace.betas``;
+    the refinement runs in the sweep's framework, ``trace.framework``.
     Each increase of the effective cluster count between consecutive grid
     points is a bracket, refined by bisection *along the unsplit parent
     branch*: warm-started solves that skip split-and-perturb keep the
@@ -243,11 +244,10 @@ def find_critical_points(problem: JointDistribution, framework,
 
     Refinement stops when ``|g| <= g_tol`` or after ``MAX_BISECT`` halvings.
     """
-    framework = as_framework(framework)
     trace, states = sweep_result
     betas = trace.betas
     counts = trace.column("effective_clusters")
-    backend = TableBackend(problem, framework)
+    backend = TableBackend(problem, trace.framework)
 
     points: list[CriticalPoint] = []
     for i in np.flatnonzero(np.diff(counts) > 0):
@@ -267,7 +267,7 @@ def find_critical_points(problem: JointDistribution, framework,
         for c in crossing:
             points.append(_bisect_branch(backend, parent, int(c), beta_lo,
                                          beta_hi, tol, max_iter, g_tol))
-    return CriticalReport(framework=str(framework.value), points=points)
+    return CriticalReport(framework=backend.framework.value, points=points)
 
 
 def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,

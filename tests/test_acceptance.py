@@ -126,8 +126,7 @@ def golden() -> GoldenSweep:
              for fw in FRAMEWORKS}
     sweep_seconds = perf_counter() - t0
     t0 = perf_counter()
-    reports = {fw: find_critical_points(problem, fw, pairs[fw],
-                                        tol=SWEEP_TOL)
+    reports = {fw: find_critical_points(problem, pairs[fw], tol=SWEEP_TOL)
                for fw in FRAMEWORKS}
     refine_seconds = perf_counter() - t0
     return GoldenSweep(problem=problem,

@@ -235,9 +235,9 @@ class TestStateWork:
         calls = []
         original = solvers._decode
 
-        def counting(framework, stats):
+        def counting(framework, stats, v=None):
             calls.append(framework)
-            return original(framework, stats)
+            return original(framework, stats, v)
 
         monkeypatch.setattr(solvers, "_decode", counting)
         trace, _ = sweep(binary_overlap5(), "dual", self.BETAS)

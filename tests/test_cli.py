@@ -505,8 +505,9 @@ class TestSolveCommand:
 
         def spy(real):
             def wrapper(*args, **kwargs):
-                seen.append((real.__name__, kwargs.get("track_functional")))
-                return real(*args, **kwargs)
+                state, report = real(*args, **kwargs)
+                seen.append((real.__name__, report.functional_trace))
+                return state, report
             return wrapper
 
         monkeypatch.setattr("bottleneck_lab.cli.solve", spy(solve))
@@ -515,8 +516,8 @@ class TestSolveCommand:
             assert main([command, "--problem", str(RULE_FIXTURE), "--beta",
                          "4", "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert seen == [("solve", False), ("solve", False),
-                        ("exp_solve", False)]
+        assert seen == [("solve", None), ("solve", None),
+                        ("exp_solve", None)]
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottleneck_lab import expfamily
+from bottleneck_lab import expfamily, solvers
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
@@ -265,6 +265,15 @@ class TestEncoder:
         np.testing.assert_allclose(exp_state.decoder, table_state.decoder,
                                    atol=1e-10)
 
+    def test_reduced_backend_is_the_table_dual_step(self):
+        """The reduced solver has no step or derivation of its own: it runs
+        the table backend's on the factored log-rule."""
+        assert ExpBackend.stepper is TableBackend.stepper
+        assert ExpBackend.derive is TableBackend.derive
+        own = {name for name in vars(ExpBackend)
+               if name == "__init__" or not name.startswith("__")}
+        assert own == {"__init__", "observables"}
+
 
 class TestSolve:
     def test_beta_zero_collapses(self):
@@ -354,13 +363,13 @@ class TestSolve:
         """The reduced step reads the model's statistics table: an untraced
         solve builds the ``(k, n_x)`` weights once, for its final state."""
         calls = []
-        original = expfamily.inverse_encoder
+        original = solvers.inverse_encoder
 
         def counting(encoder, p_x):
             calls.append(encoder.shape)
             return original(encoder, p_x)
 
-        monkeypatch.setattr(expfamily, "inverse_encoder", counting)
+        monkeypatch.setattr(solvers, "inverse_encoder", counting)
         model = ExpFamilyModel.from_conditional(binary_overlap5())
         _, report = exp_solve(model, 5.0, max_iter=25,
                               init_encoder=random_encoder(

@@ -328,24 +328,34 @@ class TestSolve:
             expected.append(backend.observables(state)[3])
         assert np.array_equal(report.functional_trace, expected)
 
-    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("solver, track", [
+        pytest.param("dual", False, id="False"),
+        pytest.param("dual", True, id="True"),
+        pytest.param("reduced", False, id="reduced-False"),
+        pytest.param("reduced", True, id="reduced-True")])
     def test_dual_solve_decodes_once_per_derivation(
-            self, track, rng, monkeypatch):
-        """Each dual step normalizes its decoder once and the final state
-        once more, through the one module-level ``_decode``; a traced step
-        also derives the state it evaluates, one more decode per step."""
+            self, track, solver, rng, monkeypatch):
+        """Each dual step, on the table or on the reduced model, normalizes
+        its decoder once and the final state once more, through the one
+        module-level ``_decode``; a traced step also derives the state it
+        evaluates, one more decode per step."""
         calls = []
         original = solvers._decode
 
-        def counting(framework, stats):
+        def counting(framework, stats, v=None):
             calls.append(framework)
-            return original(framework, stats)
+            return original(framework, stats, v)
 
         monkeypatch.setattr(solvers, "_decode", counting)
         problem = random_problem(rng)
-        _, report = solve(problem, 3.0, "dual",
-                          init_encoder=random_encoder(rng, problem.n_x, 3),
-                          track_functional=track)
+        backend = TableBackend(problem, "dual")
+        if solver == "reduced":
+            backend = ExpBackend(ExpFamilyModel(
+                features=rng.normal(size=(problem.n_x, 2)),
+                params=rng.normal(size=(problem.n_y, 2)), p_x=problem.p_x))
+        _, report = solvers.fixed_point(
+            backend, 3.0, init_encoder=random_encoder(rng, problem.n_x, 3),
+            track_functional=track)
         assert report.n_iterations > 1
         assert len(calls) == (1 + track) * report.n_iterations + 1
 

@@ -401,7 +401,7 @@ class TestObservableWork:
         result = sweep(problem, framework, betas)
         assert calls == betas.tolist()
         calls.clear()
-        report = find_critical_points(problem, framework, result)
+        report = find_critical_points(problem, result)
         assert report.points
         assert calls == []
 
@@ -411,7 +411,7 @@ class TestCriticalPoints:
     def test_first_transition_of_demo_problem(self, framework):
         problem = binary_overlap5()
         result = sweep(problem, framework, log_grid(2.0, 6.0, 25), tol=1e-12)
-        report = find_critical_points(problem, framework, result, tol=1e-12)
+        report = find_critical_points(problem, result, tol=1e-12)
         assert report.framework == framework
         assert len(report.points) == 1
         point = report.points[0]
@@ -422,11 +422,22 @@ class TestCriticalPoints:
                                            abs=1e-6)
         assert point.beta * point.lambda2 == pytest.approx(1.0, abs=1e-8)
 
+    def test_refines_in_the_sweep_framework(self):
+        """A dual sweep refines as dual: the framework is the sweep's own,
+        so no caller can refine it as another one."""
+        problem = binary_overlap5()
+        result = sweep(problem, "dual", log_grid(2.0, 8.0, 12))
+        report = find_critical_points(problem, result)
+        assert report.framework == "dual"
+        assert [point.framework for point in report.points] == ["dual"]
+        assert report.points[0].beta == pytest.approx(
+            FIRST_CRITICAL["dual"], abs=1e-6)
+
     def test_uninformative_labels_never_split(self):
         rule = np.tile([0.3, 0.7], (4, 1))
         problem = JointDistribution.from_conditional(rule,
                                                      smoothing_epsilon=0.0)
         for framework in ("ib", "dual"):
             result = sweep(problem, framework, log_grid(0.5, 8.0, 10))
-            report = find_critical_points(problem, framework, result)
+            report = find_critical_points(problem, result)
             assert report.points == []
