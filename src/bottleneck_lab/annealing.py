@@ -141,6 +141,9 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
             and np.all(np.diff(betas) > 0.0)):
         raise ValueError("betas must be finite, positive and strictly "
                          "increasing")
+    if not split.merge_tol > 0.0:
+        # at 0 no rows merge, so every grid point doubles the clusters
+        raise ValueError("merge_tol must be positive")
 
     trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y)
     states = []

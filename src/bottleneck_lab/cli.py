@@ -246,7 +246,7 @@ class RunConfig:
         float, 1e-3, _NON_NEGATIVE,
         help="relative perturbation of split clusters")
     merge_tol: float | None = _setting(
-        float, 1e-4, _NON_NEGATIVE,
+        float, 1e-4, _POSITIVE,
         help="decoder distance below which clusters merge")
     tol: float | None = _setting(float, DEFAULT_TOL, _POSITIVE,
                                  help="encoder sup-norm convergence threshold")
@@ -431,7 +431,7 @@ def _cmd_solve(config: RunConfig, problem: JointDistribution) -> None:
                       {"marginal": state.marginal, "decoder": state.decoder})
 
 
-def _critical_payload(stem: str, betas: np.ndarray, reports: dict) -> dict:
+def _critical_payload(stem: str, betas: np.ndarray, critical: dict) -> dict:
     return {
         "problem": stem,
         "grid": {"min": float(betas[0]), "max": float(betas[-1]),
@@ -444,8 +444,8 @@ def _critical_payload(stem: str, betas: np.ndarray, reports: dict) -> dict:
                 "bracket": [float(point.bracket[0]),
                             float(point.bracket[1])],
                 "residual": float(point.residual),
-            } for point in report.points]
-            for framework, report in reports.items()
+            } for point in points]
+            for framework, points in critical.items()
         },
     }
 
@@ -456,28 +456,28 @@ def _scan_frameworks(config: RunConfig, problem: JointDistribution,
     split = _split_config(config)
     out = Path(config.output_dir)
     stem = Path(config.problem_path).stem
-    reports = {}
+    critical = {}
     for framework in _frameworks(config.framework):
         result = sweep(problem, framework, betas, split=split,
                        tol=config.tol, max_iter=config.max_iter)
         trace, _ = result
-        report = find_critical_points(problem, result, tol=config.tol,
+        points = find_critical_points(problem, result, tol=config.tol,
                                       max_iter=config.max_iter,
                                       g_tol=config.g_tol)
-        reports[framework] = report
+        critical[framework] = points
         counts = trace.column("effective_clusters")
         line = (f"{framework}: {betas.size} betas, clusters "
                 f"{int(counts[0])} -> {int(counts[-1])}, "
-                f"{len(report.points)} critical points")
+                f"{len(points)} critical points")
         if write_traces:
             trace_path = out / f"{stem}_{framework}_trace.csv"
             trace_to_csv(trace, trace_path)
             line += f", trace {trace_path.name}"
         print(line)
-        for point in report.points:
+        for point in points:
             print(f"  beta_c = {point.beta:.9f} (cluster "
                   f"{point.cluster_index}, residual {point.residual:.2e})")
-    _dump_json(_critical_payload(stem, betas, reports),
+    _dump_json(_critical_payload(stem, betas, critical),
                out / f"{stem}_critical_points.json")
 
 

@@ -44,14 +44,6 @@ from .solvers import (
     fixed_point,
 )
 
-#: Max absolute error allowed between a model's reconstructed rule and the
-#: rule it was fit to.
-RECONSTRUCTION_TOL = 1e-10
-
-
-class ExactFitError(DistributionError):
-    """The supplied features/params cannot reproduce the rule exactly."""
-
 
 @dataclass
 class ExpFamilyModel:
@@ -142,40 +134,21 @@ class ExpFamilyModel:
                                                   smoothing_epsilon=0.0)
 
     @classmethod
-    def from_conditional(cls, problem: JointDistribution,
-                         features: np.ndarray | None = None,
-                         params: np.ndarray | None = None
-                         ) -> "ExpFamilyModel":
-        """Fit (or verify) a log-linear form for an existing problem.
+    def from_conditional(cls, problem: JointDistribution) -> "ExpFamilyModel":
+        """The canonical log-linear form of a two-label problem.
 
-        With ``features``/``params`` omitted the canonical two-label
-        construction is used: ``d = 1``, multipliers pinned to ``(0, 1)``
-        (the parametrization has a gauge freedom, fixed here), and
+        ``d = 1``, multipliers pinned to ``(0, 1)`` (the parametrization has
+        a gauge freedom, fixed here), and
         ``A(x) = log p(y0|x) - log p(y1|x)``, which reproduces any strictly
-        positive two-label rule exactly.  Explicitly supplied forms are
-        accepted only if they reproduce the rule within
-        ``RECONSTRUCTION_TOL``; otherwise :class:`ExactFitError` reports
-        the residual.
+        positive two-label rule exactly.
         """
-        if (features is None) != (params is None):
-            raise ValueError("supply features and params together or "
-                             "neither")
-        if features is None:
-            if problem.n_y != 2:
-                raise ValueError(
-                    "automatic construction handles exactly two labels; "
-                    f"got {problem.n_y} - supply features and params")
-            log_rule = problem.log_rule
-            features = (log_rule[:, 0] - log_rule[:, 1])[:, None]
-            params = np.array([[0.0], [1.0]])
-        model = cls(features=features, params=params, p_x=problem.p_x)
-        residual = float(np.max(np.abs(model.reconstruct().rule
-                                       - problem.rule)))
-        if residual > RECONSTRUCTION_TOL:
-            raise ExactFitError(
-                f"the given {model.d}-D form cannot reproduce the rule: "
-                f"max residual {residual:.3e}")
-        return model
+        if problem.n_y != 2:
+            raise ValueError(
+                "the canonical construction handles exactly two labels; "
+                f"got {problem.n_y}")
+        log_rule = problem.log_rule
+        return cls(features=(log_rule[:, 0] - log_rule[:, 1])[:, None],
+                   params=np.array([[0.0], [1.0]]), p_x=problem.p_x)
 
 
 @dataclass

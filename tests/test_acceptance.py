@@ -80,11 +80,7 @@ from bottleneck_lab.solvers import (
     solve,
     state_observables,
 )
-from bottleneck_lab.stability import (
-    build_dual_matrices,
-    build_matrices,
-    find_critical_points,
-)
+from bottleneck_lab.stability import build_matrices, find_critical_points
 
 from conftest import random_encoder, random_problem
 
@@ -194,8 +190,8 @@ def test_criterion_1b_ib_decoder_rows_match_table(golden):
 
 
 def test_criterion_1c_dual_transitions_precede_ib(golden):
-    ib = golden.reports["ib"].betas()
-    dual = golden.reports["dual"].betas()
+    ib = np.array([p.beta for p in golden.reports["ib"]])
+    dual = np.array([p.beta for p in golden.reports["dual"]])
     ok = ib.size == dual.size and ib.size > 0
     if ok:
         below = dual < ib
@@ -296,12 +292,10 @@ def test_criterion_3_stability_eigenstructure(identity_suite):
                     n_binary += 1
                     c_xx, c_yy = _binary_dual_closed_forms(
                         problem, state, int(cluster))
-                    general = build_dual_matrices(problem, state,
-                                                  int(cluster))
                     worst_closed = max(
                         worst_closed,
-                        float(np.max(np.abs(general.c_xx - c_xx))),
-                        float(np.max(np.abs(general.c_yy - c_yy))))
+                        float(np.max(np.abs(mats.c_xx - c_xx))),
+                        float(np.max(np.abs(mats.c_yy - c_yy))))
     elapsed = perf_counter() - t0
     ok = (n_clusters > 0 and n_binary > 0 and worst_zero <= 1e-8
           and worst_spectra <= 1e-8 and worst_closed <= 1e-10
@@ -321,7 +315,7 @@ def test_criterion_4_critical_point_cross_validation(golden):
     ok = True
     details = []
     for fw in FRAMEWORKS:
-        points = golden.reports[fw].points
+        points = golden.reports[fw]
         iters = golden.column(fw, "n_iterations").astype(float)
         counts = golden.column(fw, "effective_clusters")
         median = float(np.median(iters))
@@ -401,7 +395,7 @@ def test_criterion_5d_gap_minima_align_with_dual_transitions(golden):
     minima = [i for i in range(1, gap.size - 1)
               if gap[i] < gap[i - 1] - 1e-9 and gap[i] < gap[i + 1] - 1e-9]
     transition_idx = [int(np.argmin(np.abs(GOLDEN_GRID - p.beta)))
-                      for p in golden.reports["dual"].points]
+                      for p in golden.reports["dual"]]
     steps = [min(abs(i - j) for j in transition_idx) for i in minima]
     ok = len(minima) > 0 and all(s <= 1 for s in steps)
     where = [f"beta {GOLDEN_GRID[i]:.2f}: {s} steps"

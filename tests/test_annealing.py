@@ -187,6 +187,15 @@ class TestSweep:
             with pytest.raises(ValueError, match="betas must be finite"):
                 sweep(problem, "ib", betas)
 
+    @pytest.mark.parametrize("merge_tol", [0.0, -1e-4, np.nan])
+    def test_merge_tol_must_be_positive(self, merge_tol):
+        """At 0 not even identical split children merge, so each grid
+        point would double the clusters."""
+        backend = TableBackend(binary_overlap5(), "ib")
+        with pytest.raises(ValueError, match="merge_tol must be positive"):
+            run_sweep(backend, [1.0, 2.0], SplitConfig(merge_tol=merge_tol),
+                      1e-10, DEFAULT_MAX_ITER)
+
 
 @pytest.fixture
 def narrowing_merges(monkeypatch):

@@ -318,6 +318,10 @@ class TestResolveConfig:
         with pytest.raises(ValidationError, match="--tol must be positive"):
             resolve(["solve", "--problem", "p.json", "--beta", "1",
                      "--tol", "0"])
+        with pytest.raises(ValidationError,
+                           match="--merge-tol must be positive"):
+            resolve(["sweep", "--problem", "p.json", "--beta-grid",
+                     "log:1:2:4", "--merge-tol", "0"])
         with pytest.raises(ValidationError, match="--trials must be >= 1"):
             resolve(["error-exp", "--classes", "c.json", "--trials", "0"])
         with pytest.raises(ValidationError, match="--n-values"):

@@ -484,6 +484,14 @@ KEPT_IMPORTS = {("annealing.py", "mutual_information"),
                 ("solvers.py", "logsumexp")}
 
 
+#: Public functions and classes that no module of the package reads and no
+#: benchmark script names: kept as oracles and fixtures for the tests.
+#: (The benchmark loads ``binary_overlap5.json``, not ``binary_overlap5``.)
+TEST_ORACLES = {"trace_from_csv", "make_class_mixture", "closed_information",
+                "tilted_mixture", "mean_exponent_bound", "kl_divergence",
+                "encoder_update", "dual_distortion_split", "binary_overlap5"}
+
+
 def _private_definitions(tree):
     """The module-level private functions, classes and constants of a
     module, and the private methods of its classes (dunders are not
@@ -514,11 +522,34 @@ def _references(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _bench_reads(tree):
+    """The ``(module, name)`` pairs a benchmark script reads from the
+    package: imported, read as ``module.name`` or patched as
+    ``(module, "name", ...)``; a method patched on a class is not a
+    module-level name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("bottleneck_lab.")):
+            yield from ((node.module.split(".")[1], alias.name)
+                        for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            yield node.value.id, node.attr
+        elif (isinstance(node, ast.Tuple) and len(node.elts) > 1
+              and isinstance(node.elts[0], ast.Name)
+              and isinstance(node.elts[1], ast.Constant)):
+            yield node.elts[0].id, node.elts[1].value
+
+
 def test_package_has_no_unused_imports():
-    """Every name a module imports is read in it, and every private name
-    a module defines is read by some module of the package."""
+    """Every name a module imports is read in it, every private name a
+    module defines is read by some module of the package, and every public
+    module-level function or class is read by one, named by a benchmark
+    script or listed in ``TEST_ORACLES``."""
     unused = []
     private = []
+    public = set()
+    read_by_name = set()
     referenced = set()
     src = Path(bottleneck_lab.__file__).parent
     for path in sorted(src.rglob("*.py")):
@@ -535,7 +566,21 @@ def test_package_has_no_unused_imports():
                    and (path.name, name) not in KEPT_IMPORTS]
         private += [(path.name, name) for name in _private_definitions(tree)
                     if name.startswith("_") and not name.endswith("__")]
+        public.update((path.stem, node.name) for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_"))
+        read_by_name.update(node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Load))
+        read_by_name.update(alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)
+                            for alias in node.names)
         referenced.update(_references(tree))
     assert unused == []
     assert private
     assert [entry for entry in private if entry[1] not in referenced] == []
+    bench = {pair for path in (Path(__file__).resolve().parents[1]
+                               / "perfbench").glob("*.py")
+             for pair in _bench_reads(ast.parse(path.read_text()))}
+    assert {name for _, name in public - bench
+            if name not in read_by_name} == TEST_ORACLES

@@ -18,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from bottleneck_lab import solvers
@@ -32,16 +34,14 @@ from bottleneck_lab.solvers import (
 )
 from bottleneck_lab.stability import (
     ComplexEigenvalueWarning,
-    build_dual_matrices,
-    build_ib_matrices,
+    StabilityMatrices,
     build_matrices,
-    cluster_second_eigenvalues,
-    dual_factors,
+    cluster_factors,
     find_critical_points,
-    second_eigenvalue,
+    stability_gaps,
 )
 
-from conftest import random_encoder, random_problem
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
@@ -68,6 +68,12 @@ def assert_spectra_match(first, second, atol):
     assert cost[rows, cols].max() < atol
 
 
+def second_eigenvalue(matrix):
+    """lambda2 of ``matrix``, as the ``c_yy`` of the factors (I, matrix)."""
+    matrix = np.asarray(matrix, dtype=float)
+    return StabilityMatrices(np.eye(len(matrix)), matrix).second_eigenvalue()
+
+
 class TestSecondEigenvalue:
     def test_drops_smallest_magnitude(self):
         assert second_eigenvalue(np.diag([0.9, 0.5, 0.0])) == pytest.approx(0.9)
@@ -76,7 +82,8 @@ class TestSecondEigenvalue:
         assert second_eigenvalue(np.diag([0.9, -1.5, 1e-14])) == pytest.approx(0.9)
 
     def test_single_eigenvalue_matrix(self):
-        assert second_eigenvalue(np.array([[0.3]])) == 0.0
+        with pytest.warns(UserWarning, match="structural zero"):
+            assert second_eigenvalue(np.array([[0.3]])) == 0.0
 
     def test_complex_pair_warns(self):
         rotation = np.array([[0.0, 0.0, 0.0],
@@ -101,8 +108,7 @@ class TestIbMatrices:
         q = rng.dirichlet(np.ones(problem.n_x))
         state = TableBackend(problem, "ib").derive(
             q[:, None] * 0 + 1.0, 2.0)  # encoder unused
-        mats = build_ib_matrices(problem, replace(state, weights=q[None, :]),
-                                 0)
+        mats = build_matrices(problem, replace(state, weights=q[None, :]), 0)
         dec = q @ problem.rule
         raw_xx = mats.c_xx + q[None, :]
         raw_yy = mats.c_yy + dec[None, :]
@@ -126,7 +132,7 @@ class TestIbMatrices:
                 sum(rule[x, y] * q[x] * rule[x, yp]
                     for x in range(problem.n_x)) / dec[y] - dec[yp]
                 for yp in range(problem.n_y)] for y in range(problem.n_y)])
-            mats = build_ib_matrices(problem, state, int(c))
+            mats = build_matrices(problem, state, int(c))
             np.testing.assert_allclose(mats.c_xx, c_xx, atol=1e-13)
             np.testing.assert_allclose(mats.c_yy, c_yy, atol=1e-13)
 
@@ -134,7 +140,7 @@ class TestIbMatrices:
         problem = random_problem(rng)
         state = converged_state(problem, "ib", 2.5, 2, seed=4)
         for c in np.flatnonzero(state.alive()):
-            mats = build_ib_matrices(problem, state, int(c))
+            mats = build_matrices(problem, state, int(c))
             q = state.weights[c]
             dec = q @ problem.rule
             np.testing.assert_allclose(q @ mats.c_xx, 0.0, atol=1e-12)
@@ -148,7 +154,7 @@ class TestIbMatrices:
         state = converged_state(problem, "ib", 2.5, 1, seed=2)
         bad = replace(state, weights=state.weights * 1.31)
         with pytest.warns(UserWarning, match="structural zero"):
-            build_ib_matrices(problem, bad, 0)
+            build_matrices(problem, bad, 0)
 
 
 class TestDualMatrices:
@@ -170,10 +176,10 @@ class TestDualMatrices:
             b_loops = np.array([[(log_rule[x, y] - r[x]) * q[x]
                                  for x in range(problem.n_x)]
                                 for y in range(problem.n_y)])
-            a, b = dual_factors(problem, state, int(ci))
+            a, b = cluster_factors(problem, state, int(ci))
             np.testing.assert_allclose(a, a_loops, atol=1e-13)
             np.testing.assert_allclose(b, b_loops, atol=1e-13)
-            mats = build_dual_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, state, int(ci))
             np.testing.assert_allclose(mats.c_xx, a @ b, atol=1e-14)
             np.testing.assert_allclose(mats.c_yy, b @ a, atol=1e-14)
 
@@ -184,10 +190,10 @@ class TestDualMatrices:
             problem = random_problem(rng)
             q = rng.dirichlet(np.ones(problem.n_x))
             state = converged_state(problem, "dual", 2.0, 1, seed=trial)
-            mats = build_dual_matrices(
+            mats = build_matrices(
                 problem, replace(state, weights=q[None, :]), 0)
-            a, b = dual_factors(problem,
-                                replace(state, weights=q[None, :]), 0)
+            a, b = cluster_factors(problem,
+                                   replace(state, weights=q[None, :]), 0)
             log_unnorm = q @ problem.log_rule
             dec = np.exp(log_unnorm - log_unnorm.max())
             dec /= dec.sum()
@@ -199,7 +205,7 @@ class TestDualMatrices:
     def test_c_xx_rank_bounded_by_n_y(self, rng):
         problem = random_problem(rng, n_x=6, n_y=2)
         state = converged_state(problem, "dual", 2.0, 1, seed=9)
-        mats = build_dual_matrices(problem, state, 0)
+        mats = build_matrices(problem, state, 0)
         eigs = np.sort(np.abs(np.linalg.eigvals(mats.c_xx)))
         assert (eigs[:-2] < 1e-12).all()  # at most n_y nonzero eigenvalues
 
@@ -215,6 +221,57 @@ class TestSpectraAgree:
                 assert_spectra_match(np.linalg.eigvals(mats.c_xx),
                                      np.linalg.eigvals(mats.c_yy),
                                      atol=1e-9)
+
+
+class TestFactorForm:
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_factors_give_the_elementwise_matrices(self, framework, seed):
+        """On any weights row, converged or not, the factor products are
+        the elementwise matrices and carry their structural zeros; the ib
+        ``c_yy`` has the spectrum of the row-stochastic matrix with its
+        eigenvalue 1 replaced by 0."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng)
+        n_x, n_y = problem.n_x, problem.n_y
+        q = rng.dirichlet(np.ones(n_x))
+        state = TableBackend(problem, framework).derive(
+            random_encoder(rng, n_x, 1), 2.0)
+        mats = build_matrices(problem, replace(state, weights=q[None, :]), 0)
+        xs, ys = range(n_x), range(n_y)
+        if framework == "ib":
+            rule = problem.rule
+            dec = q @ rule
+            raw_yy = np.array([[
+                sum(rule[x, y] * q[x] * rule[x, yp] for x in xs) / dec[y]
+                for yp in ys] for y in ys])
+            c_yy = raw_yy - dec[None, :]
+            c_xx = np.array([[
+                sum(rule[x, y] * rule[xp, y] / dec[y] for y in ys) * q[xp]
+                - q[xp] for xp in xs] for x in xs])
+            np.testing.assert_allclose(mats.c_yy @ np.ones(n_y), 0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(q @ mats.c_xx, 0.0, atol=1e-12)
+            raw_eigs = np.linalg.eigvals(raw_yy)
+            raw_eigs[np.argmin(np.abs(raw_eigs - 1.0))] = 0.0
+            assert_spectra_match(mats.eigenvalues, raw_eigs, atol=1e-12)
+        else:
+            log_rule = problem.log_rule
+            c = q @ log_rule
+            dec = np.exp(c - c.max())
+            dec /= dec.sum()
+            r = log_rule @ dec
+            c_yy = np.array([[
+                sum((log_rule[x, y] - r[x]) * q[x] * (log_rule[x, yp] - c[yp])
+                    for x in xs) * dec[yp] for yp in ys] for y in ys])
+            c_xx = np.array([[
+                sum((log_rule[x, y] - c[y]) * dec[y]
+                    * (log_rule[xp, y] - r[xp]) for y in ys) * q[xp]
+                for xp in xs] for x in xs])
+            np.testing.assert_allclose(dec @ mats.c_yy, 0.0, atol=1e-12)
+        np.testing.assert_allclose(mats.c_yy, c_yy, atol=1e-12)
+        np.testing.assert_allclose(mats.c_xx, c_xx, atol=1e-12)
 
 
 class TestBinaryClosedForms:
@@ -253,7 +310,7 @@ class TestBinaryClosedForms:
             b1 = d0 * delta * q
             c_yy_closed = np.array([[b0 @ a0, b0 @ a1],
                                     [b1 @ a0, b1 @ a1]])
-            mats = build_dual_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, state, int(ci))
             np.testing.assert_allclose(mats.c_xx, c_xx_closed, atol=1e-12)
             np.testing.assert_allclose(mats.c_yy, c_yy_closed, atol=1e-12)
 
@@ -268,7 +325,7 @@ class TestBinaryClosedForms:
             dec = np.exp(c - c.max())
             dec /= dec.sum()
             var = q @ delta**2 - (q @ delta) ** 2
-            mats = build_dual_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, state, int(ci))
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(dec[0] * dec[1] * var, abs=1e-12)
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-12)
@@ -278,7 +335,7 @@ class TestBinaryClosedForms:
         problem = random_problem(rng, n_y=2)
         state = converged_state(problem, "ib", 3.0, 2, seed=5)
         for ci in np.flatnonzero(state.alive()):
-            mats = build_ib_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, state, int(ci))
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-10)
 
@@ -345,9 +402,9 @@ class TestClusterEigenvalues:
         state, _ = solve(problem, 8.0, "ib", init_encoder=init)
         alive = state.alive()
         np.testing.assert_array_equal(alive, [True, True, False])
-        lams = cluster_second_eigenvalues(problem, state)
-        assert np.isnan(lams[2])
-        assert np.isfinite(lams[:2]).all()
+        gaps = stability_gaps(problem, state)
+        assert np.isnan(gaps[2])
+        assert np.isfinite(gaps[:2]).all()
 
 
 class TestMatrixWork:
@@ -372,14 +429,8 @@ class TestMatrixWork:
         assert mats.second_eigenvalue() == lam
         assert calls == [(problem.n_y, problem.n_y)]
         assert "c_xx" not in vars(mats)
-        if framework == "dual":
-            a, b = dual_factors(problem, state, 0)
-            np.testing.assert_array_equal(mats.c_xx, a @ b)
-        else:
-            q, rule = state.weights[0], problem.rule
-            scaled = rule / (q @ rule)[None, :]
-            np.testing.assert_array_equal(
-                mats.c_xx, (scaled @ rule.T) * q[None, :] - q[None, :])
+        a, b = cluster_factors(problem, state, 0)
+        np.testing.assert_array_equal(mats.c_xx, a @ b)
 
 
 class TestObservableWork:
@@ -401,8 +452,7 @@ class TestObservableWork:
         result = sweep(problem, framework, betas)
         assert calls == betas.tolist()
         calls.clear()
-        report = find_critical_points(problem, result)
-        assert report.points
+        assert find_critical_points(problem, result)
         assert calls == []
 
 
@@ -411,10 +461,10 @@ class TestCriticalPoints:
     def test_first_transition_of_demo_problem(self, framework):
         problem = binary_overlap5()
         result = sweep(problem, framework, log_grid(2.0, 6.0, 25), tol=1e-12)
-        report = find_critical_points(problem, result, tol=1e-12)
-        assert report.framework == framework
-        assert len(report.points) == 1
-        point = report.points[0]
+        points = find_critical_points(problem, result, tol=1e-12)
+        assert len(points) == 1
+        point = points[0]
+        assert point.framework == framework
         assert point.cluster_index == 0
         assert point.residual <= 1e-8
         assert point.bracket[0] < point.beta < point.bracket[1]
@@ -427,10 +477,9 @@ class TestCriticalPoints:
         so no caller can refine it as another one."""
         problem = binary_overlap5()
         result = sweep(problem, "dual", log_grid(2.0, 8.0, 12))
-        report = find_critical_points(problem, result)
-        assert report.framework == "dual"
-        assert [point.framework for point in report.points] == ["dual"]
-        assert report.points[0].beta == pytest.approx(
+        points = find_critical_points(problem, result)
+        assert [point.framework for point in points] == ["dual"]
+        assert points[0].beta == pytest.approx(
             FIRST_CRITICAL["dual"], abs=1e-6)
 
     def test_uninformative_labels_never_split(self):
@@ -439,5 +488,4 @@ class TestCriticalPoints:
                                                      smoothing_epsilon=0.0)
         for framework in ("ib", "dual"):
             result = sweep(problem, framework, log_grid(0.5, 8.0, 10))
-            report = find_critical_points(problem, result)
-            assert report.points == []
+            assert find_critical_points(problem, result) == []
