@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import softmax as scipy_softmax
 
 from bottleneck_lab import solvers
 from bottleneck_lab.annealing import (
@@ -19,7 +20,8 @@ from bottleneck_lab.annealing import (
     sweep,
 )
 from bottleneck_lab.datasets import binary_overlap5
-from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel, exp_solve
+from bottleneck_lab.expfamily import (ExpBackend, ExpFamilyModel, exp_solve,
+                                     exp_sweep)
 from bottleneck_lab.probability import (JointDistribution, kl_divergence,
                                         logsumexp)
 from bottleneck_lab.solvers import (
@@ -82,6 +84,29 @@ class TestElementarySteps:
         assert np.isfinite(got[1]).all()
         if spread > 745.0 and n_y > 1:
             assert not got[0][:, 0].any()
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           n=st.integers(1, 600), dead=st.integers(0, 11),
+           scale=st.sampled_from([1.0, 30.0, 1e3, 1e6]))
+    def test_column_softmax_matches_scipy(self, seed, k, n, dead, scale):
+        """The step's softmax normalizes cluster-major logits down each
+        column: ``-inf`` rows (dead clusters) give exact zeros, columns sum
+        to one within ``1e-15 * k``, logits up to ``±1e6`` raise no
+        floating-point warning, and the result is scipy's
+        ``softmax(axis=0)`` within 1e-15."""
+        rng = np.random.default_rng(seed)
+        logits = rng.uniform(-scale, scale, size=(k, n))
+        dead_rows = rng.permutation(k)[:min(dead, k - 1)]
+        logits[dead_rows] = -np.inf
+        want = scipy_softmax(logits, axis=0)
+        with warnings.catch_warnings(), np.errstate(all="raise",
+                                                    under="ignore"):
+            warnings.simplefilter("error")
+            got = solvers._column_softmax(logits.copy())
+        assert not got[dead_rows].any()
+        assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-15 * k
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_distortion_rows_are_kls(self, rng):
         """Each distortion cell equals the corresponding KL divergence."""
@@ -220,30 +245,45 @@ class TestSolve:
         slack = 1e-9 * max(1.0, abs(trace[0]))
         assert np.all(np.diff(trace) <= slack)
 
-    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
     @PROPERTY_SETTINGS
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
-           beta=st.floats(0.0, 16.0), dead=st.integers(0, 5))
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           beta=st.floats(0.0, 16.0), dead=st.integers(0, 11))
     def test_step_matches_derived_state_update(self, framework, seed, k,
                                                beta, dead):
-        """One step of ``solve`` (the statistics-table step) is the
-        cost-based update of the state ``TableBackend.derive`` builds within
-        rounding, keeps dead (all-zero) encoder columns at exactly zero, and
-        raises no floating-point warning."""
+        """One step of ``solve`` (the statistics-table step), or of
+        ``exp_solve`` on a tall model (``n_x >= 512``, ``d = 3``), is the
+        cost-based update of the state ``TableBackend.derive`` builds on the
+        (reconstructed) table within rounding, keeps dead (all-zero) encoder
+        columns at exactly zero, and raises no floating-point warning.
+        Widths reach 8 and more, where numpy's row sums turn pairwise."""
         rng = np.random.default_rng(seed)
-        problem = random_problem(rng)
+        if framework == "reduced":
+            n_x, n_y = int(rng.integers(512, 1025)), int(rng.integers(2, 6))
+            model = ExpFamilyModel(features=rng.normal(size=(n_x, 3)),
+                                   params=rng.normal(size=(n_y, 3)),
+                                   p_x=rng.dirichlet(np.full(n_x, 2.0)))
+            problem = model.reconstruct()
+        else:
+            problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, k)
         n_dead = min(dead, k - 1)
         enc[:, :n_dead] = 0.0
         start = prepare_encoder(problem.n_x, None, enc)
-        state = TableBackend(problem, framework).derive(start, beta)
+        state = TableBackend(
+            problem, "dual" if framework == "reduced" else framework
+        ).derive(start, beta)
         expected = encoder_update(state.marginal,
                                   distortion_matrix(problem, state), beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stepped, report = solve(problem, beta, framework,
-                                    init_encoder=enc, tol=-1.0, max_iter=1,
-                                    track_functional=False)
+            if framework == "reduced":
+                stepped, report = exp_solve(model, beta, init_encoder=enc,
+                                            tol=-1.0, max_iter=1)
+            else:
+                stepped, report = solve(problem, beta, framework,
+                                        init_encoder=enc, tol=-1.0,
+                                        max_iter=1, track_functional=False)
         assert report.n_iterations == 1
         assert np.max(np.abs(stepped.encoder - expected)) <= 1e-13
         assert not stepped.encoder[:, :n_dead].any()
@@ -381,6 +421,31 @@ class TestSolve:
         assert -1e-12 <= i_y <= problem.mutual_information() + 1e-9
         assert report.n_iterations >= 1
         assert mean_d >= -1e-12
+
+    @pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])
+    def test_states_hold_c_contiguous_encoders(self, solver, rng):
+        """Whatever layout the step works in, every state that ``solve``,
+        ``exp_solve`` and a sweep hand out holds a C-contiguous
+        ``(n_x, k)`` encoder, traced or not."""
+        problem = random_problem(rng)
+        enc = random_encoder(rng, problem.n_x, 3)
+        betas = log_grid(0.5, 8.0, 6)
+        if solver == "reduced":
+            model = ExpFamilyModel(
+                features=rng.normal(size=(problem.n_x, 2)),
+                params=rng.normal(size=(problem.n_y, 2)), p_x=problem.p_x)
+            states = [exp_solve(model, 3.0, init_encoder=enc,
+                                track_functional=track)[0]
+                      for track in (False, True)]
+            states += exp_sweep(model, betas)[1]
+        else:
+            states = [solve(problem, 3.0, solver, init_encoder=enc,
+                            track_functional=track)[0]
+                      for track in (False, True)]
+            states += sweep(problem, solver, betas)[1]
+        for state in states:
+            assert state.encoder.shape == (problem.n_x, state.n_clusters)
+            assert state.encoder.flags.c_contiguous
 
     def test_track_functional_off(self, rng):
         problem = random_problem(rng)
