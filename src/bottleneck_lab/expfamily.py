@@ -11,8 +11,10 @@ multipliers ``lam_beta[c] = E_{p(y|c)} params[y]`` plus a normalizer.  So
 the reduced solver is the dual table step on the factor ``U = features``,
 ``V = -params`` of the log-rule ``U @ V.T - log_normalizer``, on the table
 ``[p(x) A(x) | p(x)]`` in place of ``[p(x) log p(y|x) | p(x)]``: it costs
-``O(n_x k d + k n_y d)`` and never forms the ``n_x x n_y`` rule table (the
-model builds it once, for reporting ``I(Y;Xhat)``).
+``O(n_x k d + k n_y d)`` and never forms the ``n_x x n_y`` rule table.
+What does read the rule (the overflow check, the log-normalizers and
+``I(Y;Xhat)``) streams over it in row blocks of about ``BLOCK_CELLS``
+cells, so the model and its solves hold no array of ``n_x * n_y`` cells.
 """
 from __future__ import annotations
 
@@ -44,6 +46,10 @@ from .solvers import (
     fixed_point,
 )
 
+#: Cells of the ``(n_x, n_y)`` log-rule in one row block: 163 rows at
+#: ``n_y = 200``, and the two-row minimum once ``n_y`` exceeds half of it.
+BLOCK_CELLS = 2 ** 15
+
 
 @dataclass
 class ExpFamilyModel:
@@ -72,12 +78,12 @@ class ExpFamilyModel:
             raise DistributionError(
                 f"feature dimension mismatch: features are "
                 f"{self.features.shape[1]}-D, params {self.params.shape[1]}-D")
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.interactions())
-        if not finite.all():
-            x, y = np.argwhere(~finite)[0]
-            raise DistributionError(
-                f"features[{x}] @ params[{y}] is not finite")
+        for rows, block in self._log_rule_blocks():
+            finite = np.isfinite(block)
+            if not finite.all():
+                x, y = np.argwhere(~finite)[0]
+                raise DistributionError(
+                    f"features[{rows.start + x}] @ params[{y}] is not finite")
         self.p_x = as_marginal(self.p_x, "p_x", self.n_x)
 
     @property
@@ -92,31 +98,70 @@ class ExpFamilyModel:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def interactions(self) -> np.ndarray:
-        """``-features @ params.T``: the unnormalized log rule (n_x, n_y)."""
-        return -self.features @ self.params.T
+    def _log_rule_blocks(self):
+        """Yield ``(rows, -features[rows] @ params.T)``, the unnormalized
+        log rule in row blocks of about :data:`BLOCK_CELLS` cells.
+
+        A block holds at least two rows, and a last lone row joins the
+        block before it: numpy hands a one-row product to BLAS's
+        matrix-vector kernel, whose last bits differ from those of the
+        matrix-matrix kernel that one full product uses.
+        """
+        n_x = self.n_x
+        step = max(2, BLOCK_CELLS // self.n_y)
+        start = 0
+        while start < n_x:
+            stop = start + step
+            if stop == n_x - 1:
+                stop = n_x
+            rows = slice(start, stop)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = -self.features[rows] @ self.params.T
+            yield rows, block
+            start = stop
+
+    def _rule_blocks(self):
+        """Yield ``(rows, rule[rows])``: each log-rule block with its
+        log-normalizers shifted out, exponentiated and renormalized, all
+        row by row."""
+        # Not log_normalizers(): perfbench/tracing.py counts each call of
+        # it as a rebuild, and the vector is built once per model.
+        log_normalizers = self._log_normalizers
+        for rows, block in self._log_rule_blocks():
+            block -= log_normalizers[rows, None]
+            yield rows, smooth_rows(np.exp(block, out=block), 0.0)
+
+    @cached_property
+    def _log_normalizers(self) -> np.ndarray:
+        out = np.empty(self.n_x)
+        for rows, block in self._log_rule_blocks():
+            out[rows] = logsumexp(block, axis=1)
+        return out
 
     def log_normalizers(self) -> np.ndarray:
-        """Per-input log-partition values (n_x,), built with :attr:`rule`."""
-        return self._rule_and_log_normalizers[1]
+        """Per-input log-partition values (n_x,), built once per model."""
+        return self._log_normalizers
 
     @cached_property
     def rule(self) -> np.ndarray:
-        """The rule rows ``p(y|x)`` (n_x, n_y), built once per model.
+        """The rule rows ``p(y|x)`` (n_x, n_y), assembled from the row
+        blocks for :meth:`reconstruct`; no solve or observable reads it.
 
         Cells that underflow stay zero; only :meth:`reconstruct` rejects
         them.
         """
-        return self._rule_and_log_normalizers[0]
+        rule = np.empty((self.n_x, self.n_y))
+        for rows, block in self._rule_blocks():
+            rule[rows] = block
+        return rule
 
-    @cached_property
-    def _rule_and_log_normalizers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rule rows and log-normalizers from one interaction matrix."""
-        log_rule = self.interactions()
-        log_normalizers = logsumexp(log_rule, axis=1)
-        log_rule -= log_normalizers[:, None]
-        return (smooth_rows(np.exp(log_rule, out=log_rule), 0.0),
-                log_normalizers)
+    def rule_mixture(self, weights: np.ndarray) -> np.ndarray:
+        """``weights @ rule`` for ``(k, n_x)`` weights, summed over the row
+        blocks, so it holds one block of rule rows at a time."""
+        mixture = np.zeros((weights.shape[0], self.n_y))
+        for rows, block in self._rule_blocks():
+            mixture += weights[:, rows] @ block
+        return mixture
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -194,7 +239,8 @@ def closed_information(model: ExpFamilyModel,
     log_z_encoder = logsumexp(logits, axis=1)
     mean_cluster_norm = float(m @ state.log_z)
     i_x = beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
-    i_y = entropy(model.p_x @ model.rule) - float(m @ decoder_entropies)
+    p_y = model.rule_mixture(model.p_x[None, :])[0]
+    i_y = entropy(p_y) - float(m @ decoder_entropies)
     mean_d = model.mean_log_normalizer - mean_cluster_norm
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
@@ -224,7 +270,7 @@ class ExpBackend(TableBackend):
                     ) -> tuple[float, float, float, float]:
         """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state
         from its aggregates; ``I(Y;Xhat)`` is the one value that reads the
-        rule rows."""
+        rule rows, one row block at a time."""
         model, marginal = self.model, state.marginal
         i_x = encoder_information(model.p_x, state.encoder, marginal)
         mean_d = model.mean_log_normalizer - float(marginal @ state.log_z)

@@ -339,6 +339,10 @@ class JointDistribution:
         """``[p(x) log p(y|x) | p(x)]``, the dual solver's statistics table."""
         return np.column_stack([self.p_x[:, None] * self.log_rule, self.p_x])
 
+    def rule_mixture(self, weights: np.ndarray) -> np.ndarray:
+        """``weights @ rule`` for ``(k, n_x)`` weights."""
+        return weights @ self.rule
+
     def mutual_information(self) -> float:
         """``I(X;Y)`` of the stored joint, in nats."""
         return mutual_information(self.joint)

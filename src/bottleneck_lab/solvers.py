@@ -216,10 +216,11 @@ def cluster_label_joint(problem, state) -> np.ndarray:
 
     Built from the inverse encoder and the *rule* (i.e. the Bayes decoder),
     never from the framework decoder, so it is the true label joint for
-    either framework, and for the reduced solver (whose model carries
-    ``rule`` rows too).
+    either framework, and for the reduced solver.  The problem supplies
+    ``weights @ rule``: one product for a table, a sum over row blocks for
+    an exponential-family model.
     """
-    return state.marginal[:, None] * (state.weights @ problem.rule)
+    return state.marginal[:, None] * problem.rule_mixture(state.weights)
 
 
 def state_observables(problem: JointDistribution, state: BottleneckState
@@ -312,7 +313,9 @@ class TableBackend:
     A solver backend offers ``framework``, ``n_x``, ``n_y`` and the triple
     ``derive(encoder, beta) -> state``, ``stepper(beta) -> step`` and
     ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d], functional)``;
-    :func:`fixed_point` and ``annealing.run_sweep`` run any backend.
+    :func:`fixed_point` and ``annealing.run_sweep`` run any backend.  A
+    step returns a new array: the loop overwrites the encoder it stepped
+    from with the residual.
     """
 
     def __init__(self, problem: JointDistribution, framework):
@@ -405,7 +408,9 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
             functionals.append(backend.observables(
                 backend.derive(np.ascontiguousarray(encoder), beta))[3])
         new_encoder = step(encoder)
-        delta = float(np.abs(new_encoder - encoder).max())
+        # The old encoder is dead once stepped from: it holds the residual.
+        np.subtract(new_encoder, encoder, out=encoder)
+        delta = float(np.abs(encoder, out=encoder).max())
         encoder = new_encoder
         if delta <= tol:
             converged = True

@@ -2,6 +2,8 @@
 equivalence with the full-table prediction-side solver."""
 from __future__ import annotations
 
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottleneck_lab import expfamily, solvers
+from bottleneck_lab import cli, expfamily, solvers
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
@@ -23,9 +25,13 @@ from bottleneck_lab.probability import (
     DistributionError,
     entropy,
     kl_divergence,
+    logsumexp,
+    mutual_information,
+    smooth_rows,
 )
 from bottleneck_lab.solvers import (
     TableBackend,
+    cluster_label_joint,
     distortion_matrix,
     encoder_update,
     solve,
@@ -44,6 +50,59 @@ def generic_model(rng, n_x=4, n_y=3, d=2):
     params = rng.normal(0.0, 1.0, size=(n_y, d))
     p_x = rng.dirichlet(np.full(n_x, 2.0))
     return ExpFamilyModel(features=features, params=params, p_x=p_x)
+
+
+def full_matrix_rule(model):
+    """The rule rows and log-normalizers from one ``(n_x, n_y)`` interaction
+    matrix: the construction the model's row blocks replace."""
+    log_rule = -model.features @ model.params.T
+    log_normalizers = logsumexp(log_rule, axis=1)
+    log_rule -= log_normalizers[:, None]
+    return smooth_rows(np.exp(log_rule, out=log_rule), 0.0), log_normalizers
+
+
+#: Rows in one block at n_y = 200.
+BLOCK_ROWS = expfamily.BLOCK_CELLS // 200
+
+#: ``(n_x, n_y)`` at the block boundaries: n_x below one block, at a
+#: multiple of the block, off a multiple and one row past it (the last row
+#: joins the block before it), and n_y above the cell budget (blocks of the
+#: two-row minimum).
+BLOCK_SHAPES = [(BLOCK_ROWS // 3, 200), (2 * BLOCK_ROWS, 200),
+                (2 * BLOCK_ROWS + BLOCK_ROWS // 2, 200),
+                (2 * BLOCK_ROWS + 1, 200), (5, expfamily.BLOCK_CELLS + 7)]
+
+
+def large_model(n_x=3000, n_y=1000, d=2):
+    """A model whose rule table (24 MB at the defaults) dwarfs every array
+    the reduced path needs."""
+    local = np.random.default_rng(11)
+    return ExpFamilyModel(features=local.normal(0.0, 1.0, size=(n_x, d)),
+                          params=local.normal(0.0, 1.0, size=(n_y, d)))
+
+
+def traced_peak(operation):
+    """``(result, peak)``: what ``operation()`` returns and the peak of the
+    memory it allocates, as tracemalloc (which numpy reports to) sees it."""
+    tracemalloc.start()
+    try:
+        result = operation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def table_bytes(model):
+    return model.n_x * model.n_y * np.dtype(float).itemsize
+
+
+def traced_peak_below_bound(model, operation):
+    """Run ``operation`` and assert that its allocations peak below a
+    quarter of the model's rule table; return its result."""
+    result, peak = traced_peak(operation)
+    assert peak < table_bytes(model) / 4
+    return result
 
 
 def cluster_features_of(model, state):
@@ -119,6 +178,99 @@ class TestModelConstruction:
                                match=r"features\[0\] @ params\[0\]"):
                 ExpFamilyModel(features=[[1e308], [1.0]],
                                params=[[1e308], [0.0]])
+
+
+class TestRowBlocks:
+    """Every reader of the rule streams over it in row blocks of about
+    ``BLOCK_CELLS`` cells; the blocks change no bit of the rule."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(BLOCK_SHAPES),
+           d=st.integers(0, 3))
+    def test_blocks_are_the_full_matrix_rows(self, seed, shape, d):
+        model = generic_model(np.random.default_rng(seed), *shape, d=d)
+        rule, log_normalizers = full_matrix_rule(model)
+        assert model.log_normalizers().tobytes() == log_normalizers.tobytes()
+        assert model.rule.tobytes() == rule.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(BLOCK_SHAPES),
+           d=st.integers(0, 3), k=st.integers(1, 4),
+           beta=st.floats(0.0, 16.0))
+    def test_label_information_matches_the_table(self, seed, shape, d, k,
+                                                 beta):
+        """I(Y;Xhat) summed over row blocks equals the one product on the
+        reconstructed table within rounding."""
+        local = np.random.default_rng(seed)
+        model = generic_model(local, *shape, d=d)
+        state = ExpBackend(model).derive(
+            random_encoder(local, model.n_x, k), beta)
+        i_y = ExpBackend(model).observables(state)[1]
+        want = mutual_information(
+            cluster_label_joint(model.reconstruct(), state))
+        assert abs(i_y - want) <= 1e-13
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           negative=st.booleans())
+    def test_overflow_in_a_later_block_is_named(self, seed, d, negative):
+        local = np.random.default_rng(seed)
+        n_x, n_y = BLOCK_SHAPES[2]
+        features = local.uniform(-1.0, 1.0, size=(n_x, d))
+        params = local.uniform(-1.0, 1.0, size=(n_y, d))
+        x = int(local.integers(BLOCK_ROWS, n_x))
+        y = int(local.integers(n_y))
+        features[x, 0] = 1e308
+        params[y, 0] = -1e308 if negative else 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistributionError) as caught:
+                ExpFamilyModel(features=features, params=params)
+        assert str(caught.value) == (
+            f"features[{x}] @ params[{y}] is not finite")
+
+
+class TestMemory:
+    """The reduced path allocates no array of n_x * n_y cells: each step
+    below peaks below a quarter of the model's rule table, which
+    :meth:`ExpFamilyModel.reconstruct` exceeds."""
+
+    def test_construction(self):
+        """Construction checks every cell and the normalizers are built."""
+        model = large_model()
+        traced_peak_below_bound(model, lambda: ExpFamilyModel(
+            model.features, model.params).log_normalizers())
+
+    def test_sweep(self):
+        model = large_model()
+        trace, _ = traced_peak_below_bound(
+            model, lambda: exp_sweep(model, log_grid(0.5, 4.0, 3), tol=1e-8,
+                                     max_iter=2000))
+        assert len(trace.records) == 3
+
+    def test_observables(self):
+        model = large_model()
+        state, _ = exp_solve(model, 3.0, n_clusters=4, max_iter=50)
+        traced_peak_below_bound(model,
+                                lambda: ExpBackend(model).observables(state))
+
+    def test_cli_sweep(self, tmp_path, capsys):
+        model = large_model()
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"exp_family": {
+            "features": model.features.tolist(),
+            "params": model.params.tolist()}}))
+        rc = traced_peak_below_bound(model, lambda: cli.main([
+            "expfam", "--problem", str(path), "--beta-grid", "log:0.5:4:3",
+            "--tol", "1e-8", "--max-iter", "2000",
+            "--output-dir", str(tmp_path)]))
+        capsys.readouterr()
+        assert rc == 0
+
+    def test_reconstruct_exceeds_the_bound(self):
+        model = large_model()
+        _, peak = traced_peak(model.reconstruct)
+        assert peak > table_bytes(model) / 4
 
 
 class TestStateInvariants:
@@ -311,32 +463,26 @@ class TestSolve:
 
     def test_iteration_is_table_free(self, monkeypatch):
         """The loop consumes d-dimensional aggregates only and a solve
-        computes no observables: no solve forms the (n_x, n_y) interaction
-        matrix or assembles the validated table."""
-        fit = ExpFamilyModel.from_conditional(binary_overlap5())
-        model = ExpFamilyModel(features=fit.features, params=fit.params,
-                               p_x=fit.p_x)
-        counts = {"reconstruct": 0, "interactions": 0}
-        original_reconstruct = ExpFamilyModel.reconstruct
-        original_interactions = ExpFamilyModel.interactions
+        computes no observables: no solve assembles the validated table or
+        allocates an array of a quarter of the model's n_x * n_y cells."""
+        model = large_model()
+        calls = []
+        original = ExpFamilyModel.reconstruct
 
         def counting_reconstruct(self):
-            counts["reconstruct"] += 1
-            return original_reconstruct(self)
-
-        def counting_interactions(self):
-            counts["interactions"] += 1
-            return original_interactions(self)
+            calls.append(self)
+            return original(self)
 
         monkeypatch.setattr(ExpFamilyModel, "reconstruct",
                             counting_reconstruct)
-        monkeypatch.setattr(ExpFamilyModel, "interactions",
-                            counting_interactions)
         for _ in range(2):
-            _, report = exp_solve(model, 5.0, init_encoder=random_encoder(
-                np.random.default_rng(3), model.n_x, 2), tol=1e-12)
+            report = traced_peak_below_bound(
+                model, lambda: exp_solve(model, 5.0, tol=1e-12, max_iter=200,
+                                         init_encoder=random_encoder(
+                                             np.random.default_rng(3),
+                                             model.n_x, 2))[1])
             assert report.n_iterations > 30
-            assert counts == {"reconstruct": 0, "interactions": 0}
+            assert calls == []
 
     def test_step_builds_no_inverse_encoder(self, monkeypatch):
         """The reduced step reads the model's statistics table: an untraced
