@@ -1,40 +1,12 @@
-"""Command-line front end: problem loading, solves, annealed sweeps,
-critical-point scans, reduced exponential-family solves, and
-prediction-error experiments.
-
-Problem files are JSON objects holding exactly one of three schemas
-(plus optional ``name`` / ``description`` strings, which are ignored):
-
-``p_y_given_x``
-    rows of the label rule ``p(y|x)``; optional ``p_x`` (defaults to
-    uniform) and ``smoothing_epsilon`` (defaults to 1e-9).
-``exp_family``
-    object with ``features`` (n_x, d), ``params`` (n_y, d) and an
-    optional ``p_x``.
-``class_conditionals``
-    rows ``p(x | class)`` for prediction experiments; optional ``prior``
-    and ``smoothing_epsilon`` (defaults to 0 — measurement data is not
-    silently perturbed).
-
-The loader checks the JSON, the schema and its keys; the model's
-constructor checks every array (sums within 1e-6 of 1 are accepted and
-renormalized once).
-
-Every setting is one field of :class:`RunConfig`, whose metadata holds
-its type, check, default and flag; ``--config`` file keys are the field
-names (``problem_path`` for ``--problem``/``--classes``, ``beta_list``
-for ``--betas``) and a ``null`` value leaves the setting unset.  A file
-value is converted and checked exactly as its flag's would be.  Flag
-values win over ``--config`` file entries, which win over built-in
-defaults; the effective configuration of every run is echoed to
-``run_config.json`` in the output directory.  Stored CSV/JSON artifacts
-are always in nats (with a units column where applicable); ``--units
-bits`` only rescales the numbers printed on standard output.
+"""Command-line front end: ``bottleneck-lab <command> ...``.
 
 Exit codes: 0 on success, 2 on validation problems (the offending flag
 or field is named on stderr), 1 on internal errors.  The environment
 variable ``BOTTLENECK_LAB_THREADS`` caps the BLAS thread pools; it is
 applied at package import, before numpy can start them.
+
+The README's "Command line" section describes the commands, the
+problem-file schemas, the ``--config`` precedence and the artifacts.
 """
 from __future__ import annotations
 
@@ -57,7 +29,7 @@ from .annealing import (
     sweep,
     trace_to_csv,
 )
-from .expfamily import ExpBackend, ExpFamilyModel, exp_solve, exp_sweep
+from .expfamily import ExpFamilyModel, exp_solve, exp_sweep
 from .prediction import (
     DEFAULT_BETAS,
     DEFAULT_N_VALUES,
@@ -328,11 +300,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     spec = _COMMANDS[command]
     names = spec.fields + _COMMON
+    given = ({} if args.config is None
+             else _config_file_values(args.config, names, command))
+    given.update({name: getattr(args, name) for name in names
+                  if getattr(args, name) is not None})
     merged = {name: _SETTINGS[name]["default"] for name in names}
-    if args.config is not None:
-        merged.update(_config_file_values(args.config, names, command))
-    merged.update({name: getattr(args, name) for name in names
-                   if getattr(args, name) is not None})
+    merged.update(given)
 
     for name in spec.required:
         if merged[name] is None:
@@ -346,6 +319,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(
                 "--n-clusters applies to expfam --beta only; a --beta-grid "
                 "sweep starts from one cluster")
+        unused = [name for name in _SPLIT if name in given]
+        if merged["beta"] is not None and unused:
+            raise ValidationError(
+                f"{_flag(unused[0], command)} applies to expfam --beta-grid "
+                "only; a --beta solve neither splits nor merges clusters")
 
     for name, value in merged.items():
         if value is None:
@@ -384,15 +362,14 @@ def _split_config(config: RunConfig) -> SplitConfig:
 
 
 def _report_solve(config: RunConfig, path: Path, tag: str, labels: dict,
-                  state, report, observables, arrays: dict) -> None:
-    """Write one single-beta solve artifact and print its summary line;
-    ``observables`` are the backend's ``(I(X;Xhat), I(Y;Xhat), E[d],
-    functional)`` of ``state``.
+                  problem, state, report, arrays: dict) -> None:
+    """Write one single-beta solve artifact of ``state`` on ``problem`` (a
+    table or a model) and print its summary line.
 
     Clusters are counted as a sweep counts them after its merge: columns
     whose decoder rows coincide within the default ``merge_tol`` are one.
     """
-    i_x, i_y, mean_d, functional = observables
+    i_x, i_y, mean_d, functional = state_observables(problem, state)
     clusters = merge_close_clusters(state.encoder, state.decoder,
                                     state.marginal,
                                     SplitConfig().merge_tol).shape[1]
@@ -426,8 +403,8 @@ def _cmd_solve(config: RunConfig, problem: JointDistribution) -> None:
                               n_clusters=config.n_clusters, tol=config.tol,
                               max_iter=config.max_iter)
         _report_solve(config, out / f"{stem}_{framework}_solve.json",
-                      framework, {"framework": framework}, state, report,
-                      state_observables(problem, state),
+                      framework, {"framework": framework}, problem, state,
+                      report,
                       {"marginal": state.marginal, "decoder": state.decoder})
 
 
@@ -490,8 +467,8 @@ def _cmd_expfam(config: RunConfig, model: ExpFamilyModel) -> None:
                                   n_clusters=config.n_clusters,
                                   tol=config.tol, max_iter=config.max_iter)
         _report_solve(config, out / f"{stem}_expfam_solve.json", "expfam",
-                      {"framework": "dual", "solver": "expfam"}, state,
-                      report, ExpBackend(model).observables(state),
+                      {"framework": "dual", "solver": "expfam"}, model,
+                      state, report,
                       {"cluster_params": state.decoder @ model.params,
                        "decoder": state.decoder})
         return

@@ -31,7 +31,7 @@ from .probability import (
     as_marginal,
     entropy,
     logsumexp,
-    mutual_information,
+    mutual_information,  # noqa: F401  (perfbench/tracing.py patches it)
     smooth_rows,
 )
 from .solvers import (
@@ -41,8 +41,6 @@ from .solvers import (
     Framework,
     SolveReport,
     TableBackend,
-    cluster_label_joint,
-    encoder_information,
     fixed_point,
 )
 
@@ -253,29 +251,21 @@ class ExpBackend(TableBackend):
 
     Its states are dual :class:`~bottleneck_lab.solvers.BottleneckState`
     whose ``log_z`` is the decoder's log-partition over the unnormalized
-    log rule ``-features @ params.T``.  Sweeps start it from the same
+    log rule ``-features @ params.T``, and its observables are
+    ``state_observables(model, state)``.  Sweeps start it from the same
     one-cluster encoder and noise streams as the full-table backend, so
     sweeps of a model and of its reconstructed table stay on matching
     branches.
     """
 
     def __init__(self, model: ExpFamilyModel):
-        self.model = model
+        self.problem = model
         self.framework = Framework.DUAL
         self.n_x, self.n_y = model.n_x, model.n_y
         self.p_x = model.p_x
         self.table, self.u, self.v = model.table, model.features, -model.params
 
-    def observables(self, state: BottleneckState
-                    ) -> tuple[float, float, float, float]:
-        """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a reduced state
-        from its aggregates; ``I(Y;Xhat)`` is the one value that reads the
-        rule rows, one row block at a time."""
-        model, marginal = self.model, state.marginal
-        i_x = encoder_information(model.p_x, state.encoder, marginal)
-        mean_d = model.mean_log_normalizer - float(marginal @ state.log_z)
-        i_y = mutual_information(cluster_label_joint(model, state))
-        return i_x, i_y, mean_d, i_x + state.beta * mean_d
+    observables = TableBackend.observables  # perfbench/tracing.py patches
 
 
 def exp_solve(model: ExpFamilyModel, beta: float, **options
@@ -285,7 +275,7 @@ def exp_solve(model: ExpFamilyModel, beta: float, **options
     Same contract as ``solve(..., framework='dual')`` (the options of
     ``solvers.fixed_point``, initialization and stopping rule), but the
     iteration touches only d-dimensional aggregates.  Its information
-    values are ``ExpBackend(model).observables(state)``.
+    values are ``state_observables(model, state)``, as for a table.
     """
     return fixed_point(ExpBackend(model), beta, **options)
 

@@ -279,6 +279,9 @@ class JointDistribution:
     joint: np.ndarray = field(repr=False)
     p_y: np.ndarray = field(repr=False)
 
+    #: ``E_{p_x}`` of the log-partition of ``log_rule``'s normalized rows
+    mean_log_normalizer = 0.0
+
     @classmethod
     def from_conditional(cls, rule, p_x=None,
                          smoothing_epsilon: float = DEFAULT_SMOOTHING
@@ -323,11 +326,6 @@ class JointDistribution:
     @property
     def n_y(self) -> int:
         return self.rule.shape[1]
-
-    @cached_property
-    def rule_neg_entropy(self) -> np.ndarray:
-        """``sum_y rule[x, y] * log rule[x, y]`` per input (n_x,)."""
-        return np.sum(self.rule * self.log_rule, axis=1)
 
     @cached_property
     def ib_table(self) -> np.ndarray:

@@ -75,7 +75,6 @@ class BottleneckState:
     marginal: np.ndarray       # (k,)
     weights: np.ndarray        # (k, n_x) rows p(x | xhat)
     decoder: np.ndarray        # (k, n_y)
-    log_decoder: np.ndarray    # (k, n_y)
     log_z: np.ndarray | None = None
 
     @property
@@ -163,18 +162,6 @@ def _decode(framework: Framework, stats: np.ndarray,
     return decoder / total, ratio - log_total, (shift + log_total)[:, 0]
 
 
-def distortion_matrix(problem: JointDistribution,
-                      state: BottleneckState) -> np.ndarray:
-    """The ``(n_x, k)`` per-pair cost of the state's framework:
-    ``KL(rule row x || decoder row c)`` for ``ib``,
-    ``KL(decoder row c || rule row x)`` for ``dual``."""
-    if state.framework is Framework.IB:
-        return (problem.rule_neg_entropy[:, None]
-                - problem.rule @ state.log_decoder.T)
-    dec_neg_entropy = xlogx(state.decoder).sum(axis=1)
-    return dec_neg_entropy - problem.log_rule @ state.decoder.T
-
-
 def _column_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax down each column of cluster-major ``(k, n)`` logits, in
     place, with a per-column max shift; ``-inf`` rows (dead clusters) give
@@ -223,22 +210,23 @@ def cluster_label_joint(problem, state) -> np.ndarray:
     return state.marginal[:, None] * problem.rule_mixture(state.weights)
 
 
-def state_observables(problem: JointDistribution, state: BottleneckState
+def state_observables(problem, state: BottleneckState
                       ) -> tuple[float, float, float, float]:
-    """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state, in nats.
+    """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state on a table
+    or a model, in nats: the observables of every backend.
 
-    ``E[d]`` is the mean per-pair cost ``E_{p(x) p(xhat|x)}[d(x, xhat)]``;
-    the functional is what each framework minimizes:
-
-    ``ib``:   ``I(X;Xhat) - beta * I(Y;Xhat)``
-    ``dual``: ``I(X;Xhat) + beta * E[KL(decoder || rule)]``
+    The mean cost ``E[d]`` is ``I(X;Y) - I(Y;Xhat)`` for ``ib`` and
+    ``mean_log_normalizer - p(xhat) @ log_z`` for ``dual`` at any derived
+    state, converged or not, as its decoder is derived from its own
+    weights.  The functional is ``I(X;Xhat) - beta * I(Y;Xhat)`` for
+    ``ib`` and ``I(X;Xhat) + beta * E[d]`` for ``dual``.
     """
     i_x = encoder_information(problem.p_x, state.encoder, state.marginal)
     i_y = mutual_information(cluster_label_joint(problem, state))
-    mean_d = float(np.sum(problem.p_x[:, None] * state.encoder
-                          * distortion_matrix(problem, state)))
     if state.framework is Framework.IB:
-        return i_x, i_y, mean_d, i_x - state.beta * i_y
+        return (i_x, i_y, problem.mutual_information() - i_y,
+                i_x - state.beta * i_y)
+    mean_d = problem.mean_log_normalizer - float(state.marginal @ state.log_z)
     return i_x, i_y, mean_d, i_x + state.beta * mean_d
 
 
@@ -331,11 +319,11 @@ class TableBackend:
         """The state implied by an encoder: its cluster statistics, the
         framework decoder and the inverse encoder."""
         marginal, stats, _ = _cluster_statistics(encoder, self.table)
-        decoder, log_decoder, log_z = _decode(self.framework, stats, self.v)
+        decoder, _, log_z = _decode(self.framework, stats, self.v)
         return BottleneckState(
             framework=self.framework, beta=float(beta), encoder=encoder,
             marginal=marginal, weights=inverse_encoder(encoder, self.p_x)[1],
-            decoder=decoder, log_decoder=log_decoder, log_z=log_z)
+            decoder=decoder, log_z=log_z)
 
     def stepper(self, beta: float):
         """The map ``step(encoder) -> next encoder`` at ``beta``, with its

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bottleneck_lab.probability import JointDistribution
+from bottleneck_lab.probability import JointDistribution, xlogx
+from bottleneck_lab.solvers import Framework
 
 #: Property tests draw the same examples on every run and keep no example
 #: database, so the suite's verdict is reproducible.
@@ -36,6 +37,25 @@ def random_problem(rng: np.random.Generator, n_x: int | None = None,
 def random_encoder(rng: np.random.Generator, n_x: int, k: int) -> np.ndarray:
     enc = rng.dirichlet(np.ones(k), size=n_x)
     return enc
+
+
+def distortion_matrix(problem: JointDistribution, state) -> np.ndarray:
+    """The ``(n_x, k)`` per-pair cost of the state's framework:
+    ``KL(rule row x || decoder row c)`` for ``ib``,
+    ``KL(decoder row c || rule row x)`` for ``dual``."""
+    if state.framework is Framework.IB:
+        rule_neg_entropy = np.sum(problem.rule * problem.log_rule, axis=1)
+        return (rule_neg_entropy[:, None]
+                - problem.rule @ np.log(state.decoder).T)
+    dec_neg_entropy = xlogx(state.decoder).sum(axis=1)
+    return dec_neg_entropy - problem.log_rule @ state.decoder.T
+
+
+def direct_distortion(problem: JointDistribution, state) -> float:
+    """``E[d]`` as the direct sum ``sum_x p(x) sum_c p(c|x) d(x, c)`` over
+    :func:`distortion_matrix`."""
+    return float(np.sum(problem.p_x[:, None] * state.encoder
+                        * distortion_matrix(problem, state)))
 
 
 @pytest.fixture

@@ -82,7 +82,7 @@ from bottleneck_lab.solvers import (
 )
 from bottleneck_lab.stability import build_matrices, find_critical_points
 
-from conftest import random_encoder, random_problem
+from conftest import direct_distortion, random_encoder, random_problem
 
 GOLDEN_GRID = log_grid(0.25, 64.0, 400)
 SWEEP_TOL = 1e-12
@@ -215,12 +215,13 @@ def test_criterion_2_distortion_identities_on_random_states(identity_suite):
     for problem, states in identity_suite.cases:
         state, report = states["ib"]
         n_converged += report.converged
-        _, i_y, d_ib, _ = state_observables(problem, state)
+        i_y = state_observables(problem, state)[1]
+        d_ib = direct_distortion(problem, state)
         worst_ib = max(worst_ib, abs(
             d_ib - (mutual_information(problem.joint) - i_y)))
         state, report = states["dual"]
         n_converged += report.converged
-        d_dual = state_observables(problem, state)[2]
+        d_dual = direct_distortion(problem, state)
         split = dual_distortion_split(problem, state)
         worst_split = max(worst_split, abs(
             d_dual - (split.label_info_shift + split.prediction_mismatch)))

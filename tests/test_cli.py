@@ -368,6 +368,8 @@ BASE = {
     "expfam": {"problem_path": "p.json", "beta": 1.0},
     "error-exp": {"problem_path": "c.json"},
 }
+# settings a command refuses with BASE's --beta, as they need --beta-grid
+GRID_ONLY = {("expfam", "split_eps"), ("expfam", "merge_tol")}
 SAMPLE = {"problem_path": "q.json", "framework": "dual", "units": "bits",
           "beta_grid": "log:1:3:4", "output_dir": "out"}
 
@@ -410,8 +412,12 @@ class TestInterface:
                 if dest == "config":
                     continue
                 value = sample_value(dest, kind, nargs)
-                skip = {dest, "beta"} if dest == "beta_grid" else {dest}
+                grid_only = (command, dest) in GRID_ONLY
+                skip = ({dest, "beta"} if dest == "beta_grid" or grid_only
+                        else {dest})
                 argv = base_argv(command, skip)
+                if grid_only:
+                    argv += ["--beta-grid", SAMPLE["beta_grid"]]
                 words = [str(v) for v in value] if nargs else [str(value)]
                 by_flag = resolve(argv + [option, *words])
                 path = write_json(tmp_path / "cfg.json", {dest: value})
@@ -695,6 +701,22 @@ class TestExpfamCommand:
         config = write_json(tmp_path / "cfg.json", {"n_clusters": 2})
         assert_rejected(argv + ["--config", config], "--n-clusters",
                         tmp_path, capsys)
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--split-eps", "split_eps", 0.5),
+        ("--merge-tol", "merge_tol", 0.9),
+        ("--merge-tol", "merge_tol", 1e-4)], ids=["split-eps", "merge-tol",
+                                                  "merge-tol-default"])
+    def test_split_settings_are_rejected_with_one_beta(
+            self, tmp_path, capsys, flag, key, value):
+        """A single-beta solve neither splits nor merges, so a split
+        setting the user gives, by flag or by config file and even at its
+        default value, is refused rather than ignored."""
+        argv = ["expfam", "--problem", str(RULE_FIXTURE), "--beta", "8",
+                "--n-clusters", "4"]
+        assert_rejected(argv + [flag, str(value)], flag, tmp_path, capsys)
+        config = write_json(tmp_path / "cfg.json", {key: value})
+        assert_rejected(argv + ["--config", config], flag, tmp_path, capsys)
 
     def test_rejections(self, tmp_path, capsys):
         rc = main(["expfam", "--problem", str(CLASSES_FIXTURE), "--beta",

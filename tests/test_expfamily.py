@@ -24,7 +24,6 @@ from bottleneck_lab.expfamily import (
 from bottleneck_lab.probability import (
     DistributionError,
     entropy,
-    kl_divergence,
     logsumexp,
     mutual_information,
     smooth_rows,
@@ -32,13 +31,13 @@ from bottleneck_lab.probability import (
 from bottleneck_lab.solvers import (
     TableBackend,
     cluster_label_joint,
-    distortion_matrix,
     encoder_update,
     solve,
     state_observables,
 )
 
-from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from conftest import (PROPERTY_SETTINGS, direct_distortion, distortion_matrix,
+                      random_encoder, random_problem)
 
 
 def binary_problem(rng):
@@ -397,10 +396,13 @@ class TestEncoder:
                                    atol=1e-10)
 
     def test_reduced_backend_is_the_table_dual_step(self):
-        """The reduced solver has no step or derivation of its own: it runs
-        the table backend's on the factored log-rule."""
+        """The reduced solver has no step, derivation or observables of its
+        own: it runs the table backend's on the factored log-rule.  Its one
+        own attribute besides ``__init__`` is the inherited ``observables``,
+        named for the benchmark tracer."""
         assert ExpBackend.stepper is TableBackend.stepper
         assert ExpBackend.derive is TableBackend.derive
+        assert vars(ExpBackend)["observables"] is TableBackend.observables
         own = {name for name in vars(ExpBackend)
                if name == "__init__" or not name.startswith("__")}
         assert own == {"__init__", "observables"}
@@ -445,11 +447,7 @@ class TestSolve:
         i_y_direct = entropy(problem.p_y) - float(
             state.marginal @ np.array([entropy(row) for row in dec]))
         assert closed.i_y == pytest.approx(i_y_direct, abs=1e-8)
-        d_direct = sum(
-            problem.p_x[x] * state.encoder[x, c]
-            * kl_divergence(dec[c], problem.rule[x])
-            for x in range(model.n_x) for c in range(state.n_clusters)
-            if state.encoder[x, c] > 0.0)
+        d_direct = direct_distortion(problem, state)
         assert closed.mean_distortion == pytest.approx(d_direct, abs=1e-8)
         assert mean_d == pytest.approx(d_direct, abs=1e-8)
 

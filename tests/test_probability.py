@@ -478,9 +478,10 @@ class TestEntropyKernels:
 
 
 #: Imported and never read on purpose: the benchmark tracer patches
-#: ``mutual_information`` in ``annealing`` and ``logsumexp`` in ``solvers``
-#: by name.
+#: ``mutual_information`` in ``annealing`` and ``expfamily`` and
+#: ``logsumexp`` in ``solvers`` by name.
 KEPT_IMPORTS = {("annealing.py", "mutual_information"),
+                ("expfamily.py", "mutual_information"),
                 ("solvers.py", "logsumexp")}
 
 
@@ -541,9 +542,22 @@ def _bench_reads(tree):
             yield node.elts[0].id, node.elts[1].value
 
 
+def _tracer_module_patches():
+    """The ``(module file, name)`` pairs that ``perfbench/tracing.py``'s
+    ``PATCHES`` patch on a package module (not on a class)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    patches = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [target.id for target in node.targets] == ["PATCHES"])
+    return {(row.elts[0].id + ".py", row.elts[1].value)
+            for row in patches.elts if isinstance(row.elts[0], ast.Name)}
+
+
 def test_package_has_no_unused_imports():
-    """Every name a module imports is read in it, every private name a
-    module defines is read by some module of the package, and every public
+    """Every name a module imports is read in it or is a ``KEPT_IMPORTS``
+    name that the benchmark tracer patches, every private name a module
+    defines is read by some module of the package, and every public
     module-level function or class is read by one, named by a benchmark
     script or listed in ``TEST_ORACLES``."""
     unused = []
@@ -577,6 +591,7 @@ def test_package_has_no_unused_imports():
                             for alias in node.names)
         referenced.update(_references(tree))
     assert unused == []
+    assert KEPT_IMPORTS <= _tracer_module_patches()
     assert private
     assert [entry for entry in private if entry[1] not in referenced] == []
     bench = {pair for path in (Path(__file__).resolve().parents[1]

@@ -28,7 +28,6 @@ from bottleneck_lab.solvers import (
     Framework,
     as_framework,
     default_encoder,
-    distortion_matrix,
     dual_distortion_split,
     encoder_update,
     prepare_encoder,
@@ -36,7 +35,8 @@ from bottleneck_lab.solvers import (
     state_observables,
 )
 
-from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from conftest import (PROPERTY_SETTINGS, direct_distortion, distortion_matrix,
+                      random_encoder, random_problem)
 
 
 class TestElementarySteps:
@@ -168,8 +168,8 @@ class TestExactIdentities:
             k = int(rng.integers(1, problem.n_x + 2))
             state = TableBackend(problem, "ib").derive(
                 random_encoder(rng, problem.n_x, k), 2.0)
-            _, i_y = state_observables(problem, state)[:2]
-            assert state_observables(problem, state)[2] == pytest.approx(
+            i_y = state_observables(problem, state)[1]
+            assert direct_distortion(problem, state) == pytest.approx(
                 problem.mutual_information() - i_y, abs=1e-12)
 
     def test_dual_mean_distortion_equals_minus_log_z(self, rng):
@@ -179,7 +179,7 @@ class TestExactIdentities:
             k = int(rng.integers(1, problem.n_x + 2))
             state = TableBackend(problem, "dual").derive(
                 random_encoder(rng, problem.n_x, k), 2.0)
-            assert state_observables(problem, state)[2] == pytest.approx(
+            assert direct_distortion(problem, state) == pytest.approx(
                 -float(state.marginal @ state.log_z), abs=1e-12)
 
     def test_dual_distortion_split(self, rng):
@@ -190,11 +190,40 @@ class TestExactIdentities:
                 random_encoder(rng, problem.n_x, k), 2.0)
             split = dual_distortion_split(problem, state)
             assert split.total == pytest.approx(
-                state_observables(problem, state)[2], abs=1e-11)
+                direct_distortion(problem, state), abs=1e-11)
             assert split.prediction_mismatch >= -1e-12
             assert split.total == pytest.approx(
                 split.label_info_shift + split.prediction_mismatch,
                 abs=1e-13)
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1),
+           solver=st.sampled_from(["ib", "dual", "reduced"]),
+           k=st.integers(1, 6), dead=st.booleans())
+    def test_mean_distortion_is_the_direct_sum(self, seed, solver, k, dead):
+        """The closed-form ``E[d]`` of ``state_observables`` is the direct
+        expectation ``sum_x p(x) sum_c p(c|x) d(x, c)`` within 1e-12 at
+        any derived state: on random tables in both frameworks, and on
+        random exponential-family models, whose direct sum takes the dual
+        cost on the reconstructed table.  With ``dead``, one of ``k >= 2``
+        encoder columns is all zero."""
+        rng = np.random.default_rng(seed)
+        if solver == "reduced":
+            n_x, n_y = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+            d = int(rng.integers(0, 4))
+            problem = ExpFamilyModel(features=rng.normal(size=(n_x, d)),
+                                     params=rng.normal(size=(n_y, d)),
+                                     p_x=rng.dirichlet(np.full(n_x, 2.0)))
+            table, backend = problem.reconstruct(), ExpBackend(problem)
+        else:
+            problem = table = random_problem(rng)
+            backend = TableBackend(problem, solver)
+        enc = random_encoder(rng, problem.n_x, k)
+        if dead and k > 1:
+            enc[:, int(rng.integers(k))] = 0.0
+        state = backend.derive(prepare_encoder(problem.n_x, None, enc), 2.0)
+        assert abs(state_observables(problem, state)[2]
+                   - direct_distortion(table, state)) <= 1e-12
 
     def test_functional_matches_definition(self, rng):
         problem = random_problem(rng)

@@ -28,7 +28,6 @@ from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import (
     TableBackend,
-    distortion_matrix,
     encoder_update,
     solve,
 )
@@ -41,7 +40,8 @@ from bottleneck_lab.stability import (
     stability_gaps,
 )
 
-from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from conftest import (PROPERTY_SETTINGS, distortion_matrix, random_encoder,
+                      random_problem)
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
