@@ -319,11 +319,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(
                 "--n-clusters applies to expfam --beta only; a --beta-grid "
                 "sweep starts from one cluster")
-        unused = [name for name in _SPLIT if name in given]
-        if merged["beta"] is not None and unused:
-            raise ValidationError(
-                f"{_flag(unused[0], command)} applies to expfam --beta-grid "
-                "only; a --beta solve neither splits nor merges clusters")
+        if merged["beta"] is not None:
+            unused = [name for name in _SPLIT if name in given]
+            if unused:
+                raise ValidationError(
+                    f"{_flag(unused[0], command)} applies to expfam "
+                    "--beta-grid only; a --beta solve neither splits nor "
+                    "merges clusters")
+            merged.update(dict.fromkeys(_SPLIT))  # unread: not echoed
 
     for name, value in merged.items():
         if value is None:

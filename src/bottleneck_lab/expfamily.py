@@ -153,13 +153,14 @@ class ExpFamilyModel:
             rule[rows] = block
         return rule
 
-    def rule_mixture(self, weights: np.ndarray) -> np.ndarray:
-        """``weights @ rule`` for ``(k, n_x)`` weights, summed over the row
-        blocks, so it holds one block of rule rows at a time."""
-        mixture = np.zeros((weights.shape[0], self.n_y))
+    def label_joint(self, encoder: np.ndarray) -> np.ndarray:
+        """``p(xhat, y) = sum_x p(x) p(xhat|x) p(y|x)`` (k, n_y) of an
+        ``(n_x, k)`` encoder, summed over the row blocks, so it holds one
+        block of rule rows at a time."""
+        joint = np.zeros((encoder.shape[1], self.n_y))
         for rows, block in self._rule_blocks():
-            mixture += weights[:, rows] @ block
-        return mixture
+            joint += (encoder[rows] * self.p_x[rows, None]).T @ block
+        return joint
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -220,24 +221,25 @@ def closed_information(model: ExpFamilyModel,
 
     which hold exactly at consistent fixed points (the decoder entropy is
     linear in the expected statistics, and the expected-feature matching
-    kills the cross term in ``I_x``).  The aggregates are recomputed from
-    the state of :class:`ExpBackend`: ``A_beta = weights @ features``,
-    ``lam_beta = decoder @ params`` and ``lam0_beta = log_z``.
+    kills the cross term in ``I_x``).  The aggregates of the alive
+    clusters are recomputed from the state of :class:`ExpBackend`:
+    ``A_beta = p(x|xhat) @ features``, ``lam_beta = decoder @ params`` and
+    ``lam0_beta = log_z``; dead clusters carry no mass and drop out.
     """
-    m, beta = state.marginal, state.beta
-    cluster_features = state.weights @ model.features
-    cluster_params = state.decoder @ model.params
+    alive, beta = state.alive(), state.beta
+    m, log_z = state.marginal[alive], state.log_z[alive]
+    inputs = (state.encoder[:, alive] * model.p_x[:, None] / m).T
+    cluster_features = inputs @ model.features
+    cluster_params = state.decoder[alive] @ model.params
     decoder_entropies = (np.sum(cluster_params * cluster_features, axis=1)
-                         + state.log_z)
-    with np.errstate(divide="ignore"):
-        log_m = np.log(m)
+                         + log_z)
     # log p(xhat) - beta * d[x, xhat] up to beta * log_normalizer(x).
     logits = -beta * model.features @ cluster_params.T + (
-        log_m + beta * decoder_entropies)
+        np.log(m) + beta * decoder_entropies)
     log_z_encoder = logsumexp(logits, axis=1)
-    mean_cluster_norm = float(m @ state.log_z)
+    mean_cluster_norm = float(m @ log_z)
     i_x = beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
-    p_y = model.rule_mixture(model.p_x[None, :])[0]
+    p_y = model.label_joint(np.ones((model.n_x, 1)))[0]
     i_y = entropy(p_y) - float(m @ decoder_entropies)
     mean_d = model.mean_log_normalizer - mean_cluster_norm
     return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
@@ -262,7 +264,6 @@ class ExpBackend(TableBackend):
         self.problem = model
         self.framework = Framework.DUAL
         self.n_x, self.n_y = model.n_x, model.n_y
-        self.p_x = model.p_x
         self.table, self.u, self.v = model.table, model.features, -model.params
 
     observables = TableBackend.observables  # perfbench/tracing.py patches

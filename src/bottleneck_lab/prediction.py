@@ -100,17 +100,21 @@ def mean_exponent_bound(state: BottleneckState,
                         joint: JointDistribution) -> float:
     """Cluster-averaged classification exponent at a solver state.
 
-    Evaluates ``E over p(y, cluster) of D[p(x|cluster) || p(x|y)]`` with
-    the state's own decoder supplying ``p(y|cluster)``.  For a
-    prediction-side state with ``beta >= 1`` this provably cannot exceed
-    the state's functional (the gap is ``(beta - 1) E[d]`` plus a decoder
-    divergence, both non-negative), and that is asserted; for ``beta < 1``
-    the slack terms can change sign, so a violation only warns.
+    Evaluates ``E over p(y, cluster) of D[p(x|cluster) || p(x|y)]`` over
+    the alive clusters, with the state's own decoder supplying
+    ``p(y|cluster)``.  For a prediction-side state with ``beta >= 1`` this
+    provably cannot exceed the state's functional (the gap is
+    ``(beta - 1) E[d]`` plus a decoder divergence, both non-negative), and
+    that is asserted; for ``beta < 1`` the slack terms can change sign, so
+    a violation only warns.
     """
+    alive = state.alive()
+    marginal = state.marginal[alive]
+    inputs = (state.encoder[:, alive] * joint.p_x[:, None] / marginal).T
     cond = joint.joint / joint.p_y[None, :]  # columns p(x | y)
-    kl_matrix = rel_entr(state.weights[:, None, :],
+    kl_matrix = rel_entr(inputs[:, None, :],
                          cond.T[None, :, :]).sum(axis=-1)  # (k, n_y)
-    bound = float(np.sum(state.marginal[:, None] * state.decoder
+    bound = float(np.sum(marginal[:, None] * state.decoder[alive]
                          * kl_matrix))
     if state.framework is Framework.DUAL:
         functional = state_observables(joint, state)[3]

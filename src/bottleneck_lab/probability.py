@@ -6,8 +6,7 @@ Conventions used throughout the package:
 * A "rule" is a row-stochastic matrix ``p(y|x)`` of shape ``(n_x, n_y)``:
   row ``x`` is the label distribution of input symbol ``x``.
 * Encoders are row-stochastic ``(n_x, n_xhat)``; decoders are row-stochastic
-  ``(n_xhat, n_y)``; inverse encoders ("weights" below) are row-stochastic
-  ``(n_xhat, n_x)``.
+  ``(n_xhat, n_y)``.
 * All information quantities are returned in nats.  Conversion to bits is a
   presentation concern and happens only at output time (see ``cli``).
 """
@@ -207,20 +206,21 @@ def logsumexp(a, axis: int | None = None):
 
     Returns the same float64 values as ``scipy.special.logsumexp(a, axis)``
     (same shape, and a 0-d ``np.float64`` for ``axis=None``) at a small
-    fraction of its per-call cost on the (k, n_y) rows of the solvers'
-    hot loops.  It keeps scipy's accurate formulation (Blanchard, Higham &
-    Higham, IMA J. Numer. Anal. 2021): the maximum is shifted out, its
-    ties are taken out of the sum of the remaining terms and enter as
-    ``log(ties)``, and the rest goes through ``log1p``.  ``-inf`` entries of
-    a row with a finite maximum contribute zero without warnings; rows
-    whose maximum is ``-inf``, ``+inf`` or NaN take the direct
-    ``log(sum(exp(a)))``, as scipy does.
+    fraction of its per-call cost on short rows: the per-input
+    log-normalizers of an exponential-family model and the scalar
+    evaluations of the Chernoff golden section.  It keeps scipy's accurate
+    formulation (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021):
+    the maximum is shifted out, its ties are taken out of the sum of the
+    remaining terms and enter as ``log(ties)``, and the rest goes through
+    ``log1p``.  ``-inf`` entries of a row with a finite maximum contribute
+    zero without warnings; rows whose maximum is ``-inf``, ``+inf`` or NaN
+    take the direct ``log(sum(exp(a)))``, as scipy does.
     """
     a = np.asarray(a, dtype=float)
     a_max = a.max(axis=axis, keepdims=True)
     finite = np.isfinite(a_max)
     # The hot path skips np.errstate: entering and leaving it costs about a
-    # third of the whole call on the solvers' (k, n_y) rows.
+    # third of the whole call on short rows.
     if finite.all():
         out = _max_shifted_logsumexp(a, a_max, axis, True)
     else:
@@ -337,10 +337,12 @@ class JointDistribution:
         """``[p(x) log p(y|x) | p(x)]``, the dual solver's statistics table."""
         return np.column_stack([self.p_x[:, None] * self.log_rule, self.p_x])
 
-    def rule_mixture(self, weights: np.ndarray) -> np.ndarray:
-        """``weights @ rule`` for ``(k, n_x)`` weights."""
-        return weights @ self.rule
+    def label_joint(self, encoder: np.ndarray) -> np.ndarray:
+        """``p(xhat, y) = sum_x p(x) p(xhat|x) p(y|x)`` (k, n_y) of an
+        ``(n_x, k)`` encoder."""
+        return encoder.T @ self.joint
 
+    @cached_property
     def mutual_information(self) -> float:
-        """``I(X;Y)`` of the stored joint, in nats."""
+        """``I(X;Y)`` of the stored joint, in nats, computed once."""
         return mutual_information(self.joint)

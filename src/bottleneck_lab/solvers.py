@@ -13,13 +13,14 @@ label ``Y`` of a fixed rule ``p(y|x)``:
   emphasis on predicting the label rather than summarizing it.
 
 Matrix conventions (see :mod:`bottleneck_lab.probability`): encoders are
-``(n_x, k)`` row-stochastic, inverse encoders ("weights") are ``(k, n_x)``,
-decoders are ``(k, n_y)``; the encoder update softmaxes cluster-major
-``(k, n_x)`` logits down their columns, as numpy reduces ``n_x`` rows of
-length ``k`` an order of magnitude slower.  Clusters whose marginal mass
-hits exactly zero freeze: their ``log p(xhat)`` term is ``-inf``, so the
-softmax encoder update keeps their column at zero without renormalizing
-them away — cluster indices stay stable for the whole run.
+``(n_x, k)`` row-stochastic and decoders ``(k, n_y)``, and everything a
+state holds is derived from its encoder; the encoder update softmaxes
+cluster-major ``(k, n_x)`` logits down their columns, as numpy reduces
+``n_x`` rows of length ``k`` an order of magnitude slower.  Clusters
+whose marginal mass hits exactly zero freeze: their ``log p(xhat)`` term
+is ``-inf``, so the softmax encoder update keeps their column at zero
+without renormalizing them away — cluster indices stay stable for the
+whole run.
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ def as_framework(value) -> Framework:
 class BottleneckState:
     """One self-consistent snapshot of a solver.
 
-    ``marginal``, ``weights`` and ``decoder`` are always the ones *derived*
-    from ``encoder`` (and the problem), so downstream identities that assume
+    ``marginal`` and ``decoder`` are always the ones *derived* from
+    ``encoder`` (and the problem), so downstream identities that assume
     chain consistency hold at machine precision, converged or not.
 
     ``log_z`` is the per-cluster log-normalizer of a geometric decoder
@@ -73,7 +74,6 @@ class BottleneckState:
     beta: float
     encoder: np.ndarray        # (n_x, k)
     marginal: np.ndarray       # (k,)
-    weights: np.ndarray        # (k, n_x) rows p(x | xhat)
     decoder: np.ndarray        # (k, n_y)
     log_z: np.ndarray | None = None
 
@@ -105,30 +105,14 @@ class SolveReport:
 # elementary steps
 # ---------------------------------------------------------------------------
 
-def inverse_encoder(encoder: np.ndarray,
-                    p_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(marginal, weights)`` implied by an encoder: ``p(xhat)`` and the
-    ``(k, n_x)`` rows ``p(x | xhat)``.
-
-    Dead clusters (zero marginal) get the prior ``p_x`` as placeholder
-    weights so their decoder rows stay well-defined; they carry no mass, so
-    nothing downstream depends on the placeholder.
-    """
-    marginal = encoder.T @ p_x
-    joint = encoder * p_x[:, None]
-    alive = marginal > 0.0
-    joint[:, alive] /= marginal[alive]
-    joint[:, ~alive] = p_x[:, None]
-    return marginal, joint.T
-
-
 def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
     """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` has the
-    marginal ``p(xhat)`` as its last column; the others divided by it give
-    the Bayes decoder (``ib_table``), ``weights @ log_rule`` (``dual_table``)
-    or the expected features (``ExpFamilyModel.table``).  Dead clusters get
-    the table's column sums, the statistics of the prior placeholder of
-    :func:`inverse_encoder`; ``dead`` masks them (``None`` if there are none).
+    marginal ``p(xhat)`` as its last column; the others divided by it are
+    expectations under ``p(x|xhat)``: the Bayes decoder (``ib_table``), the
+    mean log-rule (``dual_table``) or the expected features
+    (``ExpFamilyModel.table``).  Dead clusters get the table's column sums,
+    the expectations under the prior; ``dead`` masks them (``None`` if there
+    are none).
     """
     stats = encoder.T @ table
     marginal = stats[:, -1]
@@ -145,7 +129,7 @@ def _decode(framework: Framework, stats: np.ndarray,
             v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
-    normalized geometric mixture ``exp(weights @ U @ V.T - log_z)`` as a
+    normalized geometric mixture ``exp(E[U | xhat] @ V.T - log_z)`` as a
     max-shifted row softmax, where the log-rule is ``U @ V.T`` up to a
     per-input constant, ``U`` is in the table and ``v`` is ``V`` (``None``,
     the identity, for the table's ``U = log p(y|x)``)."""
@@ -198,33 +182,24 @@ def encoder_information(p_x: np.ndarray, encoder: np.ndarray,
     return float(p_x @ per_cell.sum(axis=1))
 
 
-def cluster_label_joint(problem, state) -> np.ndarray:
-    """Joint ``p(xhat, y)`` through the Markov chain ``Xhat - X - Y``.
-
-    Built from the inverse encoder and the *rule* (i.e. the Bayes decoder),
-    never from the framework decoder, so it is the true label joint for
-    either framework, and for the reduced solver.  The problem supplies
-    ``weights @ rule``: one product for a table, a sum over row blocks for
-    an exponential-family model.
-    """
-    return state.marginal[:, None] * problem.rule_mixture(state.weights)
-
-
 def state_observables(problem, state: BottleneckState
                       ) -> tuple[float, float, float, float]:
     """``(I(X;Xhat), I(Y;Xhat), E[d], functional)`` of a state on a table
     or a model, in nats: the observables of every backend.
 
-    The mean cost ``E[d]`` is ``I(X;Y) - I(Y;Xhat)`` for ``ib`` and
-    ``mean_log_normalizer - p(xhat) @ log_z`` for ``dual`` at any derived
-    state, converged or not, as its decoder is derived from its own
-    weights.  The functional is ``I(X;Xhat) - beta * I(Y;Xhat)`` for
+    ``I(Y;Xhat)`` reads the label joint ``p(xhat, y)`` through the Markov
+    chain ``Xhat - X - Y`` off the encoder and the *rule*, never the
+    framework decoder, so it is the true label information of either
+    framework.  The mean cost ``E[d]`` is ``I(X;Y) - I(Y;Xhat)`` for ``ib``
+    and ``mean_log_normalizer - p(xhat) @ log_z`` for ``dual`` at any
+    derived state, converged or not, as its decoder is derived from its own
+    encoder.  The functional is ``I(X;Xhat) - beta * I(Y;Xhat)`` for
     ``ib`` and ``I(X;Xhat) + beta * E[d]`` for ``dual``.
     """
     i_x = encoder_information(problem.p_x, state.encoder, state.marginal)
-    i_y = mutual_information(cluster_label_joint(problem, state))
+    i_y = mutual_information(problem.label_joint(state.encoder))
     if state.framework is Framework.IB:
-        return (i_x, i_y, problem.mutual_information() - i_y,
+        return (i_x, i_y, problem.mutual_information - i_y,
                 i_x - state.beta * i_y)
     mean_d = problem.mean_log_normalizer - float(state.marginal @ state.log_z)
     return i_x, i_y, mean_d, i_x + state.beta * mean_d
@@ -310,20 +285,18 @@ class TableBackend:
         self.problem = problem
         self.framework = as_framework(framework)
         self.n_x, self.n_y = problem.n_x, problem.n_y
-        self.p_x = problem.p_x
         self.table = (problem.ib_table if self.framework is Framework.IB
                       else problem.dual_table)
         self.u, self.v = problem.log_rule, None  # see _decode
 
     def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
-        """The state implied by an encoder: its cluster statistics, the
-        framework decoder and the inverse encoder."""
+        """The state implied by an encoder: the marginal of its cluster
+        statistics and the framework decoder."""
         marginal, stats, _ = _cluster_statistics(encoder, self.table)
         decoder, _, log_z = _decode(self.framework, stats, self.v)
         return BottleneckState(
             framework=self.framework, beta=float(beta), encoder=encoder,
-            marginal=marginal, weights=inverse_encoder(encoder, self.p_x)[1],
-            decoder=decoder, log_z=log_z)
+            marginal=marginal, decoder=decoder, log_z=log_z)
 
     def stepper(self, beta: float):
         """The map ``step(encoder) -> next encoder`` at ``beta``, with its
@@ -419,8 +392,8 @@ def solve(problem: JointDistribution, beta: float, framework, **options
 
     ``options`` are those of :func:`fixed_point`: ``n_clusters``,
     ``init_encoder``, ``tol``, ``max_iter`` and ``track_functional``.  The
-    returned state is rebuilt from the final encoder, so marginal, weights
-    and decoder are exactly consistent with it; its information values
+    returned state is rebuilt from the final encoder, so its marginal and
+    decoder are exactly consistent with it; its information values
     are :func:`state_observables`.
     """
     return fixed_point(TableBackend(problem, framework), beta, **options)

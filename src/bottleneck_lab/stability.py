@@ -21,8 +21,9 @@ matrices carry one exact structural zero eigenvalue:
 * ``dual``: ``B`` is centered so that the decoder row is an exact left
   null vector of ``c_yy``, for every label arity.
 
-Factors are evaluated at the decoder recomputed from the state's weights,
-so the zero is exact whether or not the state is fully converged.
+Factors take one cluster's input row ``q = p(x|xhat=c)`` and recompute
+its decoder row from ``q``, so the zero is exact whether or not the state
+is fully converged.
 """
 from __future__ import annotations
 
@@ -111,12 +112,17 @@ class StabilityMatrices:
         return float(lam.real)
 
 
-def cluster_factors(problem: JointDistribution, state: BottleneckState,
-                    c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of cluster
-    ``c``, with ``c_xx = A @ B`` and ``c_yy = B @ A``.
+def _cluster_inputs(problem: JointDistribution, state: BottleneckState,
+                   c: int) -> np.ndarray:
+    """``q = p(x | xhat=c)`` (n_x,), the input row of alive cluster ``c``."""
+    return state.encoder[:, c] * problem.p_x / state.marginal[c]
 
-    With ``q`` the cluster's weights row:
+
+def cluster_factors(problem: JointDistribution, framework,
+                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
+    with input row ``q = p(x|xhat)``, with ``c_xx = A @ B`` and
+    ``c_yy = B @ A``:
 
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
       where ``dec = q @ rule`` is the Bayes decoder row.
@@ -125,8 +131,7 @@ def cluster_factors(problem: JointDistribution, state: BottleneckState,
       decoder row; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]`` with
       ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
-    q = state.weights[c]
-    if state.framework is Framework.IB:
+    if framework == Framework.IB:  # a Framework or its value
         rule = problem.rule
         dec = q @ rule
         return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
@@ -139,9 +144,9 @@ def cluster_factors(problem: JointDistribution, state: BottleneckState,
     return a, b
 
 
-def build_matrices(problem: JointDistribution, state: BottleneckState,
-                   cluster_index: int) -> StabilityMatrices:
-    return StabilityMatrices(*cluster_factors(problem, state, cluster_index))
+def build_matrices(problem: JointDistribution, framework,
+                   q: np.ndarray) -> StabilityMatrices:
+    return StabilityMatrices(*cluster_factors(problem, framework, q))
 
 
 def stability_gaps(problem: JointDistribution,
@@ -149,7 +154,8 @@ def stability_gaps(problem: JointDistribution,
     """``g = beta * lambda2 - 1`` per cluster; dead clusters give ``nan``."""
     lams = np.full(state.n_clusters, np.nan)
     for c in np.flatnonzero(state.alive()):
-        lams[c] = build_matrices(problem, state, int(c)).second_eigenvalue()
+        lams[c] = build_matrices(problem, state.framework, _cluster_inputs(
+            problem, state, c)).second_eigenvalue()
     return state.beta * lams - 1.0
 
 
@@ -225,8 +231,9 @@ def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
         beta_mid = 0.5 * (lo + hi)
         warm, _ = solve(backend, beta_mid, init_encoder=warm.encoder,
                         tol=tol, max_iter=max_iter)
-        lam = build_matrices(backend.problem, warm,
-                             cluster).second_eigenvalue()
+        lam = build_matrices(backend.problem, backend.framework,
+                             _cluster_inputs(backend.problem, warm, cluster)
+                             ).second_eigenvalue()
         gap = beta_mid * lam - 1.0
         if abs(gap) <= g_tol:
             break

@@ -39,6 +39,23 @@ def random_encoder(rng: np.random.Generator, n_x: int, k: int) -> np.ndarray:
     return enc
 
 
+def inverse_encoder(encoder: np.ndarray,
+                    p_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(marginal, weights)`` implied by an encoder: ``p(xhat)`` and the
+    ``(k, n_x)`` rows ``p(x | xhat)``.
+
+    Dead clusters (zero marginal) get the prior ``p_x`` as placeholder
+    weights so their decoder rows stay well-defined; they carry no mass, so
+    nothing downstream depends on the placeholder.
+    """
+    marginal = encoder.T @ p_x
+    joint = encoder * p_x[:, None]
+    alive = marginal > 0.0
+    joint[:, alive] /= marginal[alive]
+    joint[:, ~alive] = p_x[:, None]
+    return marginal, joint.T
+
+
 def distortion_matrix(problem: JointDistribution, state) -> np.ndarray:
     """The ``(n_x, k)`` per-pair cost of the state's framework:
     ``KL(rule row x || decoder row c)`` for ``ib``,

@@ -82,7 +82,8 @@ from bottleneck_lab.solvers import (
 )
 from bottleneck_lab.stability import build_matrices, find_critical_points
 
-from conftest import direct_distortion, random_encoder, random_problem
+from conftest import (direct_distortion, inverse_encoder, random_encoder,
+                      random_problem)
 
 GOLDEN_GRID = log_grid(0.25, 64.0, 400)
 SWEEP_TOL = 1e-12
@@ -253,10 +254,9 @@ def _spectra_gap(first: np.ndarray, second: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def _binary_dual_closed_forms(problem, state, cluster):
+def _binary_dual_closed_forms(problem, q):
     """Two-label rank-factor closed forms (see TestBinaryClosedForms)."""
     log_rule = problem.log_rule
-    q = state.weights[cluster]
     delta = log_rule[:, 1] - log_rule[:, 0]
     c = q @ log_rule
     dec = np.exp(c - c.max())
@@ -280,8 +280,9 @@ def test_criterion_3_stability_eigenstructure(identity_suite):
             state, report = states[fw]
             if not report.converged:
                 continue
+            weights = inverse_encoder(state.encoder, problem.p_x)[1]
             for cluster in np.flatnonzero(state.alive()):
-                mats = build_matrices(problem, state, int(cluster))
+                mats = build_matrices(problem, fw, weights[cluster])
                 eig_xx = np.linalg.eigvals(mats.c_xx)
                 eig_yy = np.linalg.eigvals(mats.c_yy)
                 worst_zero = max(worst_zero, mats.lambda_min,
@@ -292,7 +293,7 @@ def test_criterion_3_stability_eigenstructure(identity_suite):
                 if fw == "dual" and problem.rule.shape[1] == 2:
                     n_binary += 1
                     c_xx, c_yy = _binary_dual_closed_forms(
-                        problem, state, int(cluster))
+                        problem, weights[cluster])
                     worst_closed = max(
                         worst_closed,
                         float(np.max(np.abs(mats.c_xx - c_xx))),

@@ -138,7 +138,7 @@ class TestSweep:
             assert record.converged
             assert record.effective_clusters == state.effective_clusters()
             assert record.decoder.shape == state.decoder.shape
-            assert -1e-12 <= record.i_y <= problem.mutual_information() + 1e-9
+            assert -1e-12 <= record.i_y <= problem.mutual_information + 1e-9
             assert record.i_x >= -1e-12
 
     def test_crosses_first_transition(self, demo_sweep):

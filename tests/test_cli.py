@@ -702,6 +702,20 @@ class TestExpfamCommand:
         assert_rejected(argv + ["--config", config], "--n-clusters",
                         tmp_path, capsys)
 
+    @pytest.mark.parametrize("mode, echoed", [
+        (["--beta", "8", "--n-clusters", "3"], False),
+        (["--beta-grid", "log:2:6:4"], True)], ids=["beta", "beta-grid"])
+    def test_run_config_echoes_split_settings_of_sweeps_only(
+            self, tmp_path, capsys, mode, echoed):
+        """A single-beta solve reads no split setting, so its
+        ``run_config.json`` leaves both out; a sweep echoes their values."""
+        assert main(["expfam", "--problem", str(RULE_FIXTURE), *mode,
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        config = json.loads((tmp_path / "run_config.json").read_text())
+        for key in ("split_eps", "merge_tol"):
+            assert (key in config) == echoed, key
+
     @pytest.mark.parametrize("flag, key, value", [
         ("--split-eps", "split_eps", 0.5),
         ("--merge-tol", "merge_tol", 0.9),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bottleneck_lab import cli, expfamily, solvers
+from bottleneck_lab import cli, expfamily
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
 from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
@@ -30,14 +30,13 @@ from bottleneck_lab.probability import (
 )
 from bottleneck_lab.solvers import (
     TableBackend,
-    cluster_label_joint,
     encoder_update,
     solve,
     state_observables,
 )
 
 from conftest import (PROPERTY_SETTINGS, direct_distortion, distortion_matrix,
-                      random_encoder, random_problem)
+                      inverse_encoder, random_encoder, random_problem)
 
 
 def binary_problem(rng):
@@ -206,7 +205,7 @@ class TestRowBlocks:
             random_encoder(local, model.n_x, k), beta)
         i_y = ExpBackend(model).observables(state)[1]
         want = mutual_information(
-            cluster_label_joint(model.reconstruct(), state))
+            model.reconstruct().label_joint(state.encoder))
         assert abs(i_y - want) <= 1e-13
 
     @PROPERTY_SETTINGS
@@ -227,6 +226,33 @@ class TestRowBlocks:
                 ExpFamilyModel(features=features, params=params)
         assert str(caught.value) == (
             f"features[{x}] @ params[{y}] is not finite")
+
+
+class TestLabelJoint:
+    """``label_joint(encoder)`` reads ``p(xhat, y)`` off the encoder, on a
+    table in one product and on a model over its row blocks."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(BLOCK_SHAPES),
+           d=st.integers(0, 3), k=st.integers(1, 4), n_dead=st.integers(0, 2))
+    def test_matches_the_inverse_encoder(self, seed, shape, d, k, n_dead):
+        """Both agree with ``p(xhat) p(y|xhat)`` through the inverse encoder
+        within 1e-15, a model agrees with its reconstructed table, and a
+        dead cluster's row is exactly zero."""
+        local = np.random.default_rng(seed)
+        model = generic_model(local, *shape, d=d)
+        for problem in (random_problem(local), model):
+            encoder = random_encoder(local, problem.n_x, k + n_dead)
+            dead = local.permutation(k + n_dead)[:n_dead]
+            encoder[:, dead] = 0.0
+            encoder /= encoder.sum(axis=1, keepdims=True)
+            joint = problem.label_joint(encoder)
+            marginal, weights = inverse_encoder(encoder, problem.p_x)
+            oracle = marginal[:, None] * (weights @ problem.rule)
+            assert np.abs(joint - oracle).max() <= 1e-15
+            assert np.all(joint[dead] == 0.0)
+        rebuilt = model.reconstruct().label_joint(encoder)
+        assert np.abs(joint - rebuilt).max() <= 1e-15
 
 
 class TestMemory:
@@ -283,8 +309,9 @@ class TestStateInvariants:
     def test_expectation_consistency(self, model_and_state):
         model, state = model_and_state
         cluster_features = cluster_features_of(model, state)
+        weights = inverse_encoder(state.encoder, model.p_x)[1]
         np.testing.assert_allclose(cluster_features,
-                                   state.weights @ model.features,
+                                   weights @ model.features,
                                    atol=1e-10)
         from scipy.special import logsumexp
         np.testing.assert_allclose(
@@ -325,7 +352,9 @@ class TestStateInvariants:
         encoder[:2, 0] = 1.0  # cluster 0 weighs inputs 0 and 1 by half
         encoder[2:, 1] = 1.0
         reduced = ExpBackend(model).derive(encoder, beta=1.0)
-        np.testing.assert_array_equal(reduced.weights[0], [0.5, 0.5, 0, 0, 0])
+        np.testing.assert_array_equal(
+            inverse_encoder(reduced.encoder, model.p_x)[1][0],
+            [0.5, 0.5, 0, 0, 0])
         direct = TableBackend(problem, "dual").derive(encoder, 1.0).decoder
         np.testing.assert_allclose(reduced.decoder[0], direct[0], atol=1e-10)
 
@@ -482,24 +511,17 @@ class TestSolve:
             assert report.n_iterations > 30
             assert calls == []
 
-    def test_step_builds_no_inverse_encoder(self, monkeypatch):
-        """The reduced step reads the model's statistics table: an untraced
-        solve builds the ``(k, n_x)`` weights once, for its final state."""
-        calls = []
-        original = solvers.inverse_encoder
-
-        def counting(encoder, p_x):
-            calls.append(encoder.shape)
-            return original(encoder, p_x)
-
-        monkeypatch.setattr(solvers, "inverse_encoder", counting)
-        model = ExpFamilyModel.from_conditional(binary_overlap5())
-        _, report = exp_solve(model, 5.0, max_iter=25,
-                              init_encoder=random_encoder(
-                                  np.random.default_rng(3), model.n_x, 3),
-                              tol=0.0, track_functional=False)
-        assert report.n_iterations == 25
-        assert len(calls) == 1
+    @pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])
+    def test_derive_allocates_nothing_input_sized(self, solver):
+        """A derived state holds the encoder and ``(k, *)`` arrays only:
+        deriving one peaks below half of an ``(n_x, k)`` array.  Few labels
+        keep the ``(k, n_y)`` decoder arrays far below that bound."""
+        model = large_model(n_y=10)
+        backend = (ExpBackend(model) if solver == "reduced"
+                   else TableBackend(model.reconstruct(), solver))
+        encoder = random_encoder(np.random.default_rng(3), model.n_x, 4)
+        _, peak = traced_peak(lambda: backend.derive(encoder, 2.0))
+        assert peak < encoder.nbytes / 2
 
     def test_deterministic(self):
         model = ExpFamilyModel.from_conditional(binary_overlap5())

@@ -147,7 +147,7 @@ class TestMeanExponentBound:
         # collapses to -E[log p(x|y)] = H(X|Y).
         problem = random_problem(rng)
         state = TableBackend(problem, "ib").derive(np.eye(problem.n_x), 3.0)
-        h_x_given_y = entropy(problem.p_x) - problem.mutual_information()
+        h_x_given_y = entropy(problem.p_x) - problem.mutual_information
         assert_allclose(mean_exponent_bound(state, problem), h_x_given_y,
                         atol=1e-12)
 

@@ -31,7 +31,8 @@ from bottleneck_lab.probability import (
 )
 from bottleneck_lab.solvers import TableBackend
 
-from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from conftest import (PROPERTY_SETTINGS, inverse_encoder, random_encoder,
+                      random_problem)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,8 @@ class TestDecoders:
             k = int(rng.integers(1, 5))
             state = TableBackend(problem, "dual").derive(
                 random_encoder(rng, problem.n_x, k), 1.0)
-            w, rows, log_z = state.weights, state.decoder, state.log_z
+            w = inverse_encoder(state.encoder, problem.p_x)[1]
+            rows, log_z = state.decoder, state.log_z
             for c in range(k):
                 direct = sum(
                     w[c, x] * kl_divergence(rows[c], problem.rule[x])
@@ -189,10 +191,11 @@ class TestDecoders:
         problem = random_problem(rng, n_x=4, n_y=3)
         state = TableBackend(problem, "dual").derive(
             random_encoder(rng, 4, 2), 1.0)
+        weights = inverse_encoder(state.encoder, problem.p_x)[1]
         brute = np.ones((2, 3))
         for c in range(2):
             for x in range(4):
-                brute[c] *= problem.rule[x] ** state.weights[c, x]
+                brute[c] *= problem.rule[x] ** weights[c, x]
         brute /= brute.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(state.decoder, brute, atol=1e-13)
 
@@ -267,7 +270,7 @@ class TestJointDistribution:
 
     def test_mutual_information_method(self, rng):
         problem = random_problem(rng)
-        assert problem.mutual_information() == pytest.approx(
+        assert problem.mutual_information == pytest.approx(
             oracle_mi(problem.joint.tolist()), abs=1e-12)
 
     def test_conditional_from_joint_handles_empty_rows(self):

@@ -14,7 +14,6 @@ The constructions are checked three independent ways:
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,8 +39,8 @@ from bottleneck_lab.stability import (
     stability_gaps,
 )
 
-from conftest import (PROPERTY_SETTINGS, distortion_matrix, random_encoder,
-                      random_problem)
+from conftest import (PROPERTY_SETTINGS, distortion_matrix, inverse_encoder,
+                      random_encoder, random_problem)
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
@@ -56,6 +55,11 @@ def converged_state(problem, framework, beta, k, seed):
                           tol=1e-13)
     assert report.converged
     return state
+
+
+def weights_of(problem, state):
+    """The ``(k, n_x)`` rows ``p(x|xhat)`` of a state, by the oracle."""
+    return inverse_encoder(state.encoder, problem.p_x)[1]
 
 
 def assert_spectra_match(first, second, atol):
@@ -106,9 +110,7 @@ class TestIbMatrices:
         weights row, converged or not."""
         problem = random_problem(rng)
         q = rng.dirichlet(np.ones(problem.n_x))
-        state = TableBackend(problem, "ib").derive(
-            q[:, None] * 0 + 1.0, 2.0)  # encoder unused
-        mats = build_matrices(problem, replace(state, weights=q[None, :]), 0)
+        mats = build_matrices(problem, "ib", q)
         dec = q @ problem.rule
         raw_xx = mats.c_xx + q[None, :]
         raw_yy = mats.c_yy + dec[None, :]
@@ -121,7 +123,7 @@ class TestIbMatrices:
         problem = random_problem(rng)
         state = converged_state(problem, "ib", 3.0, 2, seed=11)
         for c in np.flatnonzero(state.alive()):
-            q = state.weights[c]
+            q = weights_of(problem, state)[c]
             rule = problem.rule
             dec = q @ rule
             c_xx = np.array([[
@@ -132,7 +134,7 @@ class TestIbMatrices:
                 sum(rule[x, y] * q[x] * rule[x, yp]
                     for x in range(problem.n_x)) / dec[y] - dec[yp]
                 for yp in range(problem.n_y)] for y in range(problem.n_y)])
-            mats = build_matrices(problem, state, int(c))
+            mats = build_matrices(problem, "ib", q)
             np.testing.assert_allclose(mats.c_xx, c_xx, atol=1e-13)
             np.testing.assert_allclose(mats.c_yy, c_yy, atol=1e-13)
 
@@ -140,8 +142,8 @@ class TestIbMatrices:
         problem = random_problem(rng)
         state = converged_state(problem, "ib", 2.5, 2, seed=4)
         for c in np.flatnonzero(state.alive()):
-            mats = build_matrices(problem, state, int(c))
-            q = state.weights[c]
+            q = weights_of(problem, state)[c]
+            mats = build_matrices(problem, "ib", q)
             dec = q @ problem.rule
             np.testing.assert_allclose(q @ mats.c_xx, 0.0, atol=1e-12)
             np.testing.assert_allclose(dec @ mats.c_yy, 0.0, atol=1e-12)
@@ -152,9 +154,9 @@ class TestIbMatrices:
         # eigenvalue is the one produced by a correctly scaled deflation
         problem = random_problem(rng, n_x=5, n_y=3)
         state = converged_state(problem, "ib", 2.5, 1, seed=2)
-        bad = replace(state, weights=state.weights * 1.31)
+        bad = weights_of(problem, state)[0] * 1.31
         with pytest.warns(UserWarning, match="structural zero"):
-            build_matrices(problem, bad, 0)
+            build_matrices(problem, "ib", bad)
 
 
 class TestDualMatrices:
@@ -163,7 +165,7 @@ class TestDualMatrices:
         state = converged_state(problem, "dual", 3.0, 2, seed=7)
         log_rule = problem.log_rule
         for ci in np.flatnonzero(state.alive()):
-            q = state.weights[ci]
+            q = weights_of(problem, state)[ci]
             c = np.array([np.dot(q, log_rule[:, y])
                           for y in range(problem.n_y)])
             dec = np.exp(c - c.max())
@@ -176,10 +178,10 @@ class TestDualMatrices:
             b_loops = np.array([[(log_rule[x, y] - r[x]) * q[x]
                                  for x in range(problem.n_x)]
                                 for y in range(problem.n_y)])
-            a, b = cluster_factors(problem, state, int(ci))
+            a, b = cluster_factors(problem, "dual", q)
             np.testing.assert_allclose(a, a_loops, atol=1e-13)
             np.testing.assert_allclose(b, b_loops, atol=1e-13)
-            mats = build_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, "dual", q)
             np.testing.assert_allclose(mats.c_xx, a @ b, atol=1e-14)
             np.testing.assert_allclose(mats.c_yy, b @ a, atol=1e-14)
 
@@ -189,11 +191,8 @@ class TestDualMatrices:
         for trial in range(5):
             problem = random_problem(rng)
             q = rng.dirichlet(np.ones(problem.n_x))
-            state = converged_state(problem, "dual", 2.0, 1, seed=trial)
-            mats = build_matrices(
-                problem, replace(state, weights=q[None, :]), 0)
-            a, b = cluster_factors(problem,
-                                   replace(state, weights=q[None, :]), 0)
+            mats = build_matrices(problem, "dual", q)
+            a, b = cluster_factors(problem, "dual", q)
             log_unnorm = q @ problem.log_rule
             dec = np.exp(log_unnorm - log_unnorm.max())
             dec /= dec.sum()
@@ -205,7 +204,7 @@ class TestDualMatrices:
     def test_c_xx_rank_bounded_by_n_y(self, rng):
         problem = random_problem(rng, n_x=6, n_y=2)
         state = converged_state(problem, "dual", 2.0, 1, seed=9)
-        mats = build_matrices(problem, state, 0)
+        mats = build_matrices(problem, "dual", weights_of(problem, state)[0])
         eigs = np.sort(np.abs(np.linalg.eigvals(mats.c_xx)))
         assert (eigs[:-2] < 1e-12).all()  # at most n_y nonzero eigenvalues
 
@@ -217,7 +216,8 @@ class TestSpectraAgree:
             problem = random_problem(rng)
             state = converged_state(problem, framework, 2.8, 2, seed=seed)
             for c in np.flatnonzero(state.alive()):
-                mats = build_matrices(problem, state, int(c))
+                mats = build_matrices(problem, framework,
+                                      weights_of(problem, state)[c])
                 assert_spectra_match(np.linalg.eigvals(mats.c_xx),
                                      np.linalg.eigvals(mats.c_yy),
                                      atol=1e-9)
@@ -236,9 +236,7 @@ class TestFactorForm:
         problem = random_problem(rng)
         n_x, n_y = problem.n_x, problem.n_y
         q = rng.dirichlet(np.ones(n_x))
-        state = TableBackend(problem, framework).derive(
-            random_encoder(rng, n_x, 1), 2.0)
-        mats = build_matrices(problem, replace(state, weights=q[None, :]), 0)
+        mats = build_matrices(problem, framework, q)
         xs, ys = range(n_x), range(n_y)
         if framework == "ib":
             rule = problem.rule
@@ -296,7 +294,7 @@ class TestBinaryClosedForms:
         problem, state = self.binary_state(rng, seed)
         log_rule = problem.log_rule
         for ci in np.flatnonzero(state.alive()):
-            q = state.weights[ci]
+            q = weights_of(problem, state)[ci]
             delta = log_rule[:, 1] - log_rule[:, 0]
             c = q @ log_rule
             mean_delta = q @ delta
@@ -310,7 +308,7 @@ class TestBinaryClosedForms:
             b1 = d0 * delta * q
             c_yy_closed = np.array([[b0 @ a0, b0 @ a1],
                                     [b1 @ a0, b1 @ a1]])
-            mats = build_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, "dual", q)
             np.testing.assert_allclose(mats.c_xx, c_xx_closed, atol=1e-12)
             np.testing.assert_allclose(mats.c_yy, c_yy_closed, atol=1e-12)
 
@@ -319,13 +317,13 @@ class TestBinaryClosedForms:
         problem, state = self.binary_state(rng, seed)
         log_rule = problem.log_rule
         for ci in np.flatnonzero(state.alive()):
-            q = state.weights[ci]
+            q = weights_of(problem, state)[ci]
             delta = log_rule[:, 1] - log_rule[:, 0]
             c = q @ log_rule
             dec = np.exp(c - c.max())
             dec /= dec.sum()
             var = q @ delta**2 - (q @ delta) ** 2
-            mats = build_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, "dual", q)
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(dec[0] * dec[1] * var, abs=1e-12)
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-12)
@@ -335,7 +333,8 @@ class TestBinaryClosedForms:
         problem = random_problem(rng, n_y=2)
         state = converged_state(problem, "ib", 3.0, 2, seed=5)
         for ci in np.flatnonzero(state.alive()):
-            mats = build_matrices(problem, state, int(ci))
+            mats = build_matrices(problem, "ib",
+                                  weights_of(problem, state)[ci])
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-10)
 
@@ -384,7 +383,8 @@ class TestAgainstUpdateJacobian:
         np.testing.assert_allclose(
             alternating_update(problem, framework, beta, doubled), doubled,
             atol=5e-12)
-        lam2 = build_matrices(problem, state, 0).second_eigenvalue()
+        q = weights_of(problem, state)[0]
+        lam2 = build_matrices(problem, framework, q).second_eigenvalue()
         eigs = np.linalg.eigvals(update_jacobian(problem, framework, beta,
                                                  doubled))
         assert np.abs(eigs.imag).max() < 1e-6
@@ -416,7 +416,8 @@ class TestMatrixWork:
         when read, with the value of the explicit formula."""
         problem = random_problem(rng)
         state = converged_state(problem, framework, 3.0, 2, seed=5)
-        lam = build_matrices(problem, state, 0).second_eigenvalue()
+        q = weights_of(problem, state)[0]
+        lam = build_matrices(problem, framework, q).second_eigenvalue()
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -425,11 +426,11 @@ class TestMatrixWork:
             return eigvals(matrix)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        mats = build_matrices(problem, state, 0)
+        mats = build_matrices(problem, framework, q)
         assert mats.second_eigenvalue() == lam
         assert calls == [(problem.n_y, problem.n_y)]
         assert "c_xx" not in vars(mats)
-        a, b = cluster_factors(problem, state, 0)
+        a, b = cluster_factors(problem, framework, q)
         np.testing.assert_array_equal(mats.c_xx, a @ b)
 
 
