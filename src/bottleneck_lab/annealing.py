@@ -210,26 +210,3 @@ def trace_to_csv(trace: AnnealTrace, path) -> None:
             flat = [repr(float(v)) for v in r.decoder.ravel()]
             flat += [""] * (width * trace.n_y - len(flat))
             writer.writerow(cells + flat)
-
-
-def trace_from_csv(path) -> AnnealTrace:
-    """Inverse of :func:`trace_to_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dec_cols = [h for h in header if h.startswith("dec_xhat")]
-        n_y = 1 + max(int(h.rsplit("_y", 1)[1]) for h in dec_cols)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path} has no records")
-    trace = AnnealTrace(framework=rows[0][0], n_y=n_y)
-    base = len(_SCALAR_COLUMNS) + 2  # framework + scalars + units
-    for cells in rows:
-        flat = [float(v) for v in cells[base:] if v != ""]
-        decoder = np.array(flat).reshape(-1, n_y)
-        trace.records.append(SweepRecord(
-            beta=float(cells[1]), i_x=float(cells[2]), i_y=float(cells[3]),
-            functional=float(cells[4]), n_iterations=int(cells[5]),
-            effective_clusters=int(cells[6]), converged=cells[7] == "true",
-            decoder=decoder))
-    return trace

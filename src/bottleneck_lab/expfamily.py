@@ -29,7 +29,6 @@ from .probability import (
     JointDistribution,
     as_finite,
     as_marginal,
-    entropy,
     logsumexp,
     mutual_information,  # noqa: F401  (perfbench/tracing.py patches it)
     smooth_rows,
@@ -193,56 +192,6 @@ class ExpFamilyModel:
         log_rule = problem.log_rule
         return cls(features=(log_rule[:, 0] - log_rule[:, 1])[:, None],
                    params=np.array([[0.0], [1.0]]), p_x=problem.p_x)
-
-
-@dataclass
-class ClosedFormInformation:
-    """Information quantities assembled from reduced aggregates only
-    (plus the constants ``H(Y)`` and ``E[log_normalizer(x)]``).
-
-    ``i_y`` here is the label-uncertainty form
-    ``H(Y) - E[H(decoder row)]``; it coincides with the mutual information
-    through the cluster variable only when the decoder-implied label
-    marginal matches ``p_y``.
-    """
-
-    i_x: float
-    i_y: float
-    mean_distortion: float
-
-
-def closed_information(model: ExpFamilyModel,
-                       state: BottleneckState) -> ClosedFormInformation:
-    """Evaluate the closed forms
-
-    ``I_x  = beta * E[lam0_beta] - E_{p_x}[log Z_enc]``
-    ``I_y  = H(Y) - E[sum_r lam_beta A_beta + lam0_beta]``
-    ``E[d] = E_{p_x}[log_normalizer] - E[lam0_beta]``
-
-    which hold exactly at consistent fixed points (the decoder entropy is
-    linear in the expected statistics, and the expected-feature matching
-    kills the cross term in ``I_x``).  The aggregates of the alive
-    clusters are recomputed from the state of :class:`ExpBackend`:
-    ``A_beta = p(x|xhat) @ features``, ``lam_beta = decoder @ params`` and
-    ``lam0_beta = log_z``; dead clusters carry no mass and drop out.
-    """
-    alive, beta = state.alive(), state.beta
-    m, log_z = state.marginal[alive], state.log_z[alive]
-    inputs = (state.encoder[:, alive] * model.p_x[:, None] / m).T
-    cluster_features = inputs @ model.features
-    cluster_params = state.decoder[alive] @ model.params
-    decoder_entropies = (np.sum(cluster_params * cluster_features, axis=1)
-                         + log_z)
-    # log p(xhat) - beta * d[x, xhat] up to beta * log_normalizer(x).
-    logits = -beta * model.features @ cluster_params.T + (
-        np.log(m) + beta * decoder_entropies)
-    log_z_encoder = logsumexp(logits, axis=1)
-    mean_cluster_norm = float(m @ log_z)
-    i_x = beta * mean_cluster_norm - float(model.p_x @ log_z_encoder)
-    p_y = model.label_joint(np.ones((model.n_x, 1)))[0]
-    i_y = entropy(p_y) - float(m @ decoder_entropies)
-    mean_d = model.mean_log_normalizer - mean_cluster_norm
-    return ClosedFormInformation(i_x=i_x, i_y=i_y, mean_distortion=mean_d)
 
 
 class ExpBackend(TableBackend):

@@ -1,15 +1,13 @@
-"""Multi-class prediction-error experiments and exponent bounds.
+"""Multi-class prediction-error experiments.
 
 Ties the solvers to downstream classification: Chernoff information for
-pairwise exponents, the cluster-averaged exponent bound that the
-prediction-side functional dominates, and a seeded Monte-Carlo experiment
-measuring misclassification rates of encoder-compressed empirical
-distributions as the test-set size grows.
+pairwise exponents, and a seeded Monte-Carlo experiment measuring
+misclassification rates of encoder-compressed empirical distributions as
+the test-set size grows.
 """
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -24,14 +22,7 @@ from .probability import (
     rel_entr,
     smooth_rows,
 )
-from .solvers import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    BottleneckState,
-    Framework,
-    as_framework,
-    state_observables,
-)
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, as_framework
 
 #: Golden ratio conjugate: interval shrink factor per golden-section step.
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -88,46 +79,6 @@ def chernoff_information(p0, p1) -> tuple[float, float]:
             g_d = g(d)
     lam = 0.5 * (a + b)
     return -g(lam), lam
-
-
-def tilted_mixture(p0, p1, lam: float) -> np.ndarray:
-    """The normalized geometric intermediate ``p_lam ∝ p0^lam p1^(1-lam)``."""
-    log_mix = lam * np.log(p0) + (1.0 - lam) * np.log(p1)
-    return np.exp(log_mix - logsumexp(log_mix))
-
-
-def mean_exponent_bound(state: BottleneckState,
-                        joint: JointDistribution) -> float:
-    """Cluster-averaged classification exponent at a solver state.
-
-    Evaluates ``E over p(y, cluster) of D[p(x|cluster) || p(x|y)]`` over
-    the alive clusters, with the state's own decoder supplying
-    ``p(y|cluster)``.  For a prediction-side state with ``beta >= 1`` this
-    provably cannot exceed the state's functional (the gap is
-    ``(beta - 1) E[d]`` plus a decoder divergence, both non-negative), and
-    that is asserted; for ``beta < 1`` the slack terms can change sign, so
-    a violation only warns.
-    """
-    alive = state.alive()
-    marginal = state.marginal[alive]
-    inputs = (state.encoder[:, alive] * joint.p_x[:, None] / marginal).T
-    cond = joint.joint / joint.p_y[None, :]  # columns p(x | y)
-    kl_matrix = rel_entr(inputs[:, None, :],
-                         cond.T[None, :, :]).sum(axis=-1)  # (k, n_y)
-    bound = float(np.sum(marginal[:, None] * state.decoder[alive]
-                         * kl_matrix))
-    if state.framework is Framework.DUAL:
-        functional = state_observables(joint, state)[3]
-        if state.beta >= 1.0 and not bound <= functional + 1e-9:
-            raise AssertionError(
-                f"exponent bound {bound:.12g} exceeds the functional "
-                f"{functional:.12g} at beta = {state.beta:g}")
-        if state.beta < 1.0 and not bound <= functional + 1e-9:
-            warnings.warn(
-                f"exponent bound {bound:.6g} exceeds the functional "
-                f"{functional:.6g} at beta = {state.beta:g} < 1; the "
-                "domination argument needs beta >= 1", UserWarning)
-    return bound
 
 
 @dataclass

@@ -38,10 +38,6 @@ class NormalizationError(DistributionError):
     """An array that must sum to one does not, beyond tolerance."""
 
 
-class UndefinedDivergenceError(DistributionError):
-    """KL divergence requested where the reference has a support hole."""
-
-
 def _require_normalized(arr: np.ndarray, name: str) -> None:
     total = arr.sum()
     if abs(total - 1.0) > NORMALIZATION_ATOL:
@@ -110,38 +106,6 @@ def as_marginal(values, name: str, n: int) -> np.ndarray:
         raise DistributionError(
             f"{name} must be strictly positive (drop unused symbols)")
     return vec
-
-
-def entropy(p) -> float:
-    """Shannon entropy of a distribution, in nats.
-
-    Zero cells contribute zero.  Raises :class:`NormalizationError` if ``p``
-    does not sum to one within ``NORMALIZATION_ATOL``.
-    """
-    p = _non_negative(p, "p", 1)
-    _require_normalized(p, "p")
-    return float(-xlogx(p).sum())
-
-
-def kl_divergence(p, q) -> float:
-    """``KL(p || q)`` in nats.
-
-    ``p`` must be normalized; ``q`` must be strictly positive wherever ``p``
-    is (a support hole raises :class:`UndefinedDivergenceError`, distinct
-    from normalization problems).  ``q`` itself is not required to be
-    normalized — callers occasionally compare against unnormalized reference
-    weights — but every standard use in this package passes distributions.
-    """
-    p = _non_negative(p, "p", 1)
-    q = _non_negative(q, "q", 1)
-    if p.shape != q.shape:
-        raise DistributionError(
-            f"shape mismatch: p {p.shape} vs q {q.shape}")
-    _require_normalized(p, "p")
-    if np.any((q == 0.0) & (p > 0.0)):
-        raise UndefinedDivergenceError(
-            "q has zero mass where p is positive; KL(p||q) is undefined")
-    return float(rel_entr(p, q).sum())
 
 
 def mutual_information(joint) -> float:

@@ -156,19 +156,6 @@ def _column_softmax(logits: np.ndarray) -> np.ndarray:
     return enc
 
 
-def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
-                   beta: float) -> np.ndarray:
-    """Softmax re-estimation ``p(xhat|x) ∝ p(xhat) * exp(-beta * d[x, xhat])``.
-
-    Computed in log space by :func:`_column_softmax` on the transposed
-    logits; zero-mass clusters give ``log p(xhat) = -inf`` and therefore
-    stay at exactly zero.
-    """
-    with np.errstate(divide="ignore"):
-        log_marginal = np.log(marginal)
-    return _column_softmax(log_marginal[:, None] - beta * distortion.T).T
-
-
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
@@ -203,37 +190,6 @@ def state_observables(problem, state: BottleneckState
                 i_x - state.beta * i_y)
     mean_d = problem.mean_log_normalizer - float(state.marginal @ state.log_z)
     return i_x, i_y, mean_d, i_x + state.beta * mean_d
-
-
-@dataclass
-class DualDistortionSplit:
-    """Exact two-part split of the mean dual cost.
-
-    ``label_info_shift``    = ``I(Xhat;Yhat) - I(X;Yhat)`` where ``Yhat`` is
-    the label *predicted* through encoder + decoder.  ``prediction_mismatch``
-    = ``E_{p(x)}[KL(predicted row x || rule row x)] >= 0``.  Their sum equals
-    ``E[KL(decoder || rule)]`` identically for any consistent state.
-    """
-
-    total: float
-    label_info_shift: float
-    prediction_mismatch: float
-
-
-def dual_distortion_split(problem: JointDistribution,
-                          state: BottleneckState) -> DualDistortionSplit:
-    p_x = problem.p_x
-    predicted = state.encoder @ state.decoder          # (n_x, n_y) rows
-    i_pred_clusters = mutual_information(
-        state.marginal[:, None] * state.decoder)
-    i_pred_inputs = mutual_information(p_x[:, None] * predicted)
-    shift = i_pred_clusters - i_pred_inputs
-    mismatch = float(np.sum(
-        p_x[:, None] * (xlogx(predicted)
-                        - predicted * problem.log_rule)))
-    return DualDistortionSplit(total=shift + mismatch,
-                               label_info_shift=shift,
-                               prediction_mismatch=mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bottleneck_lab.probability import JointDistribution, xlogx
-from bottleneck_lab.solvers import Framework
+from bottleneck_lab.probability import JointDistribution
 
 #: Property tests draw the same examples on every run and keep no example
 #: database, so the suite's verdict is reproducible.
@@ -37,42 +36,6 @@ def random_problem(rng: np.random.Generator, n_x: int | None = None,
 def random_encoder(rng: np.random.Generator, n_x: int, k: int) -> np.ndarray:
     enc = rng.dirichlet(np.ones(k), size=n_x)
     return enc
-
-
-def inverse_encoder(encoder: np.ndarray,
-                    p_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(marginal, weights)`` implied by an encoder: ``p(xhat)`` and the
-    ``(k, n_x)`` rows ``p(x | xhat)``.
-
-    Dead clusters (zero marginal) get the prior ``p_x`` as placeholder
-    weights so their decoder rows stay well-defined; they carry no mass, so
-    nothing downstream depends on the placeholder.
-    """
-    marginal = encoder.T @ p_x
-    joint = encoder * p_x[:, None]
-    alive = marginal > 0.0
-    joint[:, alive] /= marginal[alive]
-    joint[:, ~alive] = p_x[:, None]
-    return marginal, joint.T
-
-
-def distortion_matrix(problem: JointDistribution, state) -> np.ndarray:
-    """The ``(n_x, k)`` per-pair cost of the state's framework:
-    ``KL(rule row x || decoder row c)`` for ``ib``,
-    ``KL(decoder row c || rule row x)`` for ``dual``."""
-    if state.framework is Framework.IB:
-        rule_neg_entropy = np.sum(problem.rule * problem.log_rule, axis=1)
-        return (rule_neg_entropy[:, None]
-                - problem.rule @ np.log(state.decoder).T)
-    dec_neg_entropy = xlogx(state.decoder).sum(axis=1)
-    return dec_neg_entropy - problem.log_rule @ state.decoder.T
-
-
-def direct_distortion(problem: JointDistribution, state) -> float:
-    """``E[d]`` as the direct sum ``sum_x p(x) sum_c p(c|x) d(x, c)`` over
-    :func:`distortion_matrix`."""
-    return float(np.sum(problem.p_x[:, None] * state.encoder
-                        * distortion_matrix(problem, state)))
 
 
 @pytest.fixture

@@ -59,31 +59,23 @@ from scipy.stats import entropy
 
 from bottleneck_lab.annealing import log_grid, sweep
 from bottleneck_lab.cli import main as cli_main
-from bottleneck_lab.datasets import binary_overlap5, make_class_mixture
-from bottleneck_lab.expfamily import (
-    ExpFamilyModel,
-    closed_information,
-    exp_sweep,
-)
+from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
 from bottleneck_lab.prediction import (
     DEFAULT_BETAS,
     WARM_LADDER,
     ClassificationProblem,
     chernoff_information,
-    mean_exponent_bound,
     run_prediction_experiment,
 )
-from bottleneck_lab.probability import kl_divergence, mutual_information
-from bottleneck_lab.solvers import (
-    dual_distortion_split,
-    encoder_information,
-    solve,
-    state_observables,
-)
+from bottleneck_lab.probability import mutual_information
+from bottleneck_lab.solvers import (encoder_information, solve,
+                                    state_observables)
 from bottleneck_lab.stability import build_matrices, find_critical_points
 
-from conftest import (direct_distortion, inverse_encoder, random_encoder,
-                      random_problem)
+from conftest import random_encoder, random_problem
+from oracles import (binary_overlap5, closed_information, direct_distortion,
+                     dual_distortion_split, inverse_encoder, kl_divergence,
+                     make_class_mixture, mean_exponent_bound)
 
 GOLDEN_GRID = log_grid(0.25, 64.0, 400)
 SWEEP_TOL = 1e-12

@@ -13,14 +13,13 @@ from bottleneck_lab.annealing import (
     run_sweep,
     split_and_perturb,
     sweep,
-    trace_from_csv,
     trace_to_csv,
 )
-from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel
 from bottleneck_lab.solvers import DEFAULT_MAX_ITER, TableBackend, solve
 
 from conftest import random_encoder, random_problem
+from oracles import binary_overlap5, trace_from_csv
 
 # First phase transition of the demo problem per framework (refined by the
 # stability module and pinned by its tests); used here only to pick betas

@@ -10,8 +10,9 @@ import pytest
 
 from bottleneck_lab import cli
 from bottleneck_lab.annealing import log_grid, sweep
-from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
+
+from oracles import binary_overlap5
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bottleneck_lab import prediction
-from bottleneck_lab.annealing import log_grid, trace_from_csv
+from bottleneck_lab.annealing import log_grid
 from bottleneck_lab.cli import (
     ValidationError,
     build_parser,
@@ -25,13 +25,13 @@ from bottleneck_lab.cli import (
     parse_beta_grid,
     resolve_config,
 )
-from bottleneck_lab.datasets import BINARY_OVERLAP5_PY0, make_class_mixture
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve
 from bottleneck_lab.prediction import ClassificationProblem
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import DEFAULT_TOL, solve
 
 from conftest import PROPERTY_SETTINGS
+from oracles import BINARY_OVERLAP5_PY0, make_class_mixture, trace_from_csv
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RULE_FIXTURE = PROBLEMS / "binary_overlap5.json"

@@ -13,30 +13,24 @@ from hypothesis import strategies as st
 
 from bottleneck_lab import cli, expfamily
 from bottleneck_lab.annealing import SplitConfig, log_grid, sweep
-from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (
     ExpFamilyModel,
     ExpBackend,
-    closed_information,
     exp_solve,
     exp_sweep,
 )
 from bottleneck_lab.probability import (
     DistributionError,
-    entropy,
     logsumexp,
     mutual_information,
     smooth_rows,
 )
-from bottleneck_lab.solvers import (
-    TableBackend,
-    encoder_update,
-    solve,
-    state_observables,
-)
+from bottleneck_lab.solvers import TableBackend, solve, state_observables
 
-from conftest import (PROPERTY_SETTINGS, direct_distortion, distortion_matrix,
-                      inverse_encoder, random_encoder, random_problem)
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from oracles import (binary_overlap5, closed_information, direct_distortion,
+                     distortion_matrix, encoder_update, entropy,
+                     family_residual, inverse_encoder)
 
 
 def binary_problem(rng):
@@ -565,3 +559,25 @@ class TestSweepEquivalence:
             assert a.effective_clusters == b.effective_clusters
             assert a.i_x == pytest.approx(b.i_x, abs=1e-9)
             assert a.i_y == pytest.approx(b.i_y, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_keeps_the_family_and_ib_leaves_it(seed):
+    """Claim (iii) as a contrast.  With d = 2 < n_y - 1 the family is a
+    proper subset of the label simplex.  Every converged dual state of a
+    sweep of the model's table decodes inside it, and the ib leaves it,
+    which is why only the dual has a reduced solver."""
+    rng = np.random.default_rng(seed)
+    model = ExpFamilyModel(features=rng.normal(0.0, 1.0, size=(30, 2)),
+                           params=rng.normal(0.0, 1.0, size=(8, 2)))
+    problem = model.reconstruct()
+    betas = log_grid(0.5, 64.0, 16)
+    worst = {}
+    for framework in ("ib", "dual"):
+        trace, states = sweep(problem, framework, betas, tol=1e-10)
+        worst[framework] = max(
+            family_residual(model, state.decoder[state.alive()])
+            for record, state in zip(trace.records, states)
+            if record.converged)
+    assert worst["dual"] <= 1e-12
+    assert worst["ib"] > 1e-3

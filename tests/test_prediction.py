@@ -19,7 +19,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
 from bottleneck_lab import prediction
-from bottleneck_lab.datasets import binary_overlap5, make_class_mixture
 from bottleneck_lab.prediction import (
     DEFAULT_BETAS,
     DEFAULT_N_VALUES,
@@ -30,15 +29,11 @@ from bottleneck_lab.prediction import (
     _min_divergence_decisions,
     chernoff_information,
     error_curves_to_csv,
-    mean_exponent_bound,
     run_prediction_experiment,
-    tilted_mixture,
 )
 from bottleneck_lab.probability import (
     DistributionError,
     JointDistribution,
-    entropy,
-    kl_divergence,
     rel_entr,
 )
 from bottleneck_lab.solvers import (
@@ -48,6 +43,8 @@ from bottleneck_lab.solvers import (
     state_observables,
 )
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from oracles import (binary_overlap5, entropy, kl_divergence,
+                     make_class_mixture, mean_exponent_bound, tilted_mixture)
 
 CHUNK = prediction._SAMPLE_CHUNK
 

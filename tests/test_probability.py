@@ -19,10 +19,7 @@ from bottleneck_lab.probability import (
     DistributionError,
     JointDistribution,
     NormalizationError,
-    UndefinedDivergenceError,
     conditional_from_joint,
-    entropy,
-    kl_divergence,
     logsumexp,
     mutual_information,
     rel_entr,
@@ -31,8 +28,9 @@ from bottleneck_lab.probability import (
 )
 from bottleneck_lab.solvers import TableBackend
 
-from conftest import (PROPERTY_SETTINGS, inverse_encoder, random_encoder,
-                      random_problem)
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from oracles import (UndefinedDivergenceError, entropy, inverse_encoder,
+                     kl_divergence)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +486,6 @@ KEPT_IMPORTS = {("annealing.py", "mutual_information"),
                 ("solvers.py", "logsumexp")}
 
 
-#: Public functions and classes that no module of the package reads and no
-#: benchmark script names: kept as oracles and fixtures for the tests.
-#: (The benchmark loads ``binary_overlap5.json``, not ``binary_overlap5``.)
-TEST_ORACLES = {"trace_from_csv", "make_class_mixture", "closed_information",
-                "tilted_mixture", "mean_exponent_bound", "kl_divergence",
-                "encoder_update", "dual_distortion_split", "binary_overlap5"}
-
-
 def _private_definitions(tree):
     """The module-level private functions, classes and constants of a
     module, and the private methods of its classes (dunders are not
@@ -561,8 +551,8 @@ def test_package_has_no_unused_imports():
     """Every name a module imports is read in it or is a ``KEPT_IMPORTS``
     name that the benchmark tracer patches, every private name a module
     defines is read by some module of the package, and every public
-    module-level function or class is read by one, named by a benchmark
-    script or listed in ``TEST_ORACLES``."""
+    module-level function or class is read by one or named by a benchmark
+    script: the tests' oracles live in ``tests/oracles.py``."""
     unused = []
     private = []
     public = set()
@@ -601,4 +591,4 @@ def test_package_has_no_unused_imports():
                                / "perfbench").glob("*.py")
              for pair in _bench_reads(ast.parse(path.read_text()))}
     assert {name for _, name in public - bench
-            if name not in read_by_name} == TEST_ORACLES
+            if name not in read_by_name} == set()

@@ -19,24 +19,22 @@ from bottleneck_lab.annealing import (
     run_sweep,
     sweep,
 )
-from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.expfamily import (ExpBackend, ExpFamilyModel, exp_solve,
                                      exp_sweep)
-from bottleneck_lab.probability import (JointDistribution, kl_divergence,
-                                        logsumexp)
+from bottleneck_lab.probability import JointDistribution, logsumexp
 from bottleneck_lab.solvers import (
     Framework,
     as_framework,
     default_encoder,
-    dual_distortion_split,
-    encoder_update,
     prepare_encoder,
     solve,
     state_observables,
 )
 
-from conftest import (PROPERTY_SETTINGS, direct_distortion, distortion_matrix,
-                      inverse_encoder, random_encoder, random_problem)
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from oracles import (binary_overlap5, direct_distortion, distortion_matrix,
+                     dual_distortion_split, encoder_update, inverse_encoder,
+                     kl_divergence)
 
 
 class TestElementarySteps:
@@ -525,6 +523,37 @@ class TestSolve:
                           max_iter=2)
         assert not report.converged
         assert report.n_iterations == 2
+
+    @pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])
+    def test_encoder_delta_is_the_final_step(self, solver):
+        """``encoder_delta`` is the sup-norm move of the last step: from
+        the encoder the same solve reaches one iteration earlier (the
+        start, for one iteration).  ``converged`` is ``encoder_delta <=
+        tol``."""
+        if solver == "reduced":
+            rng = np.random.default_rng(3)
+            backend = ExpBackend(ExpFamilyModel(
+                features=rng.normal(size=(300, 3)),
+                params=rng.normal(size=(20, 3))))
+        else:
+            backend = TableBackend(binary_overlap5(), solver)
+        beta, k = 4.0, 4
+        step = backend.stepper(beta)
+        for n in (1, 2, 7, 50):
+            before = (prepare_encoder(backend.n_x, k, None) if n == 1
+                      else solvers.fixed_point(backend, beta, n_clusters=k,
+                                               tol=0.0,
+                                               max_iter=n - 1)[0].encoder)
+            _, report = solvers.fixed_point(backend, beta, n_clusters=k,
+                                            tol=0.0, max_iter=n)
+            assert report.n_iterations == n
+            assert abs(report.encoder_delta
+                       - np.abs(step(before) - before).max()) <= 1e-13
+            assert not report.converged
+        _, report = solvers.fixed_point(backend, beta, n_clusters=k,
+                                        tol=1e-10)
+        assert report.converged
+        assert report.encoder_delta <= 1e-10
 
 
 class TestAgainstDirectMinimization:

@@ -23,13 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from bottleneck_lab import solvers
 from bottleneck_lab.annealing import log_grid, sweep
-from bottleneck_lab.datasets import binary_overlap5
 from bottleneck_lab.probability import JointDistribution
-from bottleneck_lab.solvers import (
-    TableBackend,
-    encoder_update,
-    solve,
-)
+from bottleneck_lab.solvers import TableBackend, solve
 from bottleneck_lab.stability import (
     ComplexEigenvalueWarning,
     StabilityMatrices,
@@ -39,8 +34,9 @@ from bottleneck_lab.stability import (
     stability_gaps,
 )
 
-from conftest import (PROPERTY_SETTINGS, distortion_matrix, inverse_encoder,
-                      random_encoder, random_problem)
+from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
+from oracles import (binary_overlap5, distortion_matrix, encoder_update,
+                     inverse_encoder)
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
