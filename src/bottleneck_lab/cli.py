@@ -1,7 +1,8 @@
 """Command-line front end: ``bottleneck-lab <command> ...``.
 
 Exit codes: 0 on success, 2 on validation problems (the offending flag
-or field is named on stderr), 1 on internal errors.  The environment
+or field is named on stderr) and on a problem or config file that cannot
+be read, 1 on internal errors.  The environment
 variable ``BOTTLENECK_LAB_THREADS`` caps the BLAS thread pools; it is
 applied at package import, before numpy can start them.
 
@@ -72,14 +73,32 @@ def _check_keys(present, allowed, context: str) -> None:
         raise ValidationError(f"unknown field '{unknown[0]}' in {context}")
 
 
-#: each problem-file schema and its optional top-level keys
-_SCHEMAS = {"p_y_given_x": ("p_x", "smoothing_epsilon"),
-                  "exp_family": (),
-                  "class_conditionals": ("prior", "smoothing_epsilon")}
-#: the type :func:`load_problem` returns for each schema
-_SCHEMA_TYPES = {"p_y_given_x": JointDistribution,
-                 "exp_family": ExpFamilyModel,
-                 "class_conditionals": ClassificationProblem}
+#: each problem-file schema: the type :func:`load_problem` returns for it
+#: and its optional top-level keys
+_SCHEMAS = {
+    "p_y_given_x": (JointDistribution, ("p_x", "smoothing_epsilon")),
+    "exp_family": (ExpFamilyModel, ()),
+    "class_conditionals": (ClassificationProblem,
+                           ("prior", "smoothing_epsilon")),
+}
+
+
+def _read_object(path, what: str) -> dict:
+    """The JSON object held in the file ``path``; ``what`` names the file
+    in every :class:`ValidationError` ("problem file", "config file")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {path} cannot be read: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must hold a JSON object")
+    return raw
 
 
 def load_problem(path):
@@ -91,17 +110,7 @@ def load_problem(path):
     any violation raises :class:`ValidationError` naming the offending
     field.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"problem file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"problem file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("problem file must hold a JSON object")
-
+    raw = _read_object(path, "problem file")
     schemas = [key for key in _SCHEMAS if key in raw]
     if len(schemas) > 1:
         raise ValidationError(
@@ -111,7 +120,7 @@ def load_problem(path):
         raise ValidationError("problem file needs exactly one of: "
                               + ", ".join(_SCHEMAS))
     schema = schemas[0]
-    _check_keys(raw, (schema, *_SCHEMAS[schema]),
+    _check_keys(raw, (schema, *_SCHEMAS[schema][1]),
                 f"{schema} problem file")
     try:
         if schema == "p_y_given_x":
@@ -215,16 +224,16 @@ class RunConfig:
     g_tol: float | None = _setting(
         float, 1e-9, _POSITIVE, help="|beta * lambda2 - 1| refinement target")
     split_eps: float | None = _setting(
-        float, 1e-3, _NON_NEGATIVE,
+        float, SplitConfig.eps, _NON_NEGATIVE,
         help="relative perturbation of split clusters")
     merge_tol: float | None = _setting(
-        float, 1e-4, _POSITIVE,
+        float, SplitConfig.merge_tol, _POSITIVE,
         help="decoder distance below which clusters merge")
     tol: float | None = _setting(float, DEFAULT_TOL, _POSITIVE,
                                  help="encoder sup-norm convergence threshold")
     max_iter: int | None = _setting(int, DEFAULT_MAX_ITER, _AT_LEAST_ONE,
                                     help="iteration cap per solve")
-    seed: int | None = _setting(int, 0, _NON_NEGATIVE,
+    seed: int | None = _setting(int, SplitConfig.seed, _NON_NEGATIVE,
                                 help="root seed for split noise / sampling")
     output_dir: str | None = _setting(
         default=".", metavar="DIR",
@@ -245,16 +254,7 @@ def _flag(name: str, command: str) -> str:
 
 
 def _config_file_values(path, allowed, command: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config file must hold a JSON object")
+    raw = _read_object(path, "config file")
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ValidationError(
@@ -594,7 +594,7 @@ def main(argv=None) -> int:
         config = resolve_config(args)
         command = _COMMANDS[config.command]
         problem = load_problem(config.problem_path)
-        schema = next(name for name, kind in _SCHEMA_TYPES.items()
+        schema = next(name for name, (kind, _) in _SCHEMAS.items()
                       if isinstance(problem, kind))
         if schema not in command.schemas:
             raise ValidationError(

@@ -75,12 +75,14 @@ class ExpFamilyModel:
             raise DistributionError(
                 f"feature dimension mismatch: features are "
                 f"{self.features.shape[1]}-D, params {self.params.shape[1]}-D")
+        self._log_normalizers = np.empty(self.n_x)
         for rows, block in self._log_rule_blocks():
             finite = np.isfinite(block)
             if not finite.all():
                 x, y = np.argwhere(~finite)[0]
                 raise DistributionError(
                     f"features[{rows.start + x}] @ params[{y}] is not finite")
+            self._log_normalizers[rows] = logsumexp(block, axis=1)
         self.p_x = as_marginal(self.p_x, "p_x", self.n_x)
 
     @property
@@ -123,20 +125,12 @@ class ExpFamilyModel:
         row by row."""
         # Not log_normalizers(): perfbench/tracing.py counts each call of
         # it as a rebuild, and the vector is built once per model.
-        log_normalizers = self._log_normalizers
         for rows, block in self._log_rule_blocks():
-            block -= log_normalizers[rows, None]
+            block -= self._log_normalizers[rows, None]
             yield rows, smooth_rows(np.exp(block, out=block), 0.0)
 
-    @cached_property
-    def _log_normalizers(self) -> np.ndarray:
-        out = np.empty(self.n_x)
-        for rows, block in self._log_rule_blocks():
-            out[rows] = logsumexp(block, axis=1)
-        return out
-
     def log_normalizers(self) -> np.ndarray:
-        """Per-input log-partition values (n_x,), built once per model."""
+        """Per-input log-partition values (n_x,), built with the model."""
         return self._log_normalizers
 
     @cached_property

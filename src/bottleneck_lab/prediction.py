@@ -123,7 +123,8 @@ class ClassificationProblem:
 
     def joint(self) -> JointDistribution:
         joint_xy = (self.prior[:, None] * self.class_conditionals).T
-        return JointDistribution.from_joint(joint_xy)
+        p_x = joint_xy.sum(axis=1)
+        return JointDistribution.from_conditional(joint_xy / p_x[:, None], p_x)
 
 
 @dataclass

@@ -149,22 +149,6 @@ def rel_entr(x, y) -> np.ndarray:
         return np.where((x == 0.0) & (y >= 0.0), 0.0, x * np.log(x / y))
 
 
-def conditional_from_joint(joint):
-    """Split a joint table into ``(p_a, rows)`` with ``rows[a] = p(b|a)``.
-
-    Rows with zero marginal mass are returned uniform, so the result is
-    always row-stochastic.
-    """
-    joint = _non_negative(joint, "joint", 2)
-    _require_normalized(joint, "joint")
-    p_a = joint.sum(axis=1)
-    rows = np.empty_like(joint)
-    alive = p_a > 0.0
-    rows[alive] = joint[alive] / p_a[alive, None]
-    rows[~alive] = 1.0 / joint.shape[1]
-    return p_a, rows
-
-
 def logsumexp(a, axis: int | None = None):
     """``log(sum(exp(a), axis))``, the one log-sum-exp of the package.
 
@@ -273,15 +257,6 @@ class JointDistribution:
         joint = p_x[:, None] * rule
         return cls(p_x=p_x, rule=rule, log_rule=np.log(rule), joint=joint,
                    p_y=joint.sum(axis=0))
-
-    @classmethod
-    def from_joint(cls, joint,
-                   smoothing_epsilon: float = DEFAULT_SMOOTHING
-                   ) -> "JointDistribution":
-        """Build from a full joint table (rows with zero mass are rejected)."""
-        p_x, rows = conditional_from_joint(joint)
-        return cls.from_conditional(rows, p_x,
-                                    smoothing_epsilon=smoothing_epsilon)
 
     @property
     def n_x(self) -> int:

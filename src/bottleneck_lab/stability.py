@@ -112,12 +112,6 @@ class StabilityMatrices:
         return float(lam.real)
 
 
-def _cluster_inputs(problem: JointDistribution, state: BottleneckState,
-                   c: int) -> np.ndarray:
-    """``q = p(x | xhat=c)`` (n_x,), the input row of alive cluster ``c``."""
-    return state.encoder[:, c] * problem.p_x / state.marginal[c]
-
-
 def cluster_factors(problem: JointDistribution, framework,
                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
@@ -149,14 +143,22 @@ def build_matrices(problem: JointDistribution, framework,
     return StabilityMatrices(*cluster_factors(problem, framework, q))
 
 
+def _cluster_gap(problem: JointDistribution, state: BottleneckState,
+                 c: int) -> tuple[float, float]:
+    """``(g, lambda2)`` of alive cluster ``c``, ``g = beta * lambda2 - 1``,
+    from its input row ``q = p(x | xhat=c)``."""
+    q = state.encoder[:, c] * problem.p_x / state.marginal[c]
+    lam = build_matrices(problem, state.framework, q).second_eigenvalue()
+    return state.beta * lam - 1.0, lam
+
+
 def stability_gaps(problem: JointDistribution,
                    state: BottleneckState) -> np.ndarray:
     """``g = beta * lambda2 - 1`` per cluster; dead clusters give ``nan``."""
-    lams = np.full(state.n_clusters, np.nan)
+    gaps = np.full(state.n_clusters, np.nan)
     for c in np.flatnonzero(state.alive()):
-        lams[c] = build_matrices(problem, state.framework, _cluster_inputs(
-            problem, state, c)).second_eigenvalue()
-    return state.beta * lams - 1.0
+        gaps[c] = _cluster_gap(problem, state, c)[0]
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +233,7 @@ def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
         beta_mid = 0.5 * (lo + hi)
         warm, _ = solve(backend, beta_mid, init_encoder=warm.encoder,
                         tol=tol, max_iter=max_iter)
-        lam = build_matrices(backend.problem, backend.framework,
-                             _cluster_inputs(backend.problem, warm, cluster)
-                             ).second_eigenvalue()
-        gap = beta_mid * lam - 1.0
+        gap, lam = _cluster_gap(backend.problem, warm, cluster)
         if abs(gap) <= g_tol:
             break
         if gap > 0.0:

@@ -33,6 +33,7 @@ from bottleneck_lab.solvers import DEFAULT_TOL, solve
 from conftest import PROPERTY_SETTINGS
 from oracles import BINARY_OVERLAP5_PY0, make_class_mixture, trace_from_csv
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RULE_FIXTURE = PROBLEMS / "binary_overlap5.json"
 CLASSES_FIXTURE = PROBLEMS / "class_mixture8.json"
@@ -49,6 +50,27 @@ def write_json(path: Path, payload) -> str:
 
 def resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
+
+
+def unreadable_file(tmp_path: Path, kind: str) -> str:
+    """A path that open() or its UTF-8 decoding rejects: a ``directory``,
+    or a file that is ``not-utf8`` (it starts with a UTF-16 byte-order
+    mark).  A file without read permission takes the same ``OSError``
+    path, but root reads it, so it is not among these."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+def source_env(env: dict) -> dict:
+    """``env`` with the checkout's ``src`` first on ``PYTHONPATH``, so a
+    child interpreter imports this checkout's package without an
+    install."""
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, "PYTHONPATH": path}
 
 
 SOLVE = ["solve", "--problem", str(RULE_FIXTURE), "--beta", "2"]
@@ -254,7 +276,7 @@ class TestResolveConfig:
         assert config.units == "bits"   # config file beats default
         assert config.seed == 9
 
-    def test_config_file_rejections(self, tmp_path):
+    def test_config_file_rejections(self, tmp_path, capsys):
         unknown = write_json(tmp_path / "u.json", {"trials": 5})
         with pytest.raises(ValidationError, match="not valid for 'solve'"):
             resolve(["solve", "--problem", "p.json", "--beta", "1",
@@ -266,6 +288,11 @@ class TestResolveConfig:
         with pytest.raises(ValidationError, match="--output-dir expects str"):
             resolve(["solve", "--problem", "p.json", "--beta", "1",
                      "--config", not_text])
+        for kind in ("directory", "not-utf8"):
+            path = unreadable_file(tmp_path, kind)
+            assert_rejected(SOLVE + ["--config", path],
+                            f"config file {path} cannot be read", tmp_path,
+                            capsys)
 
     @pytest.mark.parametrize("argv, values, flag", [
         (SWEEP, {"framework": None}, None),
@@ -858,6 +885,9 @@ class TestExitCodes:
           for name, (argv, wrong) in REJECTED_FILES.items()),
         *(pytest.param(argv, "nope.json", id=f"missing-{name}")
           for name, (argv, _) in REJECTED_FILES.items()),
+        *(pytest.param(["solve", "--problem", None, "--beta", "2"], kind,
+                       id=f"{kind}-solve")
+          for kind in ("directory", "not-utf8")),
         pytest.param(["error-exp", "--classes", None],
                      {"class_conditionals": [[0.5, 0.5]]},
                      id="one-class-error-exp"),
@@ -882,16 +912,21 @@ class TestExitCodes:
     ])
     def test_rejected_problem_files_leave_no_run_config(
             self, tmp_path, capsys, argv, problem):
-        """Wrong-schema files, missing files, class files too small to
-        build a joint from, files with a bad ``p_x`` or
-        ``smoothing_epsilon``, and exp-family files whose interactions
-        overflow exit 2 before writing ``run_config.json``."""
+        """Wrong-schema files, missing files, directories and files that
+        are not UTF-8, class files too small to build a joint from, files
+        with a bad ``p_x`` or ``smoothing_epsilon``, and exp-family files
+        whose interactions overflow exit 2 before writing
+        ``run_config.json``."""
+        expected = "problem file"
         if isinstance(problem, dict):
             problem = write_json(tmp_path / "small.json", problem)
         elif problem == "nope.json":
             problem = tmp_path / problem
+        elif isinstance(problem, str):
+            problem = unreadable_file(tmp_path, problem)
+            expected = f"problem file {problem} cannot be read"
         argv = [str(problem) if arg is None else arg for arg in argv]
-        assert_rejected(argv, "problem file", tmp_path, capsys)
+        assert_rejected(argv, expected, tmp_path, capsys)
 
     def test_unknown_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -906,7 +941,8 @@ class TestThreadCapAndEntryPoint:
                if not k.endswith("_NUM_THREADS")
                and k != "BOTTLENECK_LAB_THREADS"}
         env.update(extra_env)
-        return subprocess.run([sys.executable, "-c", code], env=env,
+        return subprocess.run([sys.executable, "-c", code],
+                              env=source_env(env),
                               capture_output=True, text=True,
                               check=True).stdout.strip()
 
@@ -952,7 +988,7 @@ class TestThreadCapAndEntryPoint:
             [sys.executable, "-m", "bottleneck_lab.cli", "solve",
              "--problem", str(RULE_FIXTURE), "--beta", "0",
              "--output-dir", str(tmp_path)],
-            capture_output=True, text=True)
+            env=source_env(dict(os.environ)), capture_output=True, text=True)
         assert result.returncode == 0
         assert "I_x = 0.000" in result.stdout
         assert (tmp_path / "run_config.json").exists()

@@ -19,7 +19,6 @@ from bottleneck_lab.probability import (
     DistributionError,
     JointDistribution,
     NormalizationError,
-    conditional_from_joint,
     logsumexp,
     mutual_information,
     rel_entr,
@@ -259,24 +258,25 @@ class TestJointDistribution:
         with pytest.raises(NormalizationError):
             JointDistribution.from_conditional([[0.9, 0.2], [0.5, 0.5]])
 
-    def test_from_joint_round_trip(self, rng):
-        problem = random_problem(rng)
-        rebuilt = JointDistribution.from_joint(problem.joint,
-                                               smoothing_epsilon=0.0)
-        np.testing.assert_allclose(rebuilt.rule, problem.rule, atol=1e-12)
-        np.testing.assert_allclose(rebuilt.p_x, problem.p_x, atol=1e-14)
+    def test_classification_joint_is_from_conditional(self, rng):
+        """``ClassificationProblem.joint()`` is the default-smoothed
+        problem of ``p(x) = sum_c prior[c] p(x|c)`` and the posterior
+        ``p(class|x)``."""
+        cond = rng.dirichlet(np.ones(7), size=5)
+        prior = rng.dirichlet(np.ones(5))
+        p_x = prior @ cond
+        posterior = (prior[:, None] * cond / p_x).T
+        expected = JointDistribution.from_conditional(posterior, p_x)
+        joint = prediction.ClassificationProblem(cond, prior).joint()
+        for name in ("p_x", "rule", "joint", "p_y"):
+            np.testing.assert_allclose(getattr(joint, name),
+                                       getattr(expected, name), rtol=1e-14,
+                                       atol=0.0, err_msg=name)
 
     def test_mutual_information_method(self, rng):
         problem = random_problem(rng)
         assert problem.mutual_information == pytest.approx(
             oracle_mi(problem.joint.tolist()), abs=1e-12)
-
-    def test_conditional_from_joint_handles_empty_rows(self):
-        joint = np.array([[0.5, 0.5], [0.0, 0.0]]) * np.array([[1.0], [1.0]])
-        joint = np.array([[0.5, 0.5], [0.0, 0.0]])
-        p_a, rows = conditional_from_joint(joint)
-        np.testing.assert_allclose(p_a, [1.0, 0.0])
-        np.testing.assert_allclose(rows[1], [0.5, 0.5])
 
     def test_smooth_rows_renormalizes_exactly(self, rng):
         rows = rng.dirichlet(np.ones(4), size=3)
