@@ -142,82 +142,95 @@ class ErrorCurve:
     seed: int
 
 
-#: Rows of the ``(trials, max_n)`` uniform block drawn and binned at a time.
-_SAMPLE_CHUNK = 1024
+#: Uniform cells drawn and binned per chunk of trials: ``max(1,
+#: _SAMPLE_CELLS // max_n)`` trials at a time (1024 at max n = 256).
+_SAMPLE_CELLS = 2**18
 
 #: A row is left to the exact divergences when a second score lies within
 #: ``_TIE_RTOL * (1 + |best|)`` of its best score.
 _TIE_RTOL = 1e-8
 
 
-def _empirical_counts(problem: ClassificationProblem, n_values, trials: int,
-                      seed: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Common-random-number sample streams for the whole experiment.
+def _empirical_counts(rng: np.random.Generator, cdfs: np.ndarray,
+                      labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Empirical input laws of one chunk of trials.
 
-    One generator seeded by ``seed`` draws the class labels and then the
-    ``(trials, max_n)`` uniform block, ``_SAMPLE_CHUNK`` rows at a time
-    from the same stream (so the block equals one single draw); those
-    fixed draws are turned into per-class samples by inverse CDF, so every
-    (framework, beta) pairing sees identical data.  Returns the labels
-    and, per test size ``n``, the empirical input distribution of the
-    first ``n`` samples of each trial.
+    Draws the chunk's ``(trials, max n)`` uniforms from ``rng``, turns
+    them into samples of each trial's class by inverse CDF (``cdfs``
+    rows are the classes' cumulative conditionals) and returns the
+    ``(sizes, trials, n_x)`` empirical laws of the first ``n`` samples
+    of each trial, for each ``n`` in ``sizes`` (increasing).
+    """
+    rows, n_x = labels.size, cdfs.shape[1]
+    us = rng.random((rows, sizes[-1]))
+    # cell index row * n_x + x of every sample, binned segment by segment
+    cells = np.empty(us.shape, dtype=np.intp)
+    for c in range(cdfs.shape[0]):
+        mask = labels == c
+        cells[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
+    cells += np.arange(0, rows * n_x, n_x)[:, None]
+    counts = np.zeros(rows * n_x, dtype=np.intp)
+    phats = np.empty((sizes.size, rows, n_x))
+    prev = 0
+    for j, n in enumerate(sizes):
+        counts += np.bincount(cells[:, prev:n].ravel(), minlength=counts.size)
+        prev = n
+        phats[j] = counts.reshape(rows, n_x) / n
+    return phats
+
+
+def _sample_stream(problem: ClassificationProblem, sizes: np.ndarray,
+                   trials: int, seed: int):
+    """Common-random-number samples of the whole experiment, by chunks.
+
+    One generator seeded by ``seed`` draws the ``trials`` class labels
+    and then the ``(trials, max n)`` uniform block, ``max(1,
+    _SAMPLE_CELLS // max n)`` rows at a time from the same stream, so the
+    chunks hold the numbers of one single draw.  Yields the labels of
+    each chunk and its :func:`_empirical_counts`; the labels take 8 bytes
+    a trial, and nothing else outlives its chunk.
     """
     rng = np.random.default_rng(seed)
-    sizes = sorted(int(n) for n in n_values)
-    max_n = sizes[-1]
-    n_x = problem.n_x
     ys = rng.integers(0, problem.n_classes, size=trials)
     cdfs = np.cumsum(problem.class_conditionals, axis=1)
     cdfs[:, -1] = 1.0
-    phats = {n: np.empty((trials, n_x)) for n in sizes}
-    for lo in range(0, trials, _SAMPLE_CHUNK):
-        hi = min(lo + _SAMPLE_CHUNK, trials)
-        us = rng.random((hi - lo, max_n))
-        labels = ys[lo:hi]
-        # cell index row * n_x + x of every sample, binned segment by segment
-        cells = np.empty(us.shape, dtype=np.intp)
-        for c in range(problem.n_classes):
-            mask = labels == c
-            cells[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
-        cells += np.arange(0, (hi - lo) * n_x, n_x)[:, None]
-        counts = np.zeros((hi - lo) * n_x, dtype=np.intp)
-        prev = 0
-        for n in sizes:
-            counts += np.bincount(cells[:, prev:n].ravel(),
-                                  minlength=counts.size)
-            prev = n
-            phats[n][lo:hi] = counts.reshape(hi - lo, n_x) / n
-    return ys, phats
+    rows = max(1, _SAMPLE_CELLS // int(sizes[-1]))
+    for lo in range(0, trials, rows):
+        labels = ys[lo:lo + rows]
+        yield labels, _empirical_counts(rng, cdfs, labels, sizes)
 
 
 def _divergence_argmin(pushed: np.ndarray,
                        references: np.ndarray) -> np.ndarray:
     """Row-wise ``argmin_i sum(rel_entr(pushed, references[i]))``, ties to
     the lowest ``i``: the classifier's exact rule."""
-    divergences = np.stack(
-        [rel_entr(pushed, reference[None, :]).sum(axis=1)
-         for reference in references], axis=1)
+    divergences = rel_entr(pushed[:, None, :], references[None]).sum(axis=2)
     return np.argmin(divergences, axis=1)
 
 
-def _min_divergence_decisions(pushed: np.ndarray,
-                              references: np.ndarray) -> np.ndarray:
+def _distinct_references(references: np.ndarray) -> np.ndarray:
+    """Increasing indices of the first occurrence of each distinct row."""
+    _, first = np.unique(references, axis=0, return_index=True)
+    return np.sort(first)
+
+
+def _min_divergence_decisions(pushed: np.ndarray, references: np.ndarray,
+                              keep: np.ndarray) -> np.ndarray:
     """The decisions of :func:`_divergence_argmin`, mostly from one product.
 
     ``D[t, i] = sum p log p - sum p log r_i`` and the first term does not
     depend on the class, so a row's argmin is that of the cross-entropy
     scores ``-log(references) @ pushed.T``.  Duplicate reference rows are
-    scored once, under their lowest class index.  Rounding can still part
-    the two orders when scores nearly tie, so a row goes to the exact rule
-    when another score lies within ``_TIE_RTOL * (1 + |best|)`` of its
-    best, when any of its scores is not finite, or when only one distinct
-    reference is left.  The margin is far above the rounding of either
-    sum (a few ulps per cluster, times the score plus ``log k``), and a
-    one-cluster encoder, whose references equal 1 within an ulp, sends
-    every row to the exact rule.
+    scored once, under their lowest class index: ``keep`` is
+    :func:`_distinct_references` of ``references``.  Rounding can still
+    part the two orders when scores nearly tie, so a row goes to the exact
+    rule when another score lies within ``_TIE_RTOL * (1 + |best|)`` of
+    its best, when any of its scores is not finite, or when only one
+    distinct reference is left.  The margin is far above the rounding of
+    either sum (a few ulps per cluster, times the score plus ``log k``),
+    and a one-cluster encoder, whose references equal 1 within an ulp,
+    sends every row to the exact rule.
     """
-    _, first = np.unique(references, axis=0, return_index=True)
-    keep = np.sort(first)
     if keep.size == 1:
         return _divergence_argmin(pushed, references)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,32 +262,40 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
     through the trained encoder, and classifies by minimum divergence to
     the per-class pushforwards ``p(x|y_i) @ encoder``; ties take the
     lowest class index, and a class at infinite divergence merely drops
-    out of the argmin.  Per (framework, beta, n) the argmin is read off
-    the cross-entropy scores, one ``(classes, k) @ (k, trials)`` product;
+    out of the argmin.  The argmin is read off the cross-entropy scores,
+    one product per encoder and chunk of trials over every test size;
     rows whose best two scores nearly tie, or that hold a non-finite
     score, are decided by the exact ``rel_entr`` divergences instead, so
     every decision is the exact rule's (:func:`_min_divergence_decisions`).
-    Sample streams are common random numbers, drawn once per call: every
-    framework and beta sees identical draws, and runs with equal ``seed``
-    reuse them.
+
+    Every encoder is trained first; the trials are then sampled, pushed
+    forward and classified one chunk at a time (:func:`_sample_stream`),
+    and only the count of wrong decisions per (framework, beta, n) is
+    kept.  So memory grows with neither ``trials`` (beyond the labels,
+    8 bytes a trial) nor the largest ``n``.  Sample streams are common
+    random numbers, drawn once per call: every framework and beta sees
+    identical draws, and runs with equal ``seed`` reuse them.
     """
     if isinstance(frameworks, str):  # Framework members are strings too
         frameworks = (frameworks,)
     frameworks = [as_framework(f) for f in frameworks]
     beta_list = np.asarray(DEFAULT_BETAS if beta_list is None
                            else beta_list, dtype=float)
-    n_values = np.asarray(DEFAULT_N_VALUES if n_values is None
-                          else n_values, dtype=int)
-    if np.any(n_values < 1) or np.any(np.diff(n_values) <= 0):
+    requested = np.asarray(DEFAULT_N_VALUES if n_values is None
+                           else n_values, dtype=float)
+    if (requested.ndim != 1 or requested.size == 0
+            or not np.all(np.isfinite(requested))
+            or np.any(requested != np.round(requested))
+            or np.any(requested < 1) or np.any(np.diff(requested) <= 0)):
         raise ValueError("n_values must be increasing positive integers")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    n_values = requested.astype(int)
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise ValueError("trials must be a positive integer")
 
     joint = problem.joint()
     grid = np.union1d(WARM_LADDER, beta_list)
-    ys, phats = _empirical_counts(problem, n_values, trials, seed)
-
-    curves: list[ErrorCurve] = []
+    trained = []  # (framework, beta, encoder, references, keep) per curve
     for framework in frameworks:
         _, states = sweep(joint, framework, grid, split=split, tol=tol,
                           max_iter=max_iter)
@@ -282,16 +303,26 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
             state = states[int(np.searchsorted(grid, beta))]
             encoder = state.encoder[:, state.alive()]
             references = problem.class_conditionals @ encoder  # (M, k)
-            p_err = np.empty(n_values.size)
-            for j, n in enumerate(n_values):
-                pushed = phats[int(n)] @ encoder  # (trials, k)
-                decisions = _min_divergence_decisions(pushed, references)
-                p_err[j] = np.mean(decisions != ys)
-            half = 1.96 * np.sqrt(p_err * (1.0 - p_err) / trials)
-            curves.append(ErrorCurve(
-                framework=str(framework.value), beta=float(beta),
-                n_values=n_values.copy(), p_err=p_err, ci_halfwidth=half,
-                trials=trials, seed=seed))
+            trained.append((str(framework.value), float(beta), encoder,
+                            references, _distinct_references(references)))
+
+    errors = np.zeros((len(trained), n_values.size), dtype=np.intp)
+    for labels, phats in _sample_stream(problem, n_values, trials, seed):
+        laws = phats.reshape(-1, problem.n_x)  # size-major rows
+        for wrong, (_, _, encoder, references, keep) in zip(errors,
+                                                            trained):
+            decisions = _min_divergence_decisions(laws @ encoder, references,
+                                                  keep)
+            wrong += np.count_nonzero(
+                decisions.reshape(n_values.size, -1) != labels, axis=1)
+
+    curves: list[ErrorCurve] = []
+    for (framework, beta, *_), wrong in zip(trained, errors):
+        p_err = wrong / trials  # exact counts: the bits of a mean
+        half = 1.96 * np.sqrt(p_err * (1.0 - p_err) / trials)
+        curves.append(ErrorCurve(
+            framework=framework, beta=beta, n_values=n_values.copy(),
+            p_err=p_err, ci_halfwidth=half, trials=trials, seed=seed))
     return curves
 
 

@@ -3,7 +3,8 @@
 The oracles are what the tests compare the package against: divergences,
 the inverse encoder, direct sums of the cost, the textbook encoder update,
 closed forms of the reduced solver, the exponential-family residual, the
-classification exponent bound and a trace reader.  No command and no
+classification exponent bound, the whole-block misclassification
+experiment and a trace reader.  No command and no
 benchmark workload runs any of them.
 """
 from __future__ import annotations
@@ -14,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bottleneck_lab.annealing import _SCALAR_COLUMNS, AnnealTrace, SweepRecord
+from bottleneck_lab.annealing import (
+    _SCALAR_COLUMNS,
+    AnnealTrace,
+    SweepRecord,
+    sweep,
+)
 from bottleneck_lab.expfamily import ExpFamilyModel
+from bottleneck_lab.prediction import WARM_LADDER, ErrorCurve
 from bottleneck_lab.probability import (
     DistributionError,
     JointDistribution,
@@ -312,6 +319,69 @@ def mean_exponent_bound(state: BottleneckState,
                 f"{functional:.6g} at beta = {state.beta:g} < 1; the "
                 "domination argument needs beta >= 1", UserWarning)
     return bound
+
+
+def one_block_counts(problem, n_values, trials: int, seed: int):
+    """The sampler as one ``(trials, max_n)`` uniform block whose prefix
+    counts are accumulated by ``np.add.at``: the oracle of the chunks.
+    Returns the labels and, per ``n``, the ``(trials, n_x)`` empirical
+    laws of the first ``n`` samples."""
+    rng = np.random.default_rng(seed)
+    max_n = int(max(n_values))
+    ys = rng.integers(0, problem.n_classes, size=trials)
+    us = rng.random((trials, max_n))
+    cdfs = np.cumsum(problem.class_conditionals, axis=1)
+    cdfs[:, -1] = 1.0
+    xs = np.empty((trials, max_n), dtype=np.intp)
+    for c in range(problem.n_classes):
+        mask = ys == c
+        xs[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
+    counts = np.zeros((trials, problem.n_x))
+    rows = np.arange(trials)
+    phats = {}
+    prev = 0
+    for n in n_values:
+        np.add.at(counts, (np.repeat(rows, n - prev), xs[:, prev:n].ravel()),
+                  1.0)
+        prev = n
+        phats[n] = counts / n
+    return ys, phats
+
+
+def exact_decisions(pushed, references):
+    """Minimum ``rel_entr`` divergence per row, first class on ties: the
+    classifier's defining rule."""
+    divergences = np.stack(
+        [rel_entr(pushed, references[i][None, :]).sum(axis=1)
+         for i in range(references.shape[0])], axis=1)
+    return np.argmin(divergences, axis=1)
+
+
+def whole_block_experiment(problem, frameworks, beta_list, n_values,
+                           trials: int, seed: int) -> list[ErrorCurve]:
+    """The misclassification experiment with every sample held at once:
+    one sweep per framework, the whole :func:`one_block_counts` block
+    pushed through each encoder per test size, and :func:`exact_decisions`
+    for every trial."""
+    beta_list = np.asarray(beta_list, dtype=float)
+    ys, phats = one_block_counts(problem, n_values, trials, seed)
+    grid = np.union1d(WARM_LADDER, beta_list)
+    curves = []
+    for framework in frameworks:
+        _, states = sweep(problem.joint(), framework, grid)
+        for beta in beta_list:
+            state = states[int(np.searchsorted(grid, beta))]
+            encoder = state.encoder[:, state.alive()]
+            references = problem.class_conditionals @ encoder
+            p_err = np.array([
+                np.mean(exact_decisions(phats[n] @ encoder, references) != ys)
+                for n in n_values])
+            curves.append(ErrorCurve(
+                framework=framework, beta=float(beta),
+                n_values=np.array(n_values), p_err=p_err,
+                ci_halfwidth=1.96 * np.sqrt(p_err * (1.0 - p_err) / trials),
+                trials=trials, seed=seed))
+    return curves
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,8 @@ class TestErrorExpCommand:
 
     def test_both_frameworks_sample_once(self, tmp_path, capsys,
                                          monkeypatch):
+        """``--framework both`` draws each chunk of trials once, as many
+        draws as one framework makes; 3109 trials span four chunks."""
         draws = []
         sampler = prediction._empirical_counts
 
@@ -813,9 +815,17 @@ class TestErrorExpCommand:
             return sampler(*args)
 
         monkeypatch.setattr(prediction, "_empirical_counts", counting)
-        assert main(self.ARGS + ["--output-dir", str(tmp_path)]) == 0
+        args = ["error-exp", "--classes", str(CLASSES_FIXTURE),
+                "--betas", "4", "64", "--n-values", "1", "4", "256",
+                "--trials", "3109", "--seed", "5"]
+        counts = []
+        for framework in ("ib", "both"):
+            assert main(args + ["--framework", framework, "--output-dir",
+                                str(tmp_path / framework)]) == 0
+            counts.append(len(draws))
+            draws.clear()
         capsys.readouterr()
-        assert len(draws) == 1
+        assert counts == [4, 4]
 
     def test_rejects_wrong_schema(self, tmp_path, capsys):
         rc = main(["error-exp", "--classes", str(RULE_FIXTURE),

@@ -25,17 +25,13 @@ from bottleneck_lab.prediction import (
     WARM_LADDER,
     ClassificationProblem,
     ErrorCurve,
-    _empirical_counts,
+    _distinct_references,
     _min_divergence_decisions,
     chernoff_information,
     error_curves_to_csv,
     run_prediction_experiment,
 )
-from bottleneck_lab.probability import (
-    DistributionError,
-    JointDistribution,
-    rel_entr,
-)
+from bottleneck_lab.probability import DistributionError, JointDistribution
 from bottleneck_lab.solvers import (
     TableBackend,
     encoder_information,
@@ -43,10 +39,12 @@ from bottleneck_lab.solvers import (
     state_observables,
 )
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
-from oracles import (binary_overlap5, entropy, kl_divergence,
-                     make_class_mixture, mean_exponent_bound, tilted_mixture)
+from oracles import (binary_overlap5, entropy, exact_decisions,
+                     kl_divergence, make_class_mixture, mean_exponent_bound,
+                     one_block_counts, tilted_mixture, whole_block_experiment)
 
-CHUNK = prediction._SAMPLE_CHUNK
+CELLS = prediction._SAMPLE_CELLS
+CHUNK = CELLS // DEFAULT_N_VALUES[-1]  # trials per chunk at the default sizes
 
 
 def smoothed_pair(rng, n=6):
@@ -230,14 +228,46 @@ class TestClassificationProblem:
             ClassificationProblem(np.array(cond), prior)
 
 
+#: (test sizes, trials) just below, on and past a chunk boundary, at
+#: chunks of 64 rows (max n 4096) and of one row (max n above
+#: ``_SAMPLE_CELLS``).
+SHRUNK_CHUNK_CASES = [((3, 5, 4096), 63), ((3, 5, 4096), 64),
+                      ((3, 5, 4096), 3 * 64 + 37), ((2, CELLS + 1), 1),
+                      ((2, CELLS + 1), 3)]
+
+
+def streamed_counts(problem, n_values, trials, seed):
+    """Every chunk of :func:`prediction._sample_stream`, joined: the labels
+    and, per test size, the ``(trials, n_x)`` empirical laws."""
+    sizes = np.asarray(n_values)
+    chunks = list(prediction._sample_stream(problem, sizes, trials, seed))
+    ys = np.concatenate([labels for labels, _ in chunks])
+    phats = np.concatenate([laws for _, laws in chunks], axis=1)
+    return ys, dict(zip(n_values, phats))
+
+
 class TestEmpiricalCounts:
     COND = np.array([[0.6, 0.3, 0.1],
                      [0.1, 0.2, 0.7]])
 
+    @pytest.mark.parametrize("n_values, trials, rows", [
+        ((1, 2, 256), 2 * CHUNK + 1, [CHUNK, CHUNK, 1]),
+        ((3, 5, 4096), 150, [64, 64, 22]),
+        ((1, 20_000), 30, [13, 13, 4]),
+        ((2, CELLS + 1), 2, [1, 1])])
+    def test_chunk_is_sized_by_cells(self, n_values, trials, rows):
+        """A chunk holds ``_SAMPLE_CELLS`` uniforms at most: 1024 trials
+        at the default largest size, fewer as the largest size grows, and
+        at least one trial."""
+        problem = ClassificationProblem(self.COND)
+        stream = prediction._sample_stream(problem, np.array(n_values),
+                                           trials, 0)
+        assert [labels.size for labels, _ in stream] == rows
+
     def test_streams_are_reused(self):
         problem = ClassificationProblem(self.COND)
-        ys_a, phats_a = _empirical_counts(problem, (1, 2, 8), 300, 4)
-        ys_b, phats_b = _empirical_counts(problem, (1, 2, 8), 300, 4)
+        ys_a, phats_a = streamed_counts(problem, (1, 2, 8), 300, 4)
+        ys_b, phats_b = streamed_counts(problem, (1, 2, 8), 300, 4)
         assert_array_equal(ys_a, ys_b)
         for n in (1, 2, 8):
             assert_array_equal(phats_a[n], phats_b[n])
@@ -246,7 +276,7 @@ class TestEmpiricalCounts:
         # phats[n] must be the empirical law of the FIRST n samples, so
         # scaled counts are integers that only grow as n does.
         problem = ClassificationProblem(self.COND)
-        ys, phats = _empirical_counts(problem, (1, 2, 8), 300, 4)
+        ys, phats = streamed_counts(problem, (1, 2, 8), 300, 4)
         assert ys.shape == (300,)
         assert set(np.unique(ys)) <= {0, 1}
         prev = np.zeros((300, 3))
@@ -260,71 +290,35 @@ class TestEmpiricalCounts:
     def test_frequencies_match_conditionals(self):
         trials = 4000
         problem = ClassificationProblem(self.COND)
-        ys, phats = _empirical_counts(problem, (64,), trials, 9)
+        ys, phats = streamed_counts(problem, (64,), trials, 9)
         for c in range(2):
             rows = phats[64][ys == c]
             assert rows.shape[0] > trials / 3
             assert_allclose(rows.mean(axis=0), self.COND[c], atol=0.02)
 
-    @pytest.mark.parametrize("n_values", [(1, 2, 8), (3, 5, 100)])
+    @pytest.mark.parametrize("n_values", [(1, 2, 256), (3, 5, 100, 256)])
     @pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, 3 * CHUNK + 37])
     def test_chunks_equal_one_block(self, n_values, trials):
         """Drawing and binning the uniform block in row chunks gives the
         labels and every empirical law of one single block, bit for bit,
         whether the trials fall below, on or past a chunk boundary."""
+        self.assert_stream_is_one_block(n_values, trials)
+
+    @pytest.mark.parametrize("n_values, trials", SHRUNK_CHUNK_CASES)
+    def test_shrunk_chunks_equal_one_block(self, n_values, trials):
+        """The same when a large test size shrinks the chunk, down to one
+        trial."""
+        self.assert_stream_is_one_block(n_values, trials)
+
+    @staticmethod
+    def assert_stream_is_one_block(n_values, trials):
         problem = ClassificationProblem(make_class_mixture(3, 5, seed=4))
-        ys, phats = _empirical_counts(problem, n_values, trials, 7)
+        ys, phats = streamed_counts(problem, n_values, trials, 7)
         want_ys, want = one_block_counts(problem, n_values, trials, 7)
         assert_array_equal(ys, want_ys)
         assert sorted(phats) == sorted(want)
         for n in n_values:
             assert phats[n].tobytes() == want[n].tobytes()
-
-    def test_peak_memory_at_full_size(self):
-        """10 000 trials at the default test sizes peak below 32 MiB: the
-        sampler never holds the whole (trials, 256) block."""
-        problem = ClassificationProblem(make_class_mixture())
-        tracemalloc.start()
-        try:
-            _empirical_counts(problem, DEFAULT_N_VALUES, 10_000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-
-
-def one_block_counts(problem, n_values, trials, seed):
-    """The sampler as one ``(trials, max_n)`` uniform block whose prefix
-    counts are accumulated by ``np.add.at``: the oracle of the chunks."""
-    rng = np.random.default_rng(seed)
-    max_n = int(max(n_values))
-    ys = rng.integers(0, problem.n_classes, size=trials)
-    us = rng.random((trials, max_n))
-    cdfs = np.cumsum(problem.class_conditionals, axis=1)
-    cdfs[:, -1] = 1.0
-    xs = np.empty((trials, max_n), dtype=np.intp)
-    for c in range(problem.n_classes):
-        mask = ys == c
-        xs[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
-    counts = np.zeros((trials, problem.n_x))
-    rows = np.arange(trials)
-    phats = {}
-    prev = 0
-    for n in n_values:
-        np.add.at(counts, (np.repeat(rows, n - prev), xs[:, prev:n].ravel()),
-                  1.0)
-        prev = n
-        phats[n] = counts / n
-    return ys, phats
-
-
-def exact_decisions(pushed, references):
-    """Minimum ``rel_entr`` divergence per row, first class on ties: the
-    classifier's defining rule."""
-    divergences = np.stack(
-        [rel_entr(pushed, references[i][None, :]).sum(axis=1)
-         for i in range(references.shape[0])], axis=1)
-    return np.argmin(divergences, axis=1)
 
 
 def sampled_rows(local, cond, n, trials=300):
@@ -332,6 +326,13 @@ def sampled_rows(local, cond, n, trials=300):
     cells whenever ``n`` is below the alphabet size."""
     labels = local.integers(0, cond.shape[0], size=trials)
     return np.stack([local.multinomial(n, cond[y]) for y in labels]) / n
+
+
+def decide(pushed, references):
+    """The classifier's decisions, duplicate references found as the
+    experiment finds them."""
+    return _min_divergence_decisions(pushed, references,
+                                     _distinct_references(references))
 
 
 def mixed_conditionals(local, n_classes, n_x):
@@ -370,7 +371,7 @@ class TestMinDivergenceDecisions:
                 :, None]
         if zero_reference:
             references[-1, 0] = 0.0
-        assert_array_equal(_min_divergence_decisions(pushed, references),
+        assert_array_equal(decide(pushed, references),
                            exact_decisions(pushed, references))
 
     @PROPERTY_SETTINGS
@@ -387,7 +388,7 @@ class TestMinDivergenceDecisions:
         pushed = (pushed + pushed[:, ::-1]) / 2.0
         references = cond @ random_encoder(local, n_x, k)
         references[1] = references[0][::-1]
-        assert_array_equal(_min_divergence_decisions(pushed, references),
+        assert_array_equal(decide(pushed, references),
                            exact_decisions(pushed, references))
 
     def test_one_cluster_rounding_is_reproduced(self):
@@ -398,13 +399,13 @@ class TestMinDivergenceDecisions:
                                [0.9999999999999999]])
         want = exact_decisions(pushed, references)
         assert np.unique(want).size > 1
-        assert_array_equal(_min_divergence_decisions(pushed, references),
+        assert_array_equal(decide(pushed, references),
                            want)
 
     def test_one_distinct_reference_takes_the_first_class(self):
         references = np.tile([[0.25, 0.75]], (3, 1))
         pushed = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
-        assert_array_equal(_min_divergence_decisions(pushed, references),
+        assert_array_equal(decide(pushed, references),
                            [0, 0, 0])
 
 
@@ -461,15 +462,13 @@ class TestPredictionExperiment:
         assert_array_equal(first.n_values, [1, 4])
 
     def test_frameworks_share_one_draw(self, monkeypatch):
-        """Several frameworks in one call sample once and give the curves
-        of one call per framework."""
+        """Several frameworks in one call sample each chunk once and give
+        the curves of one call per framework."""
         cond = make_class_mixture(n_classes=3, n_x=8, seed=2)
         problem = ClassificationProblem(cond)
-        kwargs = dict(beta_list=[2.0, 8.0], n_values=(1, 4), trials=400,
+        kwargs = dict(beta_list=[2.0, 8.0], n_values=(1, 4096), trials=400,
                       seed=3)
-        separate = [curve for fw in ("ib", "dual")
-                    for curve in run_prediction_experiment(problem, fw,
-                                                           **kwargs)]
+        chunks = 7  # 64 trials a chunk at n = 4096
         draws = []
         sampler = prediction._empirical_counts
 
@@ -478,8 +477,13 @@ class TestPredictionExperiment:
             return sampler(*args)
 
         monkeypatch.setattr(prediction, "_empirical_counts", counting)
+        separate = []
+        for fw in ("ib", "dual"):
+            separate += run_prediction_experiment(problem, fw, **kwargs)
+            assert len(draws) == chunks
+            draws.clear()
         joint = run_prediction_experiment(problem, ("ib", "dual"), **kwargs)
-        assert len(draws) == 1
+        assert len(draws) == chunks
         assert [(c.framework, c.beta) for c in joint] == [
             ("ib", 2.0), ("ib", 8.0), ("dual", 2.0), ("dual", 8.0)]
         for got, want in zip(joint, separate):
@@ -487,17 +491,72 @@ class TestPredictionExperiment:
             assert_array_equal(got.p_err, want.p_err)
             assert_array_equal(got.ci_halfwidth, want.ci_halfwidth)
 
+    @pytest.mark.parametrize("n_values, trials", [
+        ((1, 2, 256), CHUNK - 1), ((1, 2, 256), CHUNK),
+        ((3, 5, 100, 256), 3 * CHUNK + 37)] + SHRUNK_CHUNK_CASES[:3])
+    def test_equals_the_whole_block_experiment(self, n_values, trials):
+        """Streaming chunk by chunk gives the curves of the experiment that
+        holds every sample at once and decides every trial by the exact
+        divergences, bit for bit: both frameworks, one-cluster betas (2
+        and 4 on this problem) and a split encoder, trials below, on and
+        past a chunk boundary."""
+        problem = ClassificationProblem(make_class_mixture())
+        betas = [2.0, 4.0, 64.0]
+        got = run_prediction_experiment(problem, ("ib", "dual"), betas,
+                                         n_values, trials, seed=13)
+        want = whole_block_experiment(problem, ("ib", "dual"), betas,
+                                      n_values, trials, seed=13)
+        assert len(got) == len(want) == 6
+        for curve, oracle in zip(got, want):
+            assert (curve.framework, curve.beta) == (oracle.framework,
+                                                     oracle.beta)
+            assert_array_equal(curve.n_values, n_values)
+            assert curve.p_err.tobytes() == oracle.p_err.tobytes()
+            assert (curve.ci_halfwidth.tobytes()
+                    == oracle.ci_halfwidth.tobytes())
+
     def test_rejects_bad_arguments(self):
         problem = ClassificationProblem(np.array([[0.3, 0.7], [0.6, 0.4]]))
-        with pytest.raises(ValueError, match="increasing"):
-            run_prediction_experiment(problem, "ib", beta_list=[2.0],
-                                      n_values=(4, 2), trials=10)
-        with pytest.raises(ValueError, match="increasing"):
-            run_prediction_experiment(problem, "ib", beta_list=[2.0],
-                                      n_values=(0, 2), trials=10)
-        with pytest.raises(ValueError, match="positive"):
-            run_prediction_experiment(problem, "ib", beta_list=[2.0],
-                                      n_values=(1, 2), trials=0)
+        for n_values in ((4, 2), (0, 2), (1.5, 3.9), (2, 2.5), ()):
+            with pytest.raises(ValueError, match="increasing positive "
+                                                 "integers"):
+                run_prediction_experiment(problem, "ib", beta_list=[2.0],
+                                          n_values=n_values, trials=10)
+        for trials in (0, 2.5, 10.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                run_prediction_experiment(problem, "ib", beta_list=[2.0],
+                                          n_values=(1, 2), trials=trials)
+
+    @staticmethod
+    def peak_traced_mib(trials, n_values=None):
+        """tracemalloc peak of one experiment on the eight-class mixture,
+        both frameworks at the default betas."""
+        problem = ClassificationProblem(make_class_mixture())
+        tracemalloc.start()
+        try:
+            run_prediction_experiment(problem, ("ib", "dual"),
+                                      n_values=n_values, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 2**20
+
+    def test_peak_memory_at_full_size(self):
+        """10 000 trials at the default test sizes peak below 12 MiB: the
+        experiment holds one chunk of samples at a time (the whole-block
+        laws alone took 10.5 MiB)."""
+        assert self.peak_traced_mib(10_000) < 12.0
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        """25 times the trials add the labels (8 bytes a trial) and
+        nothing else that scales."""
+        assert (self.peak_traced_mib(50_000)
+                < self.peak_traced_mib(2_000) + 1.0)
+
+    def test_peak_memory_at_a_large_test_size(self):
+        """A test size of 20 000 shrinks the chunk to 13 trials: one chunk
+        of 1024 trials would hold 156 MiB of uniforms."""
+        assert self.peak_traced_mib(1024, (1, 20_000)) < 12.0
 
 
 class TestErrorCurveCsv:
