@@ -145,7 +145,7 @@ def run_sweep(backend, betas, split: SplitConfig, tol: float,
         # at 0 no rows merge, so every grid point doubles the clusters
         raise ValueError("merge_tol must be positive")
 
-    trace = AnnealTrace(framework=backend.framework.value, n_y=backend.n_y)
+    trace = AnnealTrace(framework=backend.framework, n_y=backend.n_y)
     states = []
     encoder = np.ones((backend.n_x, 1))
     for i, beta in enumerate(betas):

@@ -31,13 +31,11 @@ from .probability import (
     as_marginal,
     logsumexp,
     mutual_information,  # noqa: F401  (perfbench/tracing.py patches it)
-    smooth_rows,
 )
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     BottleneckState,
-    Framework,
     SolveReport,
     TableBackend,
     fixed_point,
@@ -127,7 +125,9 @@ class ExpFamilyModel:
         # it as a rebuild, and the vector is built once per model.
         for rows, block in self._log_rule_blocks():
             block -= self._log_normalizers[rows, None]
-            yield rows, smooth_rows(np.exp(block, out=block), 0.0)
+            rule = np.exp(block, out=block)
+            rule /= rule.sum(axis=1, keepdims=True)
+            yield rows, rule
 
     def log_normalizers(self) -> np.ndarray:
         """Per-input log-partition values (n_x,), built with the model."""
@@ -205,7 +205,7 @@ class ExpBackend(TableBackend):
 
     def __init__(self, model: ExpFamilyModel):
         self.problem = model
-        self.framework = Framework.DUAL
+        self.framework = "dual"
         self.n_x, self.n_y = model.n_x, model.n_y
         self.table, self.u, self.v = model.table, model.features, -model.params
 

@@ -52,9 +52,10 @@ def chernoff_information(p0, p1) -> tuple[float, float]:
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape or p0.ndim != 1:
         raise ValueError("p0 and p1 must be 1-D with matching length")
-    if np.any(p0 <= 0.0) or np.any(p1 <= 0.0):
+    pair = np.stack([p0, p1])
+    if not np.all((pair > 0.0) & (pair < np.inf)):  # NaN fails both
         raise DistributionError(
-            "chernoff_information needs strictly positive vectors; "
+            "chernoff_information needs strictly positive finite vectors; "
             "smooth first")
     if np.array_equal(p0, p1):
         return 0.0, 0.5
@@ -208,38 +209,30 @@ def _divergence_argmin(pushed: np.ndarray,
     return np.argmin(divergences, axis=1)
 
 
-def _distinct_references(references: np.ndarray) -> np.ndarray:
-    """Increasing indices of the first occurrence of each distinct row."""
-    _, first = np.unique(references, axis=0, return_index=True)
-    return np.sort(first)
-
-
-def _min_divergence_decisions(pushed: np.ndarray, references: np.ndarray,
-                              keep: np.ndarray) -> np.ndarray:
+def _min_divergence_decisions(pushed: np.ndarray,
+                              references: np.ndarray) -> np.ndarray:
     """The decisions of :func:`_divergence_argmin`, mostly from one product.
 
     ``D[t, i] = sum p log p - sum p log r_i`` and the first term does not
     depend on the class, so a row's argmin is that of the cross-entropy
-    scores ``-log(references) @ pushed.T``.  Duplicate reference rows are
-    scored once, under their lowest class index: ``keep`` is
-    :func:`_distinct_references` of ``references``.  Rounding can still
-    part the two orders when scores nearly tie, so a row goes to the exact
-    rule when another score lies within ``_TIE_RTOL * (1 + |best|)`` of
-    its best, when any of its scores is not finite, or when only one
-    distinct reference is left.  The margin is far above the rounding of
-    either sum (a few ulps per cluster, times the score plus ``log k``),
-    and a one-cluster encoder, whose references equal 1 within an ulp,
-    sends every row to the exact rule.
+    scores ``-log(references) @ pushed.T``.  Rounding can part the two
+    orders when scores nearly tie, so a row goes to the exact rule when
+    another score lies within ``_TIE_RTOL * (1 + |best|)`` of its best or
+    when any of its scores is not finite.  The margin is far above the
+    rounding of either sum (a few ulps per cluster, times the score plus
+    ``log k``).  Duplicate reference rows always tie, and a one-cluster
+    encoder, whose references equal 1 within an ulp, sends every row to
+    the exact rule, so it skips the scores.
     """
-    if keep.size == 1:
+    if references.shape[1] == 1:
         return _divergence_argmin(pushed, references)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = -np.log(references[keep]) @ pushed.T  # (classes, trials)
+        scores = -np.log(references) @ pushed.T  # (classes, trials)
         low = scores.min(axis=0)
         close = scores <= low + _TIE_RTOL * (1.0 + np.abs(low))
     exact = ((np.count_nonzero(close, axis=0) != 1)
              | ~np.isfinite(scores).all(axis=0))
-    decisions = keep @ close  # the one close class of every clear row
+    decisions = np.arange(len(references)) @ close  # faster than argmax
     if exact.any():
         decisions[exact] = _divergence_argmin(pushed[exact], references)
     return decisions
@@ -276,11 +269,17 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
     random numbers, drawn once per call: every framework and beta sees
     identical draws, and runs with equal ``seed`` reuse them.
     """
-    if isinstance(frameworks, str):  # Framework members are strings too
+    if isinstance(frameworks, str):
         frameworks = (frameworks,)
     frameworks = [as_framework(f) for f in frameworks]
+    if not frameworks:
+        raise ValueError("frameworks must name at least one framework")
     beta_list = np.asarray(DEFAULT_BETAS if beta_list is None
                            else beta_list, dtype=float)
+    if (beta_list.ndim != 1 or beta_list.size == 0
+            or not np.all(np.isfinite(beta_list)) or np.any(beta_list <= 0)):
+        raise ValueError(
+            "beta_list must be one or more finite positive betas")
     requested = np.asarray(DEFAULT_N_VALUES if n_values is None
                            else n_values, dtype=float)
     if (requested.ndim != 1 or requested.size == 0
@@ -295,7 +294,7 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
 
     joint = problem.joint()
     grid = np.union1d(WARM_LADDER, beta_list)
-    trained = []  # (framework, beta, encoder, references, keep) per curve
+    trained = []  # (framework, beta, encoder, references) per curve
     for framework in frameworks:
         _, states = sweep(joint, framework, grid, split=split, tol=tol,
                           max_iter=max_iter)
@@ -303,16 +302,13 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
             state = states[int(np.searchsorted(grid, beta))]
             encoder = state.encoder[:, state.alive()]
             references = problem.class_conditionals @ encoder  # (M, k)
-            trained.append((str(framework.value), float(beta), encoder,
-                            references, _distinct_references(references)))
+            trained.append((framework, float(beta), encoder, references))
 
     errors = np.zeros((len(trained), n_values.size), dtype=np.intp)
     for labels, phats in _sample_stream(problem, n_values, trials, seed):
         laws = phats.reshape(-1, problem.n_x)  # size-major rows
-        for wrong, (_, _, encoder, references, keep) in zip(errors,
-                                                            trained):
-            decisions = _min_divergence_decisions(laws @ encoder, references,
-                                                  keep)
+        for wrong, (_, _, encoder, references) in zip(errors, trained):
+            decisions = _min_divergence_decisions(laws @ encoder, references)
             wrong += np.count_nonzero(
                 decisions.reshape(n_values.size, -1) != labels, axis=1)
 

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -122,25 +122,14 @@ def mutual_information(joint) -> float:
     return float(rel_entr(joint, np.outer(pa, pb)).sum())
 
 
-def xlogx(p) -> np.ndarray:
-    """``p * log(p)`` elementwise, with 0 where ``p == 0``.
-
-    Agrees with ``scipy.special.xlogy(p, p)`` up to the rounding of the
-    logarithm; a NaN cell gives NaN, and no floating-point warning is
-    raised.
-    """
-    p = np.asarray(p, dtype=float)
-    with np.errstate(all="ignore"):
-        return np.where(p == 0.0, 0.0, p * np.log(p))
-
-
 def rel_entr(x, y) -> np.ndarray:
     """``x * log(x / y)`` elementwise (broadcasting), for ``x, y >= 0``.
 
     Agrees with ``scipy.special.rel_entr(x, y)`` up to the rounding of the
     logarithm, and exactly in the special cells: 0 where ``x == 0``,
     ``inf`` where ``x > 0`` and ``y == 0``, NaN where either input is NaN.
-    No floating-point warning is raised.
+    No floating-point warning is raised.  ``rel_entr(p, 1.0)`` is
+    ``p log p``: dividing by 1.0 is exact.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -216,16 +205,12 @@ class JointDistribution:
     p_x : (n_x,) input marginal, strictly positive.
     rule : (n_x, n_y) row-stochastic conditional ``p(y|x)``, strictly
         positive (enforced via smoothing at construction).
-    log_rule : elementwise log of ``rule``.
-    joint : (n_x, n_y) table ``p_x[:, None] * rule``.
-    p_y : (n_y,) label marginal.
+    log_rule : elementwise log of ``rule``, computed on first use.
+    joint : (n_x, n_y) table ``p_x[:, None] * rule``, computed on first use.
     """
 
     p_x: np.ndarray
     rule: np.ndarray
-    log_rule: np.ndarray = field(repr=False)
-    joint: np.ndarray = field(repr=False)
-    p_y: np.ndarray = field(repr=False)
 
     #: ``E_{p_x}`` of the log-partition of ``log_rule``'s normalized rows
     mean_log_normalizer = 0.0
@@ -253,10 +238,7 @@ class JointDistribution:
         if rule.min() <= 0.0:
             raise DistributionError(
                 "p_y_given_x has zero cells; use a positive smoothing_epsilon")
-        p_x = as_marginal(p_x, "p_x", rule.shape[0])
-        joint = p_x[:, None] * rule
-        return cls(p_x=p_x, rule=rule, log_rule=np.log(rule), joint=joint,
-                   p_y=joint.sum(axis=0))
+        return cls(p_x=as_marginal(p_x, "p_x", rule.shape[0]), rule=rule)
 
     @property
     def n_x(self) -> int:
@@ -265,6 +247,14 @@ class JointDistribution:
     @property
     def n_y(self) -> int:
         return self.rule.shape[1]
+
+    @cached_property
+    def log_rule(self) -> np.ndarray:
+        return np.log(self.rule)
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        return self.p_x[:, None] * self.rule
 
     @cached_property
     def ib_table(self) -> np.ndarray:

@@ -25,13 +25,12 @@ whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 # logsumexp is unused here; perfbench/tracing.py patches it by name.
 from .probability import (JointDistribution, logsumexp,  # noqa: F401
-                          mutual_information, xlogx)
+                          mutual_information, rel_entr)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -40,22 +39,13 @@ DEFAULT_MAX_ITER = 200_000
 DEAD_CLUSTER_MASS = 1e-12
 
 
-class Framework(str, Enum):
-    """Which distortion/decoder pair the solver alternates on."""
-
-    IB = "ib"
-    DUAL = "dual"
-
-
-def as_framework(value) -> Framework:
-    """Coerce ``'ib'`` / ``'dual'`` / ``Framework`` to a Framework member."""
-    if isinstance(value, Framework):
-        return value
-    try:
-        return Framework(str(value).lower())
-    except ValueError:
+def as_framework(value) -> str:
+    """The framework named by ``value`` in any case: ``'ib'`` or ``'dual'``."""
+    name = str(value).lower()
+    if name not in ("ib", "dual"):
         raise ValueError(
-            f"unknown framework {value!r}; expected 'ib' or 'dual'") from None
+            f"unknown framework {value!r}; expected 'ib' or 'dual'")
+    return name
 
 
 @dataclass
@@ -70,7 +60,7 @@ class BottleneckState:
     (``None`` for ``ib`` states).
     """
 
-    framework: Framework
+    framework: str
     beta: float
     encoder: np.ndarray        # (n_x, k)
     marginal: np.ndarray       # (k,)
@@ -125,7 +115,7 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
     return marginal, stats, dead
 
 
-def _decode(framework: Framework, stats: np.ndarray,
+def _decode(framework: str, stats: np.ndarray,
             v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
@@ -134,7 +124,7 @@ def _decode(framework: Framework, stats: np.ndarray,
     per-input constant, ``U`` is in the table and ``v`` is ``V`` (``None``,
     the identity, for the table's ``U = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
-    if framework is Framework.IB:
+    if framework == "ib":
         return ratio, np.log(ratio), None
     if v is not None:
         ratio = ratio @ v.T
@@ -165,7 +155,7 @@ def encoder_information(p_x: np.ndarray, encoder: np.ndarray,
     """``I(X; Xhat)`` of ``p_x`` with a row-stochastic encoder, in nats."""
     alive = marginal > 0.0
     enc = encoder[:, alive]
-    per_cell = xlogx(enc) - enc * np.log(marginal[alive])[None, :]
+    per_cell = rel_entr(enc, 1.0) - enc * np.log(marginal[alive])[None, :]
     return float(p_x @ per_cell.sum(axis=1))
 
 
@@ -185,7 +175,7 @@ def state_observables(problem, state: BottleneckState
     """
     i_x = encoder_information(problem.p_x, state.encoder, state.marginal)
     i_y = mutual_information(problem.label_joint(state.encoder))
-    if state.framework is Framework.IB:
+    if state.framework == "ib":
         return (i_x, i_y, problem.mutual_information - i_y,
                 i_x - state.beta * i_y)
     mean_d = problem.mean_log_normalizer - float(state.marginal @ state.log_z)
@@ -241,7 +231,7 @@ class TableBackend:
         self.problem = problem
         self.framework = as_framework(framework)
         self.n_x, self.n_y = problem.n_x, problem.n_y
-        self.table = (problem.ib_table if self.framework is Framework.IB
+        self.table = (problem.ib_table if self.framework == "ib"
                       else problem.dual_table)
         self.u, self.v = problem.log_rule, None  # see _decode
 
@@ -269,7 +259,7 @@ class TableBackend:
         Dead clusters get ``-inf`` rows, so they stay at exactly zero.
         """
         framework, table = self.framework, self.table
-        ib = framework is Framework.IB
+        ib = framework == "ib"
         if ib:
             rule = self.problem.rule
             coefficients = np.column_stack(

@@ -38,7 +38,6 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     BottleneckState,
-    Framework,
     TableBackend,
 )
 # Bisection runs the table backend's loop; it is bound as ``solve``, the
@@ -125,7 +124,7 @@ def cluster_factors(problem: JointDistribution, framework,
       decoder row; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]`` with
       ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
-    if framework == Framework.IB:  # a Framework or its value
+    if framework == "ib":
         rule = problem.rule
         dec = q @ rule
         return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
@@ -240,7 +239,7 @@ def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
             hi = beta_mid
         else:
             lo = beta_mid
-    return CriticalPoint(framework=backend.framework.value,
+    return CriticalPoint(framework=backend.framework,
                          beta=float(beta_mid), lambda2=float(lam),
                          cluster_index=cluster,
                          bracket=(beta_lo, beta_hi),

@@ -31,11 +31,9 @@ from bottleneck_lab.probability import (
     logsumexp,
     mutual_information,
     rel_entr,
-    xlogx,
 )
 from bottleneck_lab.solvers import (
     BottleneckState,
-    Framework,
     _column_softmax,
     state_observables,
 )
@@ -100,7 +98,7 @@ def entropy(p) -> float:
     """
     p = _non_negative(p, "p", 1)
     _require_normalized(p, "p")
-    return float(-xlogx(p).sum())
+    return float(-rel_entr(p, 1.0).sum())
 
 
 def kl_divergence(p, q) -> float:
@@ -149,11 +147,11 @@ def distortion_matrix(problem: JointDistribution, state) -> np.ndarray:
     """The ``(n_x, k)`` per-pair cost of the state's framework:
     ``KL(rule row x || decoder row c)`` for ``ib``,
     ``KL(decoder row c || rule row x)`` for ``dual``."""
-    if state.framework is Framework.IB:
+    if state.framework == "ib":
         rule_neg_entropy = np.sum(problem.rule * problem.log_rule, axis=1)
         return (rule_neg_entropy[:, None]
                 - problem.rule @ np.log(state.decoder).T)
-    dec_neg_entropy = xlogx(state.decoder).sum(axis=1)
+    dec_neg_entropy = rel_entr(state.decoder, 1.0).sum(axis=1)
     return dec_neg_entropy - problem.log_rule @ state.decoder.T
 
 
@@ -201,7 +199,7 @@ def dual_distortion_split(problem: JointDistribution,
     i_pred_inputs = mutual_information(p_x[:, None] * predicted)
     shift = i_pred_clusters - i_pred_inputs
     mismatch = float(np.sum(
-        p_x[:, None] * (xlogx(predicted)
+        p_x[:, None] * (rel_entr(predicted, 1.0)
                         - predicted * problem.log_rule)))
     return DualDistortionSplit(total=shift + mismatch,
                                label_info_shift=shift,
@@ -302,12 +300,12 @@ def mean_exponent_bound(state: BottleneckState,
     alive = state.alive()
     marginal = state.marginal[alive]
     inputs = (state.encoder[:, alive] * joint.p_x[:, None] / marginal).T
-    cond = joint.joint / joint.p_y[None, :]  # columns p(x | y)
+    cond = joint.joint / joint.joint.sum(axis=0)[None, :]  # columns p(x | y)
     kl_matrix = rel_entr(inputs[:, None, :],
                          cond.T[None, :, :]).sum(axis=-1)  # (k, n_y)
     bound = float(np.sum(marginal[:, None] * state.decoder[alive]
                          * kl_matrix))
-    if state.framework is Framework.DUAL:
+    if state.framework == "dual":
         functional = state_observables(joint, state)[3]
         if state.beta >= 1.0 and not bound <= functional + 1e-9:
             raise AssertionError(

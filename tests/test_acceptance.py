@@ -436,7 +436,7 @@ def test_criterion_6_reduced_solver_equivalence():
             i_x = encoder_information(model.p_x, state.encoder,
                                       state.marginal)
             decoder = state.decoder
-            i_y = entropy(problem.p_y) - float(
+            i_y = entropy(problem.joint.sum(axis=0)) - float(
                 state.marginal @ np.array([entropy(row) for row in decoder]))
             mean_d = sum(
                 model.p_x[x] * state.encoder[x, c]

@@ -467,7 +467,7 @@ class TestSolve:
         closed = closed_information(model, state)
         assert closed.i_x == pytest.approx(i_x, abs=1e-8)
         dec = state.decoder
-        i_y_direct = entropy(problem.p_y) - float(
+        i_y_direct = entropy(problem.joint.sum(axis=0)) - float(
             state.marginal @ np.array([entropy(row) for row in dec]))
         assert closed.i_y == pytest.approx(i_y_direct, abs=1e-8)
         d_direct = direct_distortion(problem, state)

@@ -25,7 +25,6 @@ from bottleneck_lab.prediction import (
     WARM_LADDER,
     ClassificationProblem,
     ErrorCurve,
-    _distinct_references,
     _min_divergence_decisions,
     chernoff_information,
     error_curves_to_csv,
@@ -123,6 +122,15 @@ class TestChernoffInformation:
         with pytest.raises(DistributionError, match="smooth first"):
             chernoff_information(np.array([1.0, 0.0]), p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_cells(self, bad, side):
+        """A NaN cell passed the positivity test (``nan <= 0`` is False)
+        and returned a NaN exponent; an infinite one returned ``-inf``."""
+        pair = [np.array([bad, 0.5]), np.array([0.5, 0.5])]
+        with pytest.raises(DistributionError, match="positive finite"):
+            chernoff_information(*(pair[::-1] if side else pair))
+
 
 class TestMeanExponentBound:
     def test_independent_labels_give_zero(self):
@@ -156,8 +164,9 @@ class TestMeanExponentBound:
             i_x = encoder_information(problem.p_x, state.encoder,
                                       state.marginal)
             mean_d = state_observables(problem, state)[2]
+            p_y = problem.joint.sum(axis=0)
             dec_gap = float(state.marginal @ [
-                kl_divergence(row, problem.p_y) for row in state.decoder])
+                kl_divergence(row, p_y) for row in state.decoder])
             assert_allclose(mean_exponent_bound(state, problem),
                             i_x + mean_d - dec_gap, atol=1e-12)
 
@@ -191,7 +200,7 @@ class TestClassificationProblem:
         joint = problem.joint()
         p_x = cond.T @ problem.prior
         posterior = (problem.prior[None, :] * cond.T) / p_x[:, None]
-        assert_allclose(joint.p_y, problem.prior, atol=1e-8)
+        assert_allclose(joint.joint.sum(axis=0), problem.prior, atol=1e-8)
         assert_allclose(joint.p_x, p_x, atol=1e-8)
         assert_allclose(joint.rule, posterior, atol=1e-8)
 
@@ -199,7 +208,7 @@ class TestClassificationProblem:
         cond = np.array([[0.7, 0.3], [0.4, 0.6]])
         prior = np.array([0.25, 0.75])
         problem = ClassificationProblem(cond, prior)
-        assert_allclose(problem.joint().p_y, prior, atol=1e-8)
+        assert_allclose(problem.joint().joint.sum(axis=0), prior, atol=1e-8)
 
     def test_rejects_bad_inputs(self):
         good = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -328,13 +337,6 @@ def sampled_rows(local, cond, n, trials=300):
     return np.stack([local.multinomial(n, cond[y]) for y in labels]) / n
 
 
-def decide(pushed, references):
-    """The classifier's decisions, duplicate references found as the
-    experiment finds them."""
-    return _min_divergence_decisions(pushed, references,
-                                     _distinct_references(references))
-
-
 def mixed_conditionals(local, n_classes, n_x):
     cond = local.dirichlet(np.ones(n_x), size=n_classes)
     return 0.9 * cond + 0.1 / n_x
@@ -371,7 +373,7 @@ class TestMinDivergenceDecisions:
                 :, None]
         if zero_reference:
             references[-1, 0] = 0.0
-        assert_array_equal(decide(pushed, references),
+        assert_array_equal(_min_divergence_decisions(pushed, references),
                            exact_decisions(pushed, references))
 
     @PROPERTY_SETTINGS
@@ -388,7 +390,7 @@ class TestMinDivergenceDecisions:
         pushed = (pushed + pushed[:, ::-1]) / 2.0
         references = cond @ random_encoder(local, n_x, k)
         references[1] = references[0][::-1]
-        assert_array_equal(decide(pushed, references),
+        assert_array_equal(_min_divergence_decisions(pushed, references),
                            exact_decisions(pushed, references))
 
     def test_one_cluster_rounding_is_reproduced(self):
@@ -399,13 +401,13 @@ class TestMinDivergenceDecisions:
                                [0.9999999999999999]])
         want = exact_decisions(pushed, references)
         assert np.unique(want).size > 1
-        assert_array_equal(decide(pushed, references),
+        assert_array_equal(_min_divergence_decisions(pushed, references),
                            want)
 
     def test_one_distinct_reference_takes_the_first_class(self):
         references = np.tile([[0.25, 0.75]], (3, 1))
         pushed = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
-        assert_array_equal(decide(pushed, references),
+        assert_array_equal(_min_divergence_decisions(pushed, references),
                            [0, 0, 0])
 
 
@@ -526,6 +528,30 @@ class TestPredictionExperiment:
             with pytest.raises(ValueError, match="positive integer"):
                 run_prediction_experiment(problem, "ib", beta_list=[2.0],
                                           n_values=(1, 2), trials=trials)
+        for beta_list in ([], [[2.0, 4.0]], [-1.0], [0.0], [np.inf],
+                          [2.0, np.nan]):
+            with pytest.raises(ValueError, match="beta_list must be one or "
+                                                 "more finite positive"):
+                run_prediction_experiment(problem, "ib", beta_list=beta_list,
+                                          n_values=(1, 2), trials=10)
+        for frameworks in ((), [], ("ib", "classic")):
+            with pytest.raises(ValueError, match="framework"):
+                run_prediction_experiment(problem, frameworks,
+                                          beta_list=[2.0], n_values=(1, 2),
+                                          trials=10)
+
+    def test_keeps_unordered_and_repeated_betas(self):
+        """The CLI accepts betas in any order and repeated; each gives its
+        curve, in the order asked."""
+        problem = ClassificationProblem(make_class_mixture(3, 5, seed=4))
+        kwargs = dict(n_values=(1, 4), trials=200, seed=2)
+        curves = run_prediction_experiment(problem, "dual", [8.0, 2.0, 8.0],
+                                           **kwargs)
+        assert [curve.beta for curve in curves] == [8.0, 2.0, 8.0]
+        (alone,) = run_prediction_experiment(problem, "dual", [8.0],
+                                             **kwargs)
+        for curve in (curves[0], curves[2]):
+            assert_array_equal(curve.p_err, alone.p_err)
 
     @staticmethod
     def peak_traced_mib(trials, n_values=None):

@@ -21,15 +21,17 @@ from bottleneck_lab.annealing import (
 )
 from bottleneck_lab.expfamily import (ExpBackend, ExpFamilyModel, exp_solve,
                                      exp_sweep)
+from bottleneck_lab.prediction import (ClassificationProblem,
+                                       run_prediction_experiment)
 from bottleneck_lab.probability import JointDistribution, logsumexp
 from bottleneck_lab.solvers import (
-    Framework,
     as_framework,
     default_encoder,
     prepare_encoder,
     solve,
     state_observables,
 )
+from bottleneck_lab.stability import find_critical_points
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, direct_distortion, distortion_matrix,
@@ -75,7 +77,7 @@ class TestElementarySteps:
         log_decoder = ratio - log_z[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solvers._decode(Framework.DUAL, stats)
+            got = solvers._decode("dual", stats)
         for value, want in zip(got, (np.exp(log_decoder), log_decoder,
                                      log_z)):
             np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-13)
@@ -110,12 +112,12 @@ class TestElementarySteps:
         """Each distortion cell equals the corresponding KL divergence."""
         problem = random_problem(rng)
         enc = random_encoder(rng, problem.n_x, 3)
-        for fw in (Framework.IB, Framework.DUAL):
+        for fw in ("ib", "dual"):
             state = TableBackend(problem, fw).derive(enc, beta=2.0)
             d = distortion_matrix(problem, state)
             for x in range(problem.n_x):
                 for c in range(3):
-                    if fw is Framework.IB:
+                    if fw == "ib":
                         want = kl_divergence(problem.rule[x], state.decoder[c])
                     else:
                         want = kl_divergence(state.decoder[c], problem.rule[x])
@@ -148,11 +150,37 @@ class TestElementarySteps:
         assert report.converged
 
     def test_framework_coercion(self):
-        assert as_framework("IB") is Framework.IB
-        assert as_framework("dual") is Framework.DUAL
-        assert as_framework(Framework.DUAL) is Framework.DUAL
-        with pytest.raises(ValueError):
+        assert as_framework("IB") == "ib"
+        assert as_framework("dual") == "dual"
+        assert as_framework("DUAL") == "dual"
+        assert type(as_framework("IB")) is str
+        with pytest.raises(ValueError, match="unknown framework 'classic'"):
             as_framework("classic")
+
+    @pytest.mark.parametrize("framework", ["IB", "dual"])
+    def test_frameworks_are_plain_strings(self, framework):
+        """A framework is its lower-case name, a plain ``str``, on every
+        object that carries one: the backends, states, traces, critical
+        points and error curves of both frameworks and of the reduced
+        solver."""
+        problem = binary_overlap5()
+        grid = log_grid(2.0, 8.0, 12)
+        trace, states = sweep(problem, framework, grid)
+        points = find_critical_points(problem, (trace, states))
+        assert points
+        (curve,) = run_prediction_experiment(
+            ClassificationProblem(np.array([[0.3, 0.7], [0.6, 0.4]])),
+            framework, beta_list=[2.0], n_values=(1,), trials=10)
+        carried = [TableBackend(problem, framework).framework,
+                   states[-1].framework, trace.framework,
+                   points[0].framework, curve.framework]
+        if framework == "dual":
+            model = ExpFamilyModel.from_conditional(problem)
+            exp_trace, exp_states = exp_sweep(model, grid)
+            carried += [ExpBackend(model).framework, exp_trace.framework,
+                        exp_states[-1].framework]
+        assert [type(value) for value in carried] == [str] * len(carried)
+        assert carried == [framework.lower()] * len(carried)
 
 
 class TestExactIdentities:
@@ -324,10 +352,7 @@ class TestSolve:
         normalization the step still equals the cost-based update."""
         base = random_problem(rng)
         rule = base.rule * rng.uniform(0.5, 2.0, size=(base.n_x, 1))
-        joint = base.p_x[:, None] * rule
-        problem = JointDistribution(p_x=base.p_x, rule=rule,
-                                    log_rule=np.log(rule), joint=joint,
-                                    p_y=joint.sum(axis=0))
+        problem = JointDistribution(p_x=base.p_x, rule=rule)
         enc = random_encoder(rng, problem.n_x, 4)
         state = TableBackend(problem, "ib").derive(enc, beta)
         expected = encoder_update(state.marginal,
