@@ -274,7 +274,8 @@ def _coerce(value, kind, flag: str):
                                        and not isinstance(value, str)):
             raise TypeError
         coerced = kind(value)
-        if kind is int and coerced != float(value):
+        # int() truncates a float; comparing with the int is exact.
+        if kind is int and isinstance(value, float) and coerced != value:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(

@@ -139,49 +139,13 @@ def rel_entr(x, y) -> np.ndarray:
 
 
 def logsumexp(a, axis: int | None = None):
-    """``log(sum(exp(a), axis))``, the one log-sum-exp of the package.
-
-    Returns the same float64 values as ``scipy.special.logsumexp(a, axis)``
-    (same shape, and a 0-d ``np.float64`` for ``axis=None``) at a small
-    fraction of its per-call cost on short rows: the per-input
-    log-normalizers of an exponential-family model and the scalar
-    evaluations of the Chernoff golden section.  It keeps scipy's accurate
-    formulation (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021):
-    the maximum is shifted out, its ties are taken out of the sum of the
-    remaining terms and enter as ``log(ties)``, and the rest goes through
-    ``log1p``.  ``-inf`` entries of a row with a finite maximum contribute
-    zero without warnings; rows whose maximum is ``-inf``, ``+inf`` or NaN
-    take the direct ``log(sum(exp(a)))``, as scipy does.
-    """
+    """``log(sum(exp(a), axis))`` of finite ``a``, the one log-sum-exp of
+    the package, with the maximum shifted out so that no term overflows;
+    the shape is ``scipy.special.logsumexp``'s (0-d for ``axis=None``)."""
     a = np.asarray(a, dtype=float)
-    a_max = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(a_max)
-    # The hot path skips np.errstate: entering and leaving it costs about a
-    # third of the whole call on short rows.
-    if finite.all():
-        out = _max_shifted_logsumexp(a, a_max, axis, True)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(finite,
-                           _max_shifted_logsumexp(a, a_max, axis, False),
-                           np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return out.squeeze(axis=axis)[()]
-
-
-def _max_shifted_logsumexp(a: np.ndarray, a_max: np.ndarray,
-                           axis: int | None, all_finite: bool) -> np.ndarray:
-    is_max = a == a_max
-    shifted = np.exp(a - a_max)
-    np.copyto(shifted, 0.0, where=is_max)
-    total = shifted.sum(axis=axis, keepdims=True)
-    # One maximum in every row makes every tie count 1, and then
-    # log1p(s / 1) + log(1) + m equals log1p(s) + m bit for bit.  A row
-    # whose maximum is NaN has no maximum at all, so the count of maxima
-    # decides this only when every row maximum is finite.
-    if all_finite and np.count_nonzero(is_max) == a_max.size:
-        return np.log1p(total) + a_max
-    ties = is_max.sum(axis=axis, keepdims=True)
-    return np.log1p(total / ties) + np.log(ties) + a_max
+    shift = np.maximum.reduce(a, axis=axis, keepdims=True)
+    total = np.add.reduce(np.exp(a - shift), axis=axis, keepdims=True)
+    return (np.log(total) + shift).squeeze(axis=axis)[()]
 
 
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:

@@ -9,8 +9,8 @@ label ``Y`` of a fixed rule ``p(y|x)``:
   of rule rows.
 * ``dual`` swaps the KL arguments: the cost is ``KL(dec(y|xhat) || p(y|x))``
   and the functional is ``I(X;Xhat) + beta * E[cost]``.  The optimal decoder
-  becomes the normalized *geometric* mixture of rule rows, which puts the
-  emphasis on predicting the label rather than summarizing it.
+  becomes the *geometric* mixture of rule rows, normalized by ``logsumexp``:
+  it puts the emphasis on predicting the label rather than summarizing it.
 
 Matrix conventions (see :mod:`bottleneck_lab.probability`): encoders are
 ``(n_x, k)`` row-stochastic and decoders ``(k, n_y)``, and everything a
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# logsumexp is unused here; perfbench/tracing.py patches it by name.
-from .probability import (JointDistribution, logsumexp,  # noqa: F401
-                          mutual_information, rel_entr)
+from .probability import (JointDistribution, logsumexp, mutual_information,
+                          rel_entr)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -119,27 +118,26 @@ def _decode(framework: str, stats: np.ndarray,
             v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
-    normalized geometric mixture ``exp(E[U | xhat] @ V.T - log_z)`` as a
-    max-shifted row softmax, where the log-rule is ``U @ V.T`` up to a
-    per-input constant, ``U`` is in the table and ``v`` is ``V`` (``None``,
-    the identity, for the table's ``U = log p(y|x)``)."""
+    normalized geometric mixture ``exp(E[U | xhat] @ V.T - log_z)``, with
+    ``log_z`` the row :func:`~bottleneck_lab.probability.logsumexp`, where
+    the log-rule is ``U @ V.T`` up to a per-input constant, ``U`` is in the
+    table and ``v`` is ``V`` (``None``, the identity, for the table's
+    ``U = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework == "ib":
         return ratio, np.log(ratio), None
     if v is not None:
         ratio = ratio @ v.T
-    shift = np.maximum.reduce(ratio, axis=1, keepdims=True)
-    ratio -= shift
-    decoder = np.exp(ratio)
-    total = np.add.reduce(decoder, axis=1, keepdims=True)
-    log_total = np.log(total)
-    return decoder / total, ratio - log_total, (shift + log_total)[:, 0]
+    log_z = logsumexp(ratio, axis=1)
+    log_decoder = ratio - log_z[:, None]
+    return np.exp(log_decoder), log_decoder, log_z
 
 
 def _column_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax down each column of cluster-major ``(k, n)`` logits, in
     place, with a per-column max shift; ``-inf`` rows (dead clusters) give
-    exact zeros."""
+    exact zeros.  Not :func:`logsumexp`: the encoder needs no log, and
+    dividing by the column sums in place saves ``n`` logs per step."""
     logits -= np.maximum.reduce(logits, axis=0)
     enc = np.exp(logits, out=logits)
     enc /= np.add.reduce(enc, axis=0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annealing import AnnealTrace
-from .probability import JointDistribution
+from .probability import JointDistribution, logsumexp
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -120,9 +120,9 @@ def cluster_factors(problem: JointDistribution, framework,
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
       where ``dec = q @ rule`` is the Bayes decoder row.
     * ``dual``: ``A[x, y] = (log rule[x, y] - c[y]) * dec[y]`` with
-      ``c[y] = sum_x q[x] log rule[x, y]`` and ``dec`` the geometric
-      decoder row; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]`` with
-      ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
+      ``c[y] = sum_x q[x] log rule[x, y]`` and ``dec = exp(c - logsumexp(c))``
+      the geometric decoder row; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
+      with ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
     if framework == "ib":
         rule = problem.rule
@@ -130,8 +130,7 @@ def cluster_factors(problem: JointDistribution, framework,
         return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
     log_rule = problem.log_rule
     log_unnorm = q @ log_rule
-    dec = np.exp(log_unnorm - log_unnorm.max())
-    dec /= dec.sum()                                   # geometric decoder row
+    dec = np.exp(log_unnorm - logsumexp(log_unnorm))   # geometric decoder row
     a = (log_rule - log_unnorm[None, :]) * dec[None, :]
     b = (log_rule.T - (log_rule @ dec)[None, :]) * q[None, :]
     return a, b

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bottleneck_lab import cli
+from bottleneck_lab import cli, solvers
 from bottleneck_lab.annealing import log_grid, sweep
 from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
 
@@ -57,6 +57,42 @@ def test_traced_sweeps_count_every_solve(solver):
     assert tracer.counts["annealing.grid_points"] == betas.size
     assert (tracer.counts["solvers.iterations"]
             == sum(trace.column("n_iterations")) > 0)
+
+
+@pytest.mark.parametrize("framework", ["ib", "dual"])
+def test_traced_dual_decoder_calls_the_one_logsumexp(framework,
+                                                      monkeypatch):
+    """Each dual ``_decode``, one per iteration and one per derived state,
+    normalizes its rows through ``solvers.logsumexp``, the name the tracer
+    wraps, so ``solvers.logsumexp_calls`` counts them; an ib sweep never
+    calls it."""
+    counts = {"_decode": 0, "derive": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "_decode",
+                        counted("_decode", solvers._decode))
+    monkeypatch.setattr(solvers.TableBackend, "derive",
+                        counted("derive", solvers.TableBackend.derive))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trace, _ = sweep(binary_overlap5(), framework, log_grid(2.0, 8.0, 6))
+    finally:
+        tracer.uninstall()
+    calls = tracer.totals()[2]["solvers.logsumexp"]
+    if framework == "ib":   # an ib step reads log(stats), not _decode
+        assert calls == 0
+        assert counts["_decode"] == counts["derive"] > 0
+    else:
+        iterations = sum(trace.column("n_iterations"))
+        assert calls == counts["_decode"] == iterations + counts["derive"]
+        assert calls > 0
 
 
 @pytest.mark.parametrize("command, n_sweeps, bisects", [

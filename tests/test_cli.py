@@ -276,6 +276,20 @@ class TestResolveConfig:
         assert config.units == "bits"   # config file beats default
         assert config.seed == 9
 
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 3, 10**30, 1e20])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_integers_beyond_doubles_keep_every_digit(self, tmp_path,
+                                                      source, seed):
+        """An integral setting takes integral values of any size, also
+        those no double holds, by flag and by config file."""
+        argv = ["solve", "--problem", "p.json", "--beta", "2"]
+        if source == "flag":
+            argv += ["--seed", str(int(seed))]
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json",
+                                            {"seed": seed})]
+        assert resolve(argv).seed == int(seed)
+
     def test_config_file_rejections(self, tmp_path, capsys):
         unknown = write_json(tmp_path / "u.json", {"trials": 5})
         with pytest.raises(ValidationError, match="not valid for 'solve'"):
@@ -305,10 +319,11 @@ class TestResolveConfig:
         (ERROR_EXP, {"beta_list": "24"}, "--betas"),
         (ERROR_EXP, {"n_values": [1.5, 3]}, "--n-values"),
         (ERROR_EXP, {"trials": True}, "--trials"),
+        (SWEEP, {"seed": 2.5}, "--seed"),
     ], ids=["framework-null", "tol-null", "split-eps-null", "seed-null",
             "output-dir-null", "merge-tol-infinite",
             "n-values-string", "betas-string", "n-values-fraction",
-            "trials-boolean"])
+            "trials-boolean", "seed-fraction"])
     def test_config_values_mean_what_the_flag_means(
             self, tmp_path, capsys, argv, values, flag):
         """``null`` leaves a setting unset; a value its flag could not
