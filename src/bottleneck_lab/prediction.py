@@ -43,10 +43,14 @@ def chernoff_information(p0, p1) -> tuple[float, float]:
     Minimizes the log-partition ``g(lam) = log sum_x p0^lam p1^(1-lam)``
     over ``lam in (0, 1)`` by golden-section search (``g`` is convex; the
     bracket shrinks below ``CHERNOFF_TOL``) and returns ``(-g(lam*), lam*)``.
-    Identical inputs return ``(0.0, 0.5)`` by convention.  At the
-    minimizer the tilted distribution ``p_lam* ∝ p0^lam* p1^(1-lam*)`` is
-    equidistant from both inputs in divergence; the residual distance gap
-    scales with ``CHERNOFF_TOL`` times the curvature of ``g``.
+    Each input must be strictly positive and finite and sum to 1 within
+    ``INPUT_SUM_TOL``, and is renormalized once by
+    :func:`~bottleneck_lab.probability.as_distribution`; a farther sum
+    raises ``NormalizationError`` naming ``p0`` or ``p1``.  Identical
+    inputs return ``(0.0, 0.5)`` by convention.  At the minimizer the
+    tilted distribution ``p_lam* ∝ p0^lam* p1^(1-lam*)`` is equidistant
+    from both inputs in divergence; the residual distance gap scales with
+    ``CHERNOFF_TOL`` times the curvature of ``g``.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -57,6 +61,8 @@ def chernoff_information(p0, p1) -> tuple[float, float]:
         raise DistributionError(
             "chernoff_information needs strictly positive finite vectors; "
             "smooth first")
+    p0 = as_distribution(p0, "p0")
+    p1 = as_distribution(p1, "p1")
     if np.array_equal(p0, p1):
         return 0.0, 0.5
     log0 = np.log(p0)
@@ -147,36 +153,97 @@ class ErrorCurve:
 #: _SAMPLE_CELLS // max_n)`` trials at a time (1024 at max n = 256).
 _SAMPLE_CELLS = 2**18
 
+#: Uniforms drawn and looked up at a time within a chunk (whole rows, at
+#: least one), so the uniforms and their bucket indices take 512 KiB each
+#: rather than a whole chunk's 2 MiB.
+_LOOKUP_CELLS = 2**16
+
+#: The inverse-CDF bucket table has at least this many buckets per input,
+#: so at most 1/16 of the uniforms fall in a bucket that holds a CDF step.
+_BUCKETS_PER_INPUT = 16
+
 #: A row is left to the exact divergences when a second score lies within
 #: ``_TIE_RTOL * (1 + |best|)`` of its best score.
 _TIE_RTOL = 1e-8
 
 
+def _bucket_table(cdfs: np.ndarray) -> np.ndarray:
+    """Bucket ("guide") table of the classes' inverse CDFs (Chen & Asau
+    1974), ``(classes, B)``.
+
+    ``B`` is the smallest power of two at least
+    ``_BUCKETS_PER_INPUT * n_x``.  Cell ``[c, b]`` holds the input
+    ``searchsorted(cdfs[c], u, side="right")`` shared by every uniform
+    ``u`` in ``[b / B, (b + 1) / B)`` when they all share one, and the
+    sentinel ``n_x`` when a step of the CDF falls inside the bucket.  At
+    most ``n_x - 1`` of a class's ``B`` buckets hold a step, so under
+    1/16 of the uniforms hit the sentinel.  Cells take the smallest
+    unsigned type that holds ``n_x``.
+    """
+    n_classes, n_x = cdfs.shape
+    buckets = 1 << (_BUCKETS_PER_INPUT * n_x - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets  # exact: a power of two
+    table = np.empty((n_classes, buckets), dtype=np.min_scalar_type(n_x))
+    for c, cdf in enumerate(cdfs):
+        lo = np.searchsorted(cdf, edges[:-1], side="right")
+        hi = np.searchsorted(cdf, edges[1:], side="left")
+        table[c] = np.where(lo == hi, lo, n_x)
+    return table
+
+
+def _inverse_cdf(table: np.ndarray, cdfs: np.ndarray, labels: np.ndarray,
+                 us: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdfs[labels[r]], us[r], side="right")`` for every row
+    ``r`` of the uniform block ``us``, in the table's small type.
+
+    Each uniform reads its cell of :func:`_bucket_table`; the few that hit
+    the sentinel are searched per class.  ``us`` is scaled by the bucket
+    count in place, which is exact, as that count is a power of two.
+    """
+    buckets = table.shape[1]
+    us *= buckets
+    index = us.astype(np.intp)  # floor: the uniforms are non-negative
+    index += (labels * buckets)[:, None]
+    cells = table.take(index)
+    flat_cells, flat_us = cells.reshape(-1), us.reshape(-1)
+    miss = np.flatnonzero(flat_cells == cdfs.shape[1])
+    classes = labels[miss // us.shape[1]]
+    for c, cdf in enumerate(cdfs):
+        at = miss[classes == c]
+        flat_cells[at] = np.searchsorted(cdf, flat_us[at] / buckets,
+                                         side="right")
+    return cells
+
+
 def _empirical_counts(rng: np.random.Generator, cdfs: np.ndarray,
-                      labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+                      table: np.ndarray, labels: np.ndarray,
+                      sizes: np.ndarray) -> np.ndarray:
     """Empirical input laws of one chunk of trials.
 
-    Draws the chunk's ``(trials, max n)`` uniforms from ``rng``, turns
+    Draws the chunk's ``(trials, max n)`` uniforms from ``rng``, in
+    blocks of at most ``_LOOKUP_CELLS`` (rounded to whole rows), turns
     them into samples of each trial's class by inverse CDF (``cdfs``
-    rows are the classes' cumulative conditionals) and returns the
-    ``(sizes, trials, n_x)`` empirical laws of the first ``n`` samples
-    of each trial, for each ``n`` in ``sizes`` (increasing).
+    rows are the classes' cumulative conditionals, ``table`` their
+    :func:`_bucket_table`) and returns the ``(sizes, trials, n_x)``
+    empirical laws of the first ``n`` samples of each trial, for each
+    ``n`` in ``sizes`` (increasing).  Each segment of samples between two
+    sizes is counted by one ``bincount`` of its cells plus row offsets,
+    added to the running prefix counts.
     """
-    rows, n_x = labels.size, cdfs.shape[1]
-    us = rng.random((rows, sizes[-1]))
-    # cell index row * n_x + x of every sample, binned segment by segment
-    cells = np.empty(us.shape, dtype=np.intp)
-    for c in range(cdfs.shape[0]):
-        mask = labels == c
-        cells[mask] = np.searchsorted(cdfs[c], us[mask], side="right")
-    cells += np.arange(0, rows * n_x, n_x)[:, None]
+    rows, n_x, width = labels.size, cdfs.shape[1], int(sizes[-1])
+    cells = np.empty((rows, width), dtype=table.dtype)
+    step = max(1, _LOOKUP_CELLS // width)
+    for lo in range(0, rows, step):
+        block = labels[lo:lo + step]
+        cells[lo:lo + step] = _inverse_cdf(table, cdfs, block,
+                                           rng.random((block.size, width)))
+    offsets = np.arange(0, rows * n_x, n_x)[:, None]
     counts = np.zeros(rows * n_x, dtype=np.intp)
     phats = np.empty((sizes.size, rows, n_x))
-    prev = 0
-    for j, n in enumerate(sizes):
-        counts += np.bincount(cells[:, prev:n].ravel(), minlength=counts.size)
-        prev = n
-        phats[j] = counts.reshape(rows, n_x) / n
+    for j, (start, n) in enumerate(zip(np.r_[0, sizes[:-1]], sizes)):
+        counts += np.bincount((cells[:, start:n] + offsets).ravel(),
+                              minlength=counts.size)
+        np.divide(counts.reshape(rows, n_x), n, out=phats[j])
     return phats
 
 
@@ -189,16 +256,18 @@ def _sample_stream(problem: ClassificationProblem, sizes: np.ndarray,
     _SAMPLE_CELLS // max n)`` rows at a time from the same stream, so the
     chunks hold the numbers of one single draw.  Yields the labels of
     each chunk and its :func:`_empirical_counts`; the labels take 8 bytes
-    a trial, and nothing else outlives its chunk.
+    a trial, the bucket table a few bytes per conditional cell, and
+    nothing else outlives its chunk.
     """
     rng = np.random.default_rng(seed)
     ys = rng.integers(0, problem.n_classes, size=trials)
     cdfs = np.cumsum(problem.class_conditionals, axis=1)
     cdfs[:, -1] = 1.0
+    table = _bucket_table(cdfs)
     rows = max(1, _SAMPLE_CELLS // int(sizes[-1]))
     for lo in range(0, trials, rows):
         labels = ys[lo:lo + rows]
-        yield labels, _empirical_counts(rng, cdfs, labels, sizes)
+        yield labels, _empirical_counts(rng, cdfs, table, labels, sizes)
 
 
 def _divergence_argmin(pushed: np.ndarray,
@@ -220,12 +289,15 @@ def _min_divergence_decisions(pushed: np.ndarray,
     another score lies within ``_TIE_RTOL * (1 + |best|)`` of its best or
     when any of its scores is not finite.  The margin is far above the
     rounding of either sum (a few ulps per cluster, times the score plus
-    ``log k``).  Duplicate reference rows always tie, and a one-cluster
-    encoder, whose references equal 1 within an ulp, sends every row to
-    the exact rule, so it skips the scores.
+    ``log k``).  Duplicate reference rows always tie.  A one-cluster
+    encoder, whose references equal 1 within an ulp, would send every row
+    to the exact rule; it skips the scores and applies the exact rule
+    once per distinct pushed value instead, the same function of the
+    same floats.
     """
     if references.shape[1] == 1:
-        return _divergence_argmin(pushed, references)
+        values, inverse = np.unique(pushed[:, 0], return_inverse=True)
+        return _divergence_argmin(values[:, None], references)[inverse]
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = -np.log(references) @ pushed.T  # (classes, trials)
         low = scores.min(axis=0)

@@ -17,6 +17,7 @@ from oracles import binary_overlap5
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 RULE_FIXTURE = ROOT / "problems" / "binary_overlap5.json"
+CLASS_FIXTURE = ROOT / "problems" / "class_mixture8.json"
 
 
 def load_tracing():
@@ -118,3 +119,26 @@ def test_traced_cli_commands_count_their_work(command, n_sweeps, bisects,
     assert tracer.counts["annealing.grid_points"] == n_sweeps * 6
     assert tracer.counts["solvers.iterations"] > 0
     assert (tracer.counts["stability.bisection_solves"] > 0) == bisects
+
+
+def test_traced_error_experiment_samples_once_per_chunk(tmp_path):
+    """``error-exp`` draws and bins each chunk of trials in one
+    ``prediction._empirical_counts`` call, the name the tracer spans as
+    ``prediction.sampling``, so that span times the whole sampling kernel:
+    3109 trials at a largest test size of 256 make four chunks of at most
+    1024 trials, whatever the number of frameworks and betas."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["error-exp", "--classes", str(CLASS_FIXTURE),
+                       "--framework", "both", "--trials", "3109",
+                       "--n-values", "1", "4", "256",
+                       "--output-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracing.installed_wrappers() == []
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["prediction.sampling_calls"] == (4, "count")
+    assert metrics["prediction.sampling_s"][0] > 0.0

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
@@ -30,7 +30,11 @@ from bottleneck_lab.prediction import (
     error_curves_to_csv,
     run_prediction_experiment,
 )
-from bottleneck_lab.probability import DistributionError, JointDistribution
+from bottleneck_lab.probability import (
+    DistributionError,
+    JointDistribution,
+    NormalizationError,
+)
 from bottleneck_lab.solvers import (
     TableBackend,
     encoder_information,
@@ -130,6 +134,28 @@ class TestChernoffInformation:
         pair = [np.array([bad, 0.5]), np.array([0.5, 0.5])]
         with pytest.raises(DistributionError, match="positive finite"):
             chernoff_information(*(pair[::-1] if side else pair))
+
+    @pytest.mark.parametrize("far", [[2.0, 1.0], [0.2, 0.2],
+                                     [0.5, 0.5 + 2e-6]])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_inputs_that_do_not_sum_to_one(self, far, side):
+        """``([2, 1], [1, 2])`` returned the exponent -1.04 and ``([0.2,
+        0.2], [0.5, 0.5])`` the pair (0.916, 1.0): a sum farther than
+        ``INPUT_SUM_TOL`` from 1 is an error that names the input."""
+        pair = [np.array(far), np.array([0.3, 0.7])]
+        with pytest.raises(NormalizationError,
+                           match=f"p{side} sums to .* within 1e-06"):
+            chernoff_information(*(pair[::-1] if side else pair))
+
+    def test_near_sums_are_renormalized(self):
+        """Inputs within ``INPUT_SUM_TOL`` of a sum of 1 give the exponent
+        of their normalized form."""
+        p0, p1 = smoothed_pair(np.random.default_rng(12))
+        exponent, lam = chernoff_information(p0, p1)
+        scaled, scaled_lam = chernoff_information(p0 * (1.0 + 5e-7),
+                                                  p1 * (1.0 - 5e-7))
+        assert_allclose(scaled, exponent, rtol=1e-12)
+        assert_allclose(scaled_lam, lam, atol=1e-8)
 
 
 class TestMeanExponentBound:
@@ -330,6 +356,42 @@ class TestEmpiricalCounts:
             assert phats[n].tobytes() == want[n].tobytes()
 
 
+class TestBucketTable:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),
+           n_x=st.integers(2, 300))
+    @example(seed=1, n_classes=2, n_x=255)  # the largest uint8 table
+    @example(seed=2, n_classes=3, n_x=256)  # the smallest uint16 table
+    def test_cells_equal_the_per_class_search(self, seed, n_classes, n_x):
+        """The bucket table gives every uniform the cell of its class's
+        ``searchsorted(cdf, u, side="right")``.  Cells span 1e-18 to 1, so
+        the CDF repeats values where tiny cells add nothing; the uniforms
+        include random ones, 0, every bucket edge and every CDF value
+        below 1, and the float just below each of those."""
+        local = np.random.default_rng(seed)
+        cond = 10.0 ** local.uniform(-18.0, 0.0, size=(n_classes, n_x))
+        problem = ClassificationProblem(cond / cond.sum(axis=1,
+                                                        keepdims=True))
+        cdfs = np.cumsum(problem.class_conditionals, axis=1)
+        cdfs[:, -1] = 1.0
+        table = prediction._bucket_table(cdfs)
+        buckets = table.shape[1]
+        assert table.dtype == (np.uint8 if n_x < 256 else np.uint16)
+        assert buckets & (buckets - 1) == 0
+        assert 16 * n_x <= buckets < 32 * n_x
+        marks = np.concatenate([[0.0], np.arange(1, buckets) / buckets,
+                                cdfs[cdfs < 1.0]])
+        pool = np.concatenate([marks, np.nextafter(marks[1:], 0.0),
+                               local.random(marks.size)])
+        labels = local.integers(0, n_classes, size=8)
+        us = local.choice(pool, size=(labels.size, pool.size))
+        want = np.stack([np.searchsorted(cdfs[c], row, side="right")
+                         for c, row in zip(labels, us)])
+        got = prediction._inverse_cdf(table, cdfs, labels, us.copy())
+        assert got.dtype == table.dtype
+        assert_array_equal(got, want)
+
+
 def sampled_rows(local, cond, n, trials=300):
     """Empirical laws of ``n`` draws from random classes: rows with zero
     cells whenever ``n`` is below the alphabet size."""
@@ -401,6 +463,24 @@ class TestMinDivergenceDecisions:
                                [0.9999999999999999]])
         want = exact_decisions(pushed, references)
         assert np.unique(want).size > 1
+        assert_array_equal(_min_divergence_decisions(pushed, references),
+                           want)
+
+    def test_one_cluster_equals_the_exact_rule_row_by_row(self):
+        """A one-cluster encoder is decided once per distinct pushed value:
+        repeated values one ulp apart around 1.0, against references a few
+        ulps under 1 whose quotients with them round to ties (and one
+        duplicate pair, which always ties), get
+        :func:`_divergence_argmin`'s decision row for row."""
+        ulp = 2.0**-53  # below 1.0; it doubles above
+        values = np.concatenate([1.0 - ulp * np.arange(4, 0, -1),
+                                 1.0 + 2.0 * ulp * np.arange(5)])
+        pushed = np.random.default_rng(3).choice(values, size=(200, 1))
+        references = 1.0 - ulp * np.array([[4.0], [2.0], [1.0], [2.0],
+                                           [3.0]])
+        want = prediction._divergence_argmin(pushed, references)
+        assert np.unique(want).size > 1
+        assert 3 not in want  # the duplicate of class 1 never wins
         assert_array_equal(_min_divergence_decisions(pushed, references),
                            want)
 
