@@ -79,11 +79,12 @@ def split_and_perturb(encoder: np.ndarray, eps: float,
     """Duplicate every cluster column and apply multiplicative noise.
 
     Children sit at adjacent columns ``2c`` and ``2c + 1``.  Each cell is
-    scaled by ``1 + eps * u`` with ``u ~ U(-1, 1)``; rows are renormalized,
-    so with ``eps = 0`` the children are exact halves of the parent.
+    scaled by ``1 + eps * u`` with ``u ~ U(-1, 1)``, so ``0 <= eps < 1``
+    keeps every cell's sign; rows are renormalized, so with ``eps = 0`` the
+    children are exact halves of the parent.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be non-negative")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must be >= 0 and < 1, got {eps}")
     children = np.repeat(encoder, 2, axis=1)
     children = children * (1.0 + eps * rng.uniform(-1.0, 1.0,
                                                    size=children.shape))

@@ -223,9 +223,12 @@ class RunConfig:
         "step then works on n_x x n_x arrays: slow on large models)")
     g_tol: float | None = _setting(
         float, 1e-9, _POSITIVE, help="|beta * lambda2 - 1| refinement target")
+    # split noise scales cells by 1 + eps * u, u in [-1, 1): from eps = 1
+    # on, a cell can reach zero or flip its sign
     split_eps: float | None = _setting(
-        float, SplitConfig.eps, _NON_NEGATIVE,
-        help="relative perturbation of split clusters")
+        float, SplitConfig.eps, (lambda eps: 0.0 <= eps < 1.0,
+                                 "must be >= 0 and < 1"),
+        help="relative perturbation of split clusters, in [0, 1)")
     merge_tol: float | None = _setting(
         float, SplitConfig.merge_tol, _POSITIVE,
         help="decoder distance below which clusters merge")

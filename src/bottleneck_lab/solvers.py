@@ -105,8 +105,10 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
     """
     stats = encoder.T @ table
     marginal = stats[:, -1]
-    # Validated encoders give finite masses; counting is the cheapest test.
-    if np.count_nonzero(marginal) == marginal.size:
+    # Validated encoders give finite masses.  ``in`` compares by ``==``,
+    # so it finds -0.0 but not NaN, as counting nonzeros would; on k
+    # cells a list search costs fewer numpy calls than counting.
+    if 0.0 not in marginal.tolist():
         return marginal, stats, None
     marginal = marginal.copy()
     dead = ~(marginal > 0.0)
@@ -260,21 +262,20 @@ class TableBackend:
         ib = framework == "ib"
         if ib:
             rule = self.problem.rule
-            coefficients = np.column_stack(
-                [beta * rule, 1.0 - beta * rule.sum(axis=1)])
+            coefficients_t = np.column_stack(
+                [beta * rule, 1.0 - beta * rule.sum(axis=1)]).T
         else:
             beta_u, v = beta * self.u, self.v
 
         def step(encoder):
             _, stats, dead = _cluster_statistics(encoder, table)
             if ib:
-                logits = np.log(stats) @ coefficients.T
+                logits = np.dot(np.log(stats), coefficients_t)
             else:
                 decoder, log_decoder, _ = _decode(framework, stats, v)
                 logits = (decoder if v is None else decoder @ v) @ beta_u.T
-                logits += (np.log(stats[:, -1])
-                           - beta * (decoder * log_decoder).sum(axis=1)
-                           )[:, None]
+                logits += (np.log(stats[:, -1]) - beta * np.add.reduce(
+                    decoder * log_decoder, axis=1))[:, None]
             if dead is not None:
                 logits[dead] = -np.inf
             return _column_softmax(logits).T
@@ -284,6 +285,20 @@ class TableBackend:
     def observables(self, state: BottleneckState
                     ) -> tuple[float, float, float, float]:
         return state_observables(self.problem, state)
+
+
+def _sup_norm_move(new: np.ndarray, old: np.ndarray
+                   ) -> tuple[float, tuple[int, int]]:
+    """``(max |new - old|, cell)`` of one step, with a cell that attains
+    the max (a NaN cell, if any).  ``old`` is dead once stepped from: it
+    is overwritten with the residual."""
+    residual = np.abs(np.subtract(new, old, out=old), out=old)
+    # argmax copies an array that is not C-ordered (the step's transposed
+    # views); its memory-order ravel is a view.
+    order = "C" if residual.flags.c_contiguous else "F"
+    cell = np.unravel_index(int(residual.ravel(order).argmax()),
+                            residual.shape, order=order)
+    return float(residual[cell]), cell
 
 
 def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
@@ -299,6 +314,14 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
     ``max_iter`` steps.  With ``track_functional`` the report traces the
     backend's functional of the state derived before each step, and of the
     final state.
+
+    Each step first tests one probe cell, the one that moved most at the
+    last full test: if it moved by more than ``tol``, so did the sup norm,
+    and the step goes on without forming the residual (except at
+    ``max_iter``, where ``encoder_delta`` needs it).  The probe's move is
+    the same IEEE difference the residual holds at that cell, so the
+    stopping step and ``encoder_delta`` are those of a full test on every
+    step.
     """
     if not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
@@ -308,14 +331,17 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
     delta = np.inf
     converged = False
     iterations = 0
+    probe = (0, 0)
     for iterations in range(1, max_iter + 1):
         if track_functional:
             functionals.append(backend.observables(
                 backend.derive(np.ascontiguousarray(encoder), beta))[3])
         new_encoder = step(encoder)
-        # The old encoder is dead once stepped from: it holds the residual.
-        np.subtract(new_encoder, encoder, out=encoder)
-        delta = float(np.abs(encoder, out=encoder).max())
+        if (abs(new_encoder.item(probe) - encoder.item(probe)) > tol
+                and iterations < max_iter):
+            encoder = new_encoder
+            continue
+        delta, probe = _sup_norm_move(new_encoder, encoder)
         encoder = new_encoder
         if delta <= tol:
             converged = True

@@ -2,7 +2,8 @@
 
 The oracles are what the tests compare the package against: divergences,
 the inverse encoder, direct sums of the cost, the textbook encoder update,
-closed forms of the reduced solver, the exponential-family residual, the
+the fixed-point loop with a full stopping test on every step, closed
+forms of the reduced solver, the exponential-family residual, the
 classification exponent bound, the whole-block misclassification
 experiment and a trace reader.  No command and no
 benchmark workload runs any of them.
@@ -35,6 +36,7 @@ from bottleneck_lab.probability import (
 from bottleneck_lab.solvers import (
     BottleneckState,
     _column_softmax,
+    prepare_encoder,
     state_observables,
 )
 
@@ -173,6 +175,26 @@ def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
     with np.errstate(divide="ignore"):
         log_marginal = np.log(marginal)
     return _column_softmax(log_marginal[:, None] - beta * distortion.T).T
+
+
+def full_test_fixed_point(backend, beta: float, *, n_clusters=None,
+                          init_encoder=None, tol: float, max_iter: int):
+    """The fixed-point loop with the sup-norm move of every step formed in
+    full: ``(encoder, n_iterations, converged, encoder_delta)``, the final
+    encoder C-contiguous as a state holds it.  ``solvers.fixed_point``
+    forms that move only on steps its probe cell cannot rule out, and must
+    stop where this loop stops."""
+    encoder = prepare_encoder(backend.n_x, n_clusters, init_encoder)
+    step = backend.stepper(beta)
+    delta, iterations = np.inf, 0
+    while iterations < max_iter:
+        new = step(encoder)
+        iterations += 1
+        delta = float(np.abs(new - encoder).max())
+        encoder = new
+        if delta <= tol:
+            return np.ascontiguousarray(encoder), iterations, True, delta
+    return np.ascontiguousarray(encoder), iterations, False, delta
 
 
 @dataclass

@@ -73,6 +73,18 @@ class TestSplitAndPerturb:
         with pytest.raises(ValueError):
             split_and_perturb(np.ones((2, 1)), -0.1, rng)
 
+    @pytest.mark.parametrize("eps", [1.0, 1.01, 5.0, np.nan])
+    def test_eps_of_one_or_more_rejected(self, eps, rng):
+        """Cells are scaled by ``1 + eps * u`` with ``u`` in [-1, 1): from
+        ``eps = 1`` on, a factor can reach zero or go negative, so the
+        split refuses such an ``eps`` (and NaN) instead of handing the
+        solver an encoder it rejects; just below one every cell stays
+        positive."""
+        with pytest.raises(ValueError, match="eps must be >= 0 and < 1"):
+            split_and_perturb(np.ones((2, 1)), eps, rng)
+        enc = rng.dirichlet(np.ones(3), size=50)
+        assert split_and_perturb(enc, 0.999, rng).min() > 0.0
+
 
 class TestMerge:
     def test_exact_split_merges_back(self, rng):

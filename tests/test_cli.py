@@ -335,6 +335,23 @@ class TestResolveConfig:
             assert_rejected(argv + ["--config", path], flag, tmp_path,
                             capsys)
 
+    @pytest.mark.parametrize("argv", [
+        SWEEP, ERROR_EXP,
+        ["expfam", "--problem", str(RULE_FIXTURE), "--beta-grid", "log:1:4:3"],
+    ], ids=["sweep", "error-exp", "expfam"])
+    @pytest.mark.parametrize("eps", [1.0, 1.01, 5.0])
+    def test_split_eps_must_be_below_one(self, tmp_path, capsys, argv, eps):
+        """Split noise scales cells by ``1 + eps * u`` with ``u`` in
+        [-1, 1), so ``--split-eps`` of one or more, by flag or config key,
+        exits 2 naming the flag before ``run_config.json`` is written;
+        a value just below one is taken."""
+        assert_rejected(argv + ["--split-eps", str(eps)], "--split-eps",
+                        tmp_path, capsys)
+        path = write_json(tmp_path / "cfg.json", {"split_eps": eps})
+        assert_rejected(argv + ["--config", path], "--split-eps", tmp_path,
+                        capsys)
+        assert resolve(argv + ["--split-eps", "0.999"]).split_eps == 0.999
+
     def test_error_exp_defaults_are_materialized(self):
         config = resolve(["error-exp", "--classes", "c.json"])
         assert config.beta_list == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
@@ -412,12 +429,13 @@ BASE = {
 }
 # settings a command refuses with BASE's --beta, as they need --beta-grid
 GRID_ONLY = {("expfam", "split_eps"), ("expfam", "merge_tol")}
+# split noise must stay below one, so --split-eps gets a value of its own
 SAMPLE = {"problem_path": "q.json", "framework": "dual", "units": "bits",
-          "beta_grid": "log:1:3:4", "output_dir": "out"}
+          "beta_grid": "log:1:3:4", "output_dir": "out", "split_eps": 0.25}
 
 
 def sample_value(dest, kind, nargs):
-    if kind is None:
+    if kind is None or dest in SAMPLE:
         return SAMPLE[dest]
     value = kind(2.5) if kind is float else 3
     return [value, value * 2] if nargs == "+" else value

@@ -1,6 +1,7 @@
 """Solver-level tests: update formulas, exact identities, optimality."""
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -35,8 +36,8 @@ from bottleneck_lab.stability import find_critical_points
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, direct_distortion, distortion_matrix,
-                     dual_distortion_split, encoder_update, inverse_encoder,
-                     kl_divergence)
+                     dual_distortion_split, encoder_update,
+                     full_test_fixed_point, inverse_encoder, kl_divergence)
 
 
 class TestElementarySteps:
@@ -579,6 +580,117 @@ class TestSolve:
                                         tol=1e-10)
         assert report.converged
         assert report.encoder_delta <= 1e-10
+
+
+def random_backend(framework: str, rng: np.random.Generator):
+    """A table backend on a random problem, or a reduced backend on a
+    random two-feature model."""
+    if framework != "reduced":
+        return TableBackend(random_problem(rng), framework)
+    n_x, n_y = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+    return ExpBackend(ExpFamilyModel(features=rng.normal(size=(n_x, 2)),
+                                     params=rng.normal(size=(n_y, 2)),
+                                     p_x=rng.dirichlet(np.full(n_x, 2.0))))
+
+
+class TestStoppingTest:
+    """``fixed_point`` forms the sup-norm move of a step only when its
+    probe cell cannot show that the step is still above ``tol``; it must
+    stop exactly where a full test on every step stops."""
+
+    @staticmethod
+    def assert_same_stop(backend, beta, **options):
+        want = full_test_fixed_point(backend, beta, **options)
+        state, report = solvers.fixed_point(backend, beta, **options)
+        assert state.encoder.tobytes() == want[0].tobytes()
+        assert (report.n_iterations, report.converged,
+                report.encoder_delta) == want[1:]
+
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           dead=st.integers(0, 5), beta=st.floats(0.0, 30.0),
+           tol=st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]), data=st.data())
+    def test_probe_stops_where_the_full_test_stops(
+            self, framework, seed, k, dead, beta, tol, data):
+        """Encoder bits, ``n_iterations``, ``converged`` and
+        ``encoder_delta`` equal the full-test loop's, on random tables in
+        both frameworks and random reduced models, with dead columns, for
+        any ``max_iter`` from one step up to convergence."""
+        rng = np.random.default_rng(seed)
+        backend = random_backend(framework, rng)
+        enc = random_encoder(rng, backend.n_x, k)
+        enc[:, :min(dead, k - 1)] = 0.0
+        _, n_converged, _, _ = full_test_fixed_point(
+            backend, beta, init_encoder=enc, tol=tol, max_iter=1000)
+        max_iter = data.draw(st.integers(1, n_converged), label="max_iter")
+        self.assert_same_stop(backend, beta, init_encoder=enc, tol=tol,
+                              max_iter=max_iter)
+
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    def test_exact_fixed_point_at_tol_zero(self, framework, rng):
+        """At ``beta = 0`` every row of a step is the marginal, so within a
+        few steps a step moves no cell at all: a probe that moved by
+        exactly ``tol = 0`` must run the full test, which converges."""
+        for _ in range(5):
+            backend = random_backend(framework, rng)
+            enc = random_encoder(rng, backend.n_x, 4)
+            enc[:, 0] = 0.0
+            _, report = solvers.fixed_point(backend, 0.0, init_encoder=enc,
+                                            tol=0.0, max_iter=50)
+            assert report.converged and report.encoder_delta == 0.0
+            self.assert_same_stop(backend, 0.0, init_encoder=enc, tol=0.0,
+                                  max_iter=50)
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_full_test_runs_on_few_golden_steps(self, framework,
+                                                monkeypatch):
+        """On a golden sweep the probe rules out all but a few steps: the
+        full sup-norm test runs on at most 2% of them, and at least on the
+        last step of every solve."""
+        calls = []
+        original = solvers._sup_norm_move
+
+        def counting(new, old):
+            calls.append(None)
+            return original(new, old)
+
+        monkeypatch.setattr(solvers, "_sup_norm_move", counting)
+        trace, _ = sweep(binary_overlap5(), framework,
+                         log_grid(0.25, 64.0, 60), tol=1e-12)
+        assert trace.column("converged").all()
+        assert len(trace.records) <= len(calls)
+        assert len(calls) <= 0.02 * trace.column("n_iterations").sum()
+
+    def test_dead_mask_matches_counting_nonzeros(self):
+        """``_cluster_statistics`` finds dead clusters exactly where
+        counting nonzero masses would: -0.0 is a zero, NaN and subnormal
+        masses are not, and a dead mask marks what is not positive."""
+
+        class Product:
+            """An encoder whose product with any table is ``stats``."""
+
+            def __init__(self, stats):
+                self.T, self.stats = self, stats
+
+            def __matmul__(self, table):
+                return self.stats.copy()
+
+        table = np.array([[0.25, 0.5], [0.75, 0.5]])
+        values = [0.0, -0.0, np.nan, 5e-324, -5e-324, 0.5, 1.0]
+        for marginal in itertools.product(values, repeat=3):
+            marginal = np.array(marginal)
+            stats = np.column_stack([np.ones(3), marginal])
+            got, got_stats, dead = solvers._cluster_statistics(
+                Product(stats), table)
+            assert (dead is None) == (np.count_nonzero(marginal)
+                                      == marginal.size)
+            assert got.tobytes() == marginal.tobytes()
+            if dead is not None:
+                assert np.array_equal(dead, ~(marginal > 0.0))
+                assert np.array_equal(got_stats[dead],
+                                      np.broadcast_to(table.sum(axis=0),
+                                                      (dead.sum(), 2)))
 
 
 class TestAgainstDirectMinimization:
