@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (JointDistribution, logsumexp, mutual_information,
-                          rel_entr)
+from .probability import (DistributionError, JointDistribution, logsumexp,
+                          mutual_information, rel_entr)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -119,7 +119,7 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
 def _decode(framework: str, stats: np.ndarray,
             v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
-    Bayes mixture of rule rows (``log_z`` is ``None``), for dual the
+    Bayes mixture of rule rows (no logs: ``None``, ``None``), for dual the
     normalized geometric mixture ``exp(E[U | xhat] @ V.T - log_z)``, with
     ``log_z`` the row :func:`~bottleneck_lab.probability.logsumexp`, where
     the log-rule is ``U @ V.T`` up to a per-input constant, ``U`` is in the
@@ -127,7 +127,7 @@ def _decode(framework: str, stats: np.ndarray,
     ``U = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework == "ib":
-        return ratio, np.log(ratio), None
+        return ratio, None, None
     if v is not None:
         ratio = ratio @ v.T
     log_z = logsumexp(ratio, axis=1)
@@ -248,34 +248,32 @@ class TableBackend:
         """The map ``step(encoder) -> next encoder`` at ``beta``, with its
         constants bound once.
 
-        A step takes the cluster statistics of the encoder, forms the
-        logits ``log p(xhat) - beta * d[x, xhat]`` cluster-major, ``(k,
-        n_x)``, up to a per-input constant (which the softmax ignores),
-        softmaxes them down their contiguous columns (short rows reduce
-        slowly) and returns the ``(n_x, k)`` transposed view.  For ib the
-        logits are ``log(stats) @ [beta * rule | 1 - beta * rowsum(rule)].T``;
-        for dual, on the log-rule factor of :func:`_decode`,
-        ``(dec @ V) @ (beta * U).T + (log p(xhat) - beta * sum dec log dec)``.
-        Dead clusters get ``-inf`` rows, so they stay at exactly zero.
+        A step forms the logits ``log p(xhat) - beta * d[x, xhat]``
+        cluster-major, (k, n_x), up to a per-input constant (which the
+        softmax ignores), as one product ``rows @ C``: per-cluster rows
+        (k, m+1) off the encoder's statistics ``S``, and ``C`` (m+1, n_x)
+        affine in ``beta``.  For ib they are ``log S`` and ``[beta * rule |
+        1 - beta * rowsum(rule)].T``; for dual, on the log-rule ``U @ V.T``
+        of :func:`_decode`, ``[dec @ V | log p(xhat) - beta * sum dec log
+        dec]``, written over ``S``, and ``[beta * U | 1].T``.  The logits are
+        softmaxed down their contiguous columns (short rows reduce slowly),
+        and the step returns the ``(n_x, k)`` transposed view; dead clusters
+        get ``-inf`` rows, so they stay at exactly zero.
         """
-        framework, table = self.framework, self.table
+        framework, table, v = self.framework, self.table, self.v
         ib = framework == "ib"
-        if ib:
-            rule = self.problem.rule
-            coefficients_t = np.column_stack(
-                [beta * rule, 1.0 - beta * rule.sum(axis=1)]).T
-        else:
-            beta_u, v = beta * self.u, self.v
+        w = self.problem.rule if ib else self.u
+        last = 1.0 - beta * w.sum(axis=1) if ib else np.ones(self.n_x)
+        coefficients_t = np.column_stack([beta * w, last]).T
 
         def step(encoder):
             _, stats, dead = _cluster_statistics(encoder, table)
-            if ib:
-                logits = np.dot(np.log(stats), coefficients_t)
-            else:
+            if not ib:  # the dual rows overwrite the statistics
                 decoder, log_decoder, _ = _decode(framework, stats, v)
-                logits = (decoder if v is None else decoder @ v) @ beta_u.T
-                logits += (np.log(stats[:, -1]) - beta * np.add.reduce(
-                    decoder * log_decoder, axis=1))[:, None]
+                stats[:, -1] = np.log(stats[:, -1]) - beta * np.add.reduce(
+                    decoder * log_decoder, axis=1)
+                stats[:, :-1] = decoder if v is None else decoder @ v
+            logits = np.dot(np.log(stats) if ib else stats, coefficients_t)
             if dead is not None:
                 logits[dead] = -np.inf
             return _column_softmax(logits).T
@@ -321,7 +319,8 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
     ``max_iter``, where ``encoder_delta`` needs it).  The probe's move is
     the same IEEE difference the residual holds at that cell, so the
     stopping step and ``encoder_delta`` are those of a full test on every
-    step.
+    step.  A NaN move (the probe cannot rule it out) raises
+    ``DistributionError`` naming ``beta``.
     """
     if not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
@@ -342,6 +341,9 @@ def fixed_point(backend, beta: float, *, n_clusters: int | None = None,
             encoder = new_encoder
             continue
         delta, probe = _sup_norm_move(new_encoder, encoder)
+        if np.isnan(delta):
+            raise DistributionError(
+                f"beta = {beta!r} gives a non-finite encoder update")
         encoder = new_encoder
         if delta <= tol:
             converged = True

@@ -33,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annealing import AnnealTrace
-from .probability import JointDistribution, logsumexp
+from .probability import JointDistribution
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     BottleneckState,
     TableBackend,
+    _decode,
 )
 # Bisection runs the table backend's loop; it is bound as ``solve``, the
 # name perfbench/tracing.py wraps.
@@ -115,24 +116,23 @@ def cluster_factors(problem: JointDistribution, framework,
                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
     with input row ``q = p(x|xhat)``, with ``c_xx = A @ B`` and
-    ``c_yy = B @ A``:
+    ``c_yy = B @ A``, on the decoder row ``dec`` that ``_decode`` forms
+    from the statistics row ``[q @ rule | 1]`` (the log-rule for dual):
 
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
-      where ``dec = q @ rule`` is the Bayes decoder row.
+      with ``dec = q @ rule`` the Bayes decoder row.
     * ``dual``: ``A[x, y] = (log rule[x, y] - c[y]) * dec[y]`` with
-      ``c[y] = sum_x q[x] log rule[x, y]`` and ``dec = exp(c - logsumexp(c))``
-      the geometric decoder row; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
+      ``c = q @ log rule`` and ``dec`` the geometric decoder row
+      ``exp(c - logsumexp(c))``; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
       with ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
+    rule = problem.rule if framework == "ib" else problem.log_rule
+    row = q @ rule
+    dec = _decode(framework, np.append(row, 1.0)[None, :])[0][0]
     if framework == "ib":
-        rule = problem.rule
-        dec = q @ rule
         return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
-    log_rule = problem.log_rule
-    log_unnorm = q @ log_rule
-    dec = np.exp(log_unnorm - logsumexp(log_unnorm))   # geometric decoder row
-    a = (log_rule - log_unnorm[None, :]) * dec[None, :]
-    b = (log_rule.T - (log_rule @ dec)[None, :]) * q[None, :]
+    a = (rule - row[None, :]) * dec[None, :]
+    b = (rule.T - (rule @ dec)[None, :]) * q[None, :]
     return a, b
 
 

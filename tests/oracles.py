@@ -2,7 +2,9 @@
 
 The oracles are what the tests compare the package against: divergences,
 the inverse encoder, direct sums of the cost, the textbook encoder update,
-the fixed-point loop with a full stopping test on every step, closed
+the fixed-point loop with a full stopping test on every step, the step
+and the stability factors with their logits and decoder rows formed per
+framework, closed
 forms of the reduced solver, the exponential-family residual, the
 classification exponent bound, the whole-block misclassification
 experiment and a trace reader.  No command and no
@@ -35,7 +37,9 @@ from bottleneck_lab.probability import (
 )
 from bottleneck_lab.solvers import (
     BottleneckState,
+    _cluster_statistics,
     _column_softmax,
+    _decode,
     prepare_encoder,
     state_observables,
 )
@@ -195,6 +199,53 @@ def full_test_fixed_point(backend, beta: float, *, n_clusters=None,
         if delta <= tol:
             return np.ascontiguousarray(encoder), iterations, True, delta
     return np.ascontiguousarray(encoder), iterations, False, delta
+
+
+def two_branch_stepper(backend, beta: float):
+    """The step of a table or reduced backend with its logits formed per
+    framework: ``log(S) @ [beta * rule | 1 - beta * rowsum(rule)].T`` for
+    ib, and for dual the product ``(dec @ V) @ (beta * U).T`` plus the
+    per-cluster column ``log p(xhat) - beta * sum dec log dec`` added by
+    broadcast.  The package forms both as one product ``rows @ C``."""
+    framework, table, v = backend.framework, backend.table, backend.v
+    if framework == "ib":
+        rule = backend.problem.rule
+        coefficients_t = np.column_stack(
+            [beta * rule, 1.0 - beta * rule.sum(axis=1)]).T
+    else:
+        beta_u = beta * backend.u
+
+    def step(encoder):
+        _, stats, dead = _cluster_statistics(encoder, table)
+        if framework == "ib":
+            logits = np.dot(np.log(stats), coefficients_t)
+        else:
+            decoder, log_decoder, _ = _decode(framework, stats, v)
+            logits = (decoder if v is None else decoder @ v) @ beta_u.T
+            logits += (np.log(stats[:, -1]) - beta * np.add.reduce(
+                decoder * log_decoder, axis=1))[:, None]
+        if dead is not None:
+            logits[dead] = -np.inf
+        return _column_softmax(logits).T
+
+    return step
+
+
+def own_row_cluster_factors(problem: JointDistribution, framework: str,
+                            q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``stability.cluster_factors`` with its decoder row formed in place:
+    the Bayes row ``q @ rule`` for ib, and the geometric row
+    ``exp(c - logsumexp(c))`` with ``c = q @ log rule`` for dual."""
+    if framework == "ib":
+        rule = problem.rule
+        dec = q @ rule
+        return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
+    log_rule = problem.log_rule
+    log_unnorm = q @ log_rule
+    dec = np.exp(log_unnorm - logsumexp(log_unnorm))
+    a = (log_rule - log_unnorm[None, :]) * dec[None, :]
+    b = (log_rule.T - (log_rule @ dec)[None, :]) * q[None, :]
+    return a, b
 
 
 @dataclass

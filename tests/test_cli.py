@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -880,6 +881,18 @@ class TestExitCodes:
         assert rc == 1
         assert "internal error" in err
         assert "solver exploded" in err
+
+    def test_non_finite_solve_exits_two_naming_beta(self, tmp_path, capsys):
+        """At beta = 1e308 the encoder update overflows to NaN: the solve
+        exits 2 within a second naming beta, rather than after
+        ``max_iter`` NaN steps blaming a derived ``joint``."""
+        started = time.perf_counter()
+        with np.errstate(all="ignore"):
+            rc = main(SOLVE[:-1] + ["1e308", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert "beta" in err and "joint" not in err
 
     def test_validation_problems_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope.json"),

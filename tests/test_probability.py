@@ -404,16 +404,18 @@ class TestLogSumExp:
         assert got == expected == a
 
     def test_one_log_sum_exp_in_the_package(self):
-        """One log-sum-exp, which the dual decoder and the stability row
-        read, and no scipy import anywhere in the package (numpy is its
-        only runtime dependency)."""
-        for module in (solvers, stability, expfamily, prediction):
+        """One log-sum-exp, which the one dual decoder reads, one decoder,
+        which the stability row reads, and no scipy import anywhere in the
+        package (numpy is its only runtime dependency)."""
+        for module in (solvers, expfamily, prediction):
             assert module.logsumexp is probability.logsumexp
-        for function in (solvers._decode, stability.cluster_factors):
+        assert not hasattr(stability, "logsumexp")
+        for function, name in ((solvers._decode, "logsumexp"),
+                               (stability.cluster_factors, "_decode")):
             tree = ast.parse(inspect.getsource(function))
-            assert "logsumexp" in {node.id for node in ast.walk(tree)
-                                   if isinstance(node, ast.Name)
-                                   and isinstance(node.ctx, ast.Load)}
+            assert name in {node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Load)}
         assert prediction.rel_entr is probability.rel_entr
         src = Path(bottleneck_lab.__file__).parent
         for path in sorted(src.rglob("*.py")):

@@ -24,7 +24,8 @@ from bottleneck_lab.expfamily import (ExpBackend, ExpFamilyModel, exp_solve,
                                      exp_sweep)
 from bottleneck_lab.prediction import (ClassificationProblem,
                                        run_prediction_experiment)
-from bottleneck_lab.probability import JointDistribution, logsumexp
+from bottleneck_lab.probability import (DistributionError, JointDistribution,
+                                       logsumexp)
 from bottleneck_lab.solvers import (
     as_framework,
     default_encoder,
@@ -37,7 +38,8 @@ from bottleneck_lab.stability import find_critical_points
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, direct_distortion, distortion_matrix,
                      dual_distortion_split, encoder_update,
-                     full_test_fixed_point, inverse_encoder, kl_divergence)
+                     full_test_fixed_point, inverse_encoder, kl_divergence,
+                     two_branch_stepper)
 
 
 class TestElementarySteps:
@@ -582,15 +584,45 @@ class TestSolve:
         assert report.encoder_delta <= 1e-10
 
 
-def random_backend(framework: str, rng: np.random.Generator):
+def random_backend(framework: str, rng: np.random.Generator,
+                   n_x: int | None = None, n_y: int | None = None,
+                   d: int = 2):
     """A table backend on a random problem, or a reduced backend on a
-    random two-feature model."""
+    random ``d``-feature model, of ``n_x`` inputs and ``n_y`` labels (both
+    drawn when not given)."""
     if framework != "reduced":
-        return TableBackend(random_problem(rng), framework)
-    n_x, n_y = int(rng.integers(2, 9)), int(rng.integers(2, 5))
-    return ExpBackend(ExpFamilyModel(features=rng.normal(size=(n_x, 2)),
-                                     params=rng.normal(size=(n_y, 2)),
+        return TableBackend(random_problem(rng, n_x, n_y), framework)
+    if n_x is None:
+        n_x, n_y = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+    return ExpBackend(ExpFamilyModel(features=rng.normal(size=(n_x, d)),
+                                     params=rng.normal(size=(n_y, d)),
                                      p_x=rng.dirichlet(np.full(n_x, 2.0))))
+
+
+class TestOneLogitsProduct:
+    """Every backend's step forms its logits as one product ``rows @ C``,
+    with the same bits as the per-framework formulas it replaced."""
+
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 60),
+           n_y=st.integers(2, 12), d=st.integers(0, 4), k=st.integers(1, 8),
+           dead=st.integers(0, 7), beta=st.floats(0.0, 64.0))
+    def test_step_equals_two_branch_logits(self, framework, seed, n_x, n_y,
+                                           d, k, dead, beta):
+        """Three steps from a random encoder with dead columns, on random
+        tables in both frameworks and random models with d = 0..4, equal
+        the two-branch step bit for bit."""
+        rng = np.random.default_rng(seed)
+        backend = random_backend(framework, rng, n_x, n_y, d)
+        step = backend.stepper(beta)
+        reference = two_branch_stepper(backend, beta)
+        enc = random_encoder(rng, n_x, k)
+        enc[:, :min(dead, k - 1)] = 0.0
+        for _ in range(3):
+            new = step(enc)
+            assert np.array_equal(new, reference(enc))
+            enc = new
 
 
 class TestStoppingTest:
@@ -661,6 +693,28 @@ class TestStoppingTest:
         assert trace.column("converged").all()
         assert len(trace.records) <= len(calls)
         assert len(calls) <= 0.02 * trace.column("n_iterations").sum()
+
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    def test_non_finite_step_raises_naming_beta(self, framework):
+        """At beta = 1e308 the logits overflow and the encoder turns NaN;
+        the loop raises naming beta before a fourth step, rather than
+        running ``max_iter`` steps on a NaN encoder."""
+        problem = binary_overlap5()
+        backend = (ExpBackend(ExpFamilyModel.from_conditional(problem))
+                   if framework == "reduced"
+                   else TableBackend(problem, framework))
+        with np.errstate(all="ignore"), \
+                pytest.raises(DistributionError, match="beta = 1e"):
+            solvers.fixed_point(backend, 1e308, max_iter=3)
+
+    def test_finite_hard_partition_at_huge_beta_returns(self):
+        """Three ib clusters on the five inputs stay finite at beta =
+        1e308: a hard partition, which the NaN test must not reject."""
+        with np.errstate(all="ignore"):
+            state, report = solvers.fixed_point(
+                TableBackend(binary_overlap5(), "ib"), 1e308, n_clusters=3)
+        assert report.converged and np.isfinite(state.encoder).all()
+        assert set(np.unique(state.encoder)) <= {0.0, 1.0}
 
     def test_dead_mask_matches_counting_nonzeros(self):
         """``_cluster_statistics`` finds dead clusters exactly where

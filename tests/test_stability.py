@@ -36,7 +36,7 @@ from bottleneck_lab.stability import (
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, distortion_matrix, encoder_update,
-                     inverse_encoder)
+                     inverse_encoder, own_row_cluster_factors)
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
@@ -220,6 +220,25 @@ class TestSpectraAgree:
 
 
 class TestFactorForm:
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 60),
+           n_y=st.integers(2, 12), holes=st.integers(0, 59))
+    def test_factors_equal_own_decoder_rows(self, framework, seed, n_x, n_y,
+                                            holes):
+        """The factors built on the solvers' ``_decode`` row equal, bit
+        for bit, those built on a Bayes or geometric row formed in place,
+        on random tables and input rows with zero cells."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, n_x, n_y)
+        q = rng.dirichlet(np.ones(n_x))
+        q[:min(holes, n_x - 1)] = 0.0
+        q /= q.sum()
+        got = cluster_factors(problem, framework, q)
+        want = own_row_cluster_factors(problem, framework, q)
+        for value, reference in zip(got, want):
+            assert np.array_equal(value, reference)
+
     @pytest.mark.parametrize("framework", ["ib", "dual"])
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
