@@ -618,7 +618,9 @@ def main(argv=None) -> int:
                 f"--output-dir {config.output_dir!r} cannot be created: "
                 f"{exc}") from exc
         _write_run_config(config)
-        command.run(config, problem)
+        # a non-finite update raises a named error; no numpy warning first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            command.run(config, problem)
     except (ValidationError, DistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,8 @@ the geometric decoder stays inside the same family (the paper's claim
 (iii)): a cluster is described by the d expected features
 ``A_beta[c] = E_{p(x|c)} features[x]`` and its decoder row by the d expected
 multipliers ``lam_beta[c] = E_{p(y|c)} params[y]`` plus a normalizer.  So
-the reduced solver is the dual table step on the factor ``U = features``,
-``V = -params`` of the log-rule ``U @ V.T - log_normalizer``, on the table
+the reduced solver is the dual table step on the factor ``W = features``,
+``V = -params`` of the log-rule ``W @ V.T - log_normalizer``, on the table
 ``[p(x) A(x) | p(x)]`` in place of ``[p(x) log p(y|x) | p(x)]``: it costs
 ``O(n_x k d + k n_y d)`` and never forms the ``n_x x n_y`` rule table.
 What does read the rule (the overflow check, the log-normalizers and
@@ -156,11 +156,6 @@ class ExpFamilyModel:
         return joint
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """``[p(x) A(x) | p(x)]`` (n_x, d + 1), the reduced step's table."""
-        return np.column_stack([self.p_x[:, None] * self.features, self.p_x])
-
-    @cached_property
     def mean_log_normalizer(self) -> float:
         """``E_{p_x}[log_normalizer(x)]``, built once per model."""
         return float(self.p_x @ self.log_normalizers())
@@ -190,8 +185,8 @@ class ExpFamilyModel:
 
 class ExpBackend(TableBackend):
     """The reduced solver of one model: the dual table backend on the
-    factor ``U = features``, ``V = -params`` of the model's log-rule and
-    the table ``[p(x) A(x) | p(x)]`` (see
+    factor ``W = features``, ``V = -params`` of the model's log-rule, so
+    its table is ``[p(x) A(x) | p(x)]`` (see
     :class:`bottleneck_lab.solvers.TableBackend`).
 
     Its states are dual :class:`~bottleneck_lab.solvers.BottleneckState`
@@ -204,10 +199,8 @@ class ExpBackend(TableBackend):
     """
 
     def __init__(self, model: ExpFamilyModel):
-        self.problem = model
         self.framework = "dual"
-        self.n_x, self.n_y = model.n_x, model.n_y
-        self.table, self.u, self.v = model.table, model.features, -model.params
+        self._lay_out(model, model.features, -model.params)
 
     observables = TableBackend.observables  # perfbench/tracing.py patches
 

@@ -149,8 +149,8 @@ class ErrorCurve:
     seed: int
 
 
-#: Uniform cells drawn and binned per chunk of trials: ``max(1,
-#: _SAMPLE_CELLS // max_n)`` trials at a time (1024 at max n = 256).
+#: Cells of a chunk's uniforms ``(trials, max_n)`` or, if more, of its laws
+#: ``(sizes, trials, n_x)``: 1024 trials at max n = 256 (9 sizes, n_x 16).
 _SAMPLE_CELLS = 2**18
 
 #: Uniforms drawn and looked up at a time within a chunk (whole rows, at
@@ -253,8 +253,9 @@ def _sample_stream(problem: ClassificationProblem, sizes: np.ndarray,
 
     One generator seeded by ``seed`` draws the ``trials`` class labels
     and then the ``(trials, max n)`` uniform block, ``max(1,
-    _SAMPLE_CELLS // max n)`` rows at a time from the same stream, so the
-    chunks hold the numbers of one single draw.  Yields the labels of
+    _SAMPLE_CELLS // max(max n, len(sizes) * n_x))`` rows at a time from
+    the same stream, so the chunks hold the numbers of one single draw
+    and their laws do not grow with ``n_x``.  Yields the labels of
     each chunk and its :func:`_empirical_counts`; the labels take 8 bytes
     a trial, the bucket table a few bytes per conditional cell, and
     nothing else outlives its chunk.
@@ -264,7 +265,8 @@ def _sample_stream(problem: ClassificationProblem, sizes: np.ndarray,
     cdfs = np.cumsum(problem.class_conditionals, axis=1)
     cdfs[:, -1] = 1.0
     table = _bucket_table(cdfs)
-    rows = max(1, _SAMPLE_CELLS // int(sizes[-1]))
+    width = max(int(sizes[-1]), sizes.size * problem.n_x)
+    rows = max(1, _SAMPLE_CELLS // width)
     for lo in range(0, trials, rows):
         labels = ys[lo:lo + rows]
         yield labels, _empirical_counts(rng, cdfs, table, labels, sizes)

@@ -220,16 +220,6 @@ class JointDistribution:
     def joint(self) -> np.ndarray:
         return self.p_x[:, None] * self.rule
 
-    @cached_property
-    def ib_table(self) -> np.ndarray:
-        """``[p(x, y) | p(x)]``, the ib solver's statistics table."""
-        return np.column_stack([self.joint, self.p_x])
-
-    @cached_property
-    def dual_table(self) -> np.ndarray:
-        """``[p(x) log p(y|x) | p(x)]``, the dual solver's statistics table."""
-        return np.column_stack([self.p_x[:, None] * self.log_rule, self.p_x])
-
     def label_joint(self, encoder: np.ndarray) -> np.ndarray:
         """``p(xhat, y) = sum_x p(x) p(xhat|x) p(y|x)`` (k, n_y) of an
         ``(n_x, k)`` encoder."""

@@ -95,13 +95,13 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
-    """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` has the
-    marginal ``p(xhat)`` as its last column; the others divided by it are
-    expectations under ``p(x|xhat)``: the Bayes decoder (``ib_table``), the
-    mean log-rule (``dual_table``) or the expected features
-    (``ExpFamilyModel.table``).  Dead clusters get the table's column sums,
-    the expectations under the prior; ``dead`` masks them (``None`` if there
-    are none).
+    """``(marginal, stats, dead)``: ``stats = encoder.T @ table`` on a
+    backend's table ``[p(x) W | p(x)]`` has the marginal ``p(xhat)`` as its
+    last column; the others divided by it are the expectations of ``W``
+    under ``p(x|xhat)``: the Bayes decoder (ib), the mean log-rule (dual)
+    or the expected features (reduced).  Dead clusters get the table's
+    column sums, the expectations under the prior; ``dead`` masks them
+    (``None`` if there are none).
     """
     stats = encoder.T @ table
     marginal = stats[:, -1]
@@ -120,11 +120,11 @@ def _decode(framework: str, stats: np.ndarray,
             v: np.ndarray | None = None):
     """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
     Bayes mixture of rule rows (no logs: ``None``, ``None``), for dual the
-    normalized geometric mixture ``exp(E[U | xhat] @ V.T - log_z)``, with
+    normalized geometric mixture ``exp(E[W | xhat] @ V.T - log_z)``, with
     ``log_z`` the row :func:`~bottleneck_lab.probability.logsumexp`, where
-    the log-rule is ``U @ V.T`` up to a per-input constant, ``U`` is in the
+    the log-rule is ``W @ V.T`` up to a per-input constant, ``W`` is in the
     table and ``v`` is ``V`` (``None``, the identity, for the table's
-    ``U = log p(y|x)``)."""
+    ``W = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework == "ib":
         return ratio, None, None
@@ -216,24 +216,35 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
     return default_encoder(n_x, k)
 
 
+def statistic_rows(problem: JointDistribution, framework: str) -> np.ndarray:
+    """The rows ``W`` (n_x, n_y) whose cluster means a table backend of
+    ``framework`` averages: the rule for ib, the log-rule for dual."""
+    return problem.rule if framework == "ib" else problem.log_rule
+
+
 class TableBackend:
     """The statistics-table solver of one framework on one problem.
 
-    A solver backend offers ``framework``, ``n_x``, ``n_y`` and the triple
-    ``derive(encoder, beta) -> state``, ``stepper(beta) -> step`` and
-    ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d], functional)``;
-    :func:`fixed_point` and ``annealing.run_sweep`` run any backend.  A
-    step returns a new array: the loop overwrites the encoder it stepped
-    from with the residual.
+    A backend is ``p(x)``, the rows ``W`` whose cluster means are its
+    statistics (:func:`statistic_rows`) and ``V`` of :func:`_decode`, bound
+    by :meth:`_lay_out`.  It offers ``framework``, ``n_x``, ``n_y`` and
+    the triple ``derive(encoder, beta) -> state``, ``stepper(beta) ->
+    step`` and ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d],
+    functional)``; :func:`fixed_point` and ``annealing.run_sweep`` run any
+    backend.  A step returns a new array: the loop overwrites the encoder
+    it stepped from with the residual.
     """
 
     def __init__(self, problem: JointDistribution, framework):
-        self.problem = problem
         self.framework = as_framework(framework)
+        self._lay_out(problem, statistic_rows(problem, self.framework), None)
+
+    def _lay_out(self, problem, w: np.ndarray, v: np.ndarray | None):
+        """Bind ``problem``, ``w`` and ``v``, and form the statistics table
+        ``[p(x) W | p(x)]``, the one place a table is formed."""
+        self.problem, self.w, self.v = problem, w, v
         self.n_x, self.n_y = problem.n_x, problem.n_y
-        self.table = (problem.ib_table if self.framework == "ib"
-                      else problem.dual_table)
-        self.u, self.v = problem.log_rule, None  # see _decode
+        self.table = np.column_stack([problem.p_x[:, None] * w, problem.p_x])
 
     def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
         """The state implied by an encoder: the marginal of its cluster
@@ -253,16 +264,15 @@ class TableBackend:
         softmax ignores), as one product ``rows @ C``: per-cluster rows
         (k, m+1) off the encoder's statistics ``S``, and ``C`` (m+1, n_x)
         affine in ``beta``.  For ib they are ``log S`` and ``[beta * rule |
-        1 - beta * rowsum(rule)].T``; for dual, on the log-rule ``U @ V.T``
+        1 - beta * rowsum(rule)].T``; for dual, on the log-rule ``W @ V.T``
         of :func:`_decode`, ``[dec @ V | log p(xhat) - beta * sum dec log
-        dec]``, written over ``S``, and ``[beta * U | 1].T``.  The logits are
+        dec]``, written over ``S``, and ``[beta * W | 1].T``.  The logits are
         softmaxed down their contiguous columns (short rows reduce slowly),
         and the step returns the ``(n_x, k)`` transposed view; dead clusters
         get ``-inf`` rows, so they stay at exactly zero.
         """
-        framework, table, v = self.framework, self.table, self.v
+        framework, table, w, v = self.framework, self.table, self.w, self.v
         ib = framework == "ib"
-        w = self.problem.rule if ib else self.u
         last = 1.0 - beta * w.sum(axis=1) if ib else np.ones(self.n_x)
         coefficients_t = np.column_stack([beta * w, last]).T
 

@@ -40,6 +40,7 @@ from .solvers import (
     BottleneckState,
     TableBackend,
     _decode,
+    statistic_rows,
 )
 # Bisection runs the table backend's loop; it is bound as ``solve``, the
 # name perfbench/tracing.py wraps.
@@ -117,7 +118,8 @@ def cluster_factors(problem: JointDistribution, framework,
     """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
     with input row ``q = p(x|xhat)``, with ``c_xx = A @ B`` and
     ``c_yy = B @ A``, on the decoder row ``dec`` that ``_decode`` forms
-    from the statistics row ``[q @ rule | 1]`` (the log-rule for dual):
+    from the statistics row ``[q @ W | 1]``, ``W`` the framework's
+    :func:`~bottleneck_lab.solvers.statistic_rows` (rule or log-rule):
 
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
       with ``dec = q @ rule`` the Bayes decoder row.
@@ -126,7 +128,7 @@ def cluster_factors(problem: JointDistribution, framework,
       ``exp(c - logsumexp(c))``; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
       with ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
-    rule = problem.rule if framework == "ib" else problem.log_rule
+    rule = statistic_rows(problem, framework)
     row = q @ rule
     dec = _decode(framework, np.append(row, 1.0)[None, :])[0][0]
     if framework == "ib":

@@ -2,13 +2,13 @@
 
 The oracles are what the tests compare the package against: divergences,
 the inverse encoder, direct sums of the cost, the textbook encoder update,
-the fixed-point loop with a full stopping test on every step, the step
-and the stability factors with their logits and decoder rows formed per
-framework, closed
-forms of the reduced solver, the exponential-family residual, the
-classification exponent bound, the whole-block misclassification
-experiment and a trace reader.  No command and no
-benchmark workload runs any of them.
+the fixed-point loop with a full stopping test on every step, the
+statistics tables, the step and the stability factors with their logits
+and decoder rows formed per framework, the ib first split from the table
+(Witsenhausen), closed forms of the reduced solver, the
+exponential-family residual, the classification exponent bound, the
+whole-block misclassification experiment and a trace reader.  No command
+and no benchmark workload runs any of them.
 """
 from __future__ import annotations
 
@@ -201,10 +201,24 @@ def full_test_fixed_point(backend, beta: float, *, n_clusters=None,
     return np.ascontiguousarray(encoder), iterations, False, delta
 
 
+def statistics_table(problem, framework: str) -> np.ndarray:
+    """The solver's statistics table written out per kind of problem, with
+    the expression that fixes its bits: ``[p(x, y) | p(x)]`` (ib) and
+    ``[p(x) log p(y|x) | p(x)]`` (dual) of a table, and ``[p(x) A(x) |
+    p(x)]`` of a model, whatever ``framework``."""
+    if isinstance(problem, ExpFamilyModel):
+        return np.column_stack([problem.p_x[:, None] * problem.features,
+                                problem.p_x])
+    if framework == "ib":
+        return np.column_stack([problem.joint, problem.p_x])
+    return np.column_stack([problem.p_x[:, None] * problem.log_rule,
+                            problem.p_x])
+
+
 def two_branch_stepper(backend, beta: float):
     """The step of a table or reduced backend with its logits formed per
     framework: ``log(S) @ [beta * rule | 1 - beta * rowsum(rule)].T`` for
-    ib, and for dual the product ``(dec @ V) @ (beta * U).T`` plus the
+    ib, and for dual the product ``(dec @ V) @ (beta * W).T`` plus the
     per-cluster column ``log p(xhat) - beta * sum dec log dec`` added by
     broadcast.  The package forms both as one product ``rows @ C``."""
     framework, table, v = backend.framework, backend.table, backend.v
@@ -213,7 +227,7 @@ def two_branch_stepper(backend, beta: float):
         coefficients_t = np.column_stack(
             [beta * rule, 1.0 - beta * rule.sum(axis=1)]).T
     else:
-        beta_u = beta * backend.u
+        beta_w = beta * backend.w
 
     def step(encoder):
         _, stats, dead = _cluster_statistics(encoder, table)
@@ -221,7 +235,7 @@ def two_branch_stepper(backend, beta: float):
             logits = np.dot(np.log(stats), coefficients_t)
         else:
             decoder, log_decoder, _ = _decode(framework, stats, v)
-            logits = (decoder if v is None else decoder @ v) @ beta_u.T
+            logits = (decoder if v is None else decoder @ v) @ beta_w.T
             logits += (np.log(stats[:, -1]) - beta * np.add.reduce(
                 decoder * log_decoder, axis=1))[:, None]
         if dead is not None:
@@ -246,6 +260,15 @@ def own_row_cluster_factors(problem: JointDistribution, framework: str,
     a = (log_rule - log_unnorm[None, :]) * dec[None, :]
     b = (log_rule.T - (log_rule @ dec)[None, :]) * q[None, :]
     return a, b
+
+
+def ib_first_split_beta(problem: JointDistribution) -> float:
+    """``1 / sigma2(Q)**2``, where the one-cluster ib solution first
+    splits, with ``sigma2`` the second singular value of ``Q = p(x, y) /
+    sqrt(p(x) p(y))`` (Witsenhausen 1975): the table alone fixes it."""
+    joint = problem.p_x[:, None] * problem.rule
+    q = joint / np.sqrt(np.outer(problem.p_x, joint.sum(axis=0)))
+    return 1.0 / np.linalg.svd(q, compute_uv=False)[1] ** 2
 
 
 @dataclass

@@ -1,16 +1,22 @@
 """The benchmark tracer (``perfbench/tracing.py``) patches package
 functions under the names their callers look them up by, and every
-benchmark run resolves those names; each must still exist."""
+benchmark run resolves those names; each must still exist.  So must
+every package name that a ``perfbench`` script imports or reads, and the
+call shapes of ``perfbench/table_vs_reduced.py``, which no test runs."""
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bottleneck_lab import cli, solvers
 from bottleneck_lab.annealing import log_grid, sweep
-from bottleneck_lab.expfamily import ExpFamilyModel, exp_sweep
+from bottleneck_lab.expfamily import ExpFamilyModel, exp_solve, exp_sweep
+from bottleneck_lab.solvers import default_encoder, solve
 
 from oracles import binary_overlap5
 
@@ -35,6 +41,82 @@ def test_every_patched_name_exists():
                if attr not in vars(owner)]
     assert missing == []
     assert tracing.installed_wrappers() == []
+
+
+def package_names(path: Path) -> list[str]:
+    """The dotted ``bottleneck_lab`` names that the script ``path`` imports
+    (``from bottleneck_lab.m import f``) or reads as an attribute chain of
+    an imported package module (``m.f.g`` after ``from bottleneck_lab
+    import m`` or ``import bottleneck_lab``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "bottleneck_lab"):
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                names.append(dotted)
+                modules[alias.asname or alias.name] = dotted
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "bottleneck_lab":
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            names.append(".".join([modules[node.id], *chain]))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain on the
+    longest module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_benchmark_package_name_resolves():
+    """A benchmark script that loses a package name fails only when it
+    runs; every name the scripts import or read must resolve now."""
+    read = {path.name: package_names(path)
+            for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert "bottleneck_lab.solvers.default_encoder" in read[
+        "table_vs_reduced.py"]
+    assert "bottleneck_lab.annealing.TableBackend" in read["tracing.py"]
+    missing = [(script, name) for script, names in read.items()
+               for name in names if not resolves(name)]
+    assert missing == []
+
+
+def test_table_vs_reduced_call_shapes_run():
+    """The exact ``solve`` and ``exp_solve`` calls of
+    ``perfbench/table_vs_reduced.py``, keywords and all, on the demo
+    problem and its model, for three steps."""
+    table = binary_overlap5()
+    model = ExpFamilyModel.from_conditional(table)
+    encoder = default_encoder(model.n_x, 2)
+    for run in (
+            lambda: solve(table, 2.0, "dual", init_encoder=encoder,
+                          tol=1e-300, max_iter=3, track_functional=False),
+            lambda: exp_solve(model, 2.0, init_encoder=encoder,
+                              tol=1e-300, max_iter=3,
+                              track_functional=False)):
+        state, report = run()
+        assert report.n_iterations == 3
+        assert np.isfinite(state.encoder).all()
 
 
 @pytest.mark.parametrize("solver", ["ib", "dual", "reduced"])

@@ -894,6 +894,21 @@ class TestExitCodes:
         assert rc == 2
         assert "beta" in err and "joint" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", str(RULE_FIXTURE), "--beta", "1e308"],
+        ["expfam", "--problem", str(RULE_FIXTURE), "--beta", "1e308",
+         "--n-clusters", "2"]])
+    def test_non_finite_update_prints_only_the_error(self, tmp_path, argv):
+        """A fresh interpreter shows no numpy warning or source line ahead
+        of the error that names beta: stderr is that one line."""
+        result = subprocess.run(
+            [sys.executable, "-m", "bottleneck_lab.cli", *argv,
+             "--output-dir", str(tmp_path)],
+            env=source_env(dict(os.environ)), capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr == ("error: beta = 1e+308 gives a non-finite "
+                                 "encoder update\n")
+
     def test_validation_problems_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope.json"),
                    "--beta", "2", "--output-dir", str(tmp_path)])

@@ -100,7 +100,7 @@ def traced_peak_below_bound(model, operation):
 def cluster_features_of(model, state):
     """The expected features ``E_{p(x|c)} features[x]`` the reduced step
     reads off its statistics table."""
-    stats = state.encoder.T @ model.table
+    stats = state.encoder.T @ ExpBackend(model).table
     return stats[:, :-1] / stats[:, -1:]
 
 

@@ -299,6 +299,17 @@ class TestEmpiricalCounts:
                                            trials, 0)
         assert [labels.size for labels, _ in stream] == rows
 
+    def test_laws_are_sized_by_cells_at_large_n_x(self):
+        """At n_x = 1024 the chunk's ``(sizes, trials, n_x)`` laws, not its
+        uniforms, fill ``_SAMPLE_CELLS``: 28 trials a chunk at the nine
+        default sizes, and no chunk holds more law cells."""
+        problem = ClassificationProblem(make_class_mixture(8, 1024))
+        stream = prediction._sample_stream(
+            problem, np.array(DEFAULT_N_VALUES), 100, 0)
+        chunks = [(labels.size, phats.size) for labels, phats in stream]
+        assert [rows for rows, _ in chunks] == [28, 28, 28, 16]
+        assert max(cells for _, cells in chunks) <= CELLS
+
     def test_streams_are_reused(self):
         problem = ClassificationProblem(self.COND)
         ys_a, phats_a = streamed_counts(problem, (1, 2, 8), 300, 4)
@@ -596,6 +607,20 @@ class TestPredictionExperiment:
             assert curve.p_err.tobytes() == oracle.p_err.tobytes()
             assert (curve.ci_halfwidth.tobytes()
                     == oracle.ci_halfwidth.tobytes())
+
+    def test_curves_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        """Every chunk reads the next rows of one uniform stream, so two
+        chunk sizes give the same curves, bit for bit."""
+        problem = ClassificationProblem(make_class_mixture())
+        curves = []
+        for cells in (2**10, 2**18):
+            monkeypatch.setattr(prediction, "_SAMPLE_CELLS", cells)
+            curves.append(run_prediction_experiment(
+                problem, ("ib", "dual"), [2.0, 64.0], trials=700, seed=11))
+        for small, large in zip(*curves):
+            assert (small.framework, small.beta) == (large.framework,
+                                                     large.beta)
+            assert small.p_err.tobytes() == large.p_err.tobytes()
 
     def test_rejects_bad_arguments(self):
         problem = ClassificationProblem(np.array([[0.3, 0.7], [0.6, 0.4]]))

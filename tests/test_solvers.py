@@ -39,7 +39,7 @@ from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, direct_distortion, distortion_matrix,
                      dual_distortion_split, encoder_update,
                      full_test_fixed_point, inverse_encoder, kl_divergence,
-                     two_branch_stepper)
+                     statistics_table, two_branch_stepper)
 
 
 class TestElementarySteps:
@@ -601,7 +601,25 @@ def random_backend(framework: str, rng: np.random.Generator,
 
 class TestOneLogitsProduct:
     """Every backend's step forms its logits as one product ``rows @ C``,
-    with the same bits as the per-framework formulas it replaced."""
+    with the same bits as the per-framework formulas it replaced, on the
+    table ``[p(x) W | p(x)]`` that the backend alone forms."""
+
+    @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 60),
+           n_y=st.integers(2, 12), d=st.integers(0, 4))
+    def test_table_equals_the_written_out_table(self, framework, seed, n_x,
+                                                n_y, d):
+        """Random tables in both frameworks and random models with
+        d = 0..4: the backend's table is the written-out one, bit for bit,
+        and its rows ``w`` are the rule, the log-rule or the features."""
+        backend = random_backend(framework, np.random.default_rng(seed),
+                                 n_x, n_y, d)
+        problem = backend.problem
+        assert np.array_equal(backend.table,
+                              statistics_table(problem, framework))
+        rows = {"ib": "rule", "dual": "log_rule", "reduced": "features"}
+        assert backend.w is getattr(problem, rows[framework])
 
     @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
     @PROPERTY_SETTINGS

@@ -36,7 +36,8 @@ from bottleneck_lab.stability import (
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, distortion_matrix, encoder_update,
-                     inverse_encoder, own_row_cluster_factors)
+                     ib_first_split_beta, inverse_encoder,
+                     own_row_cluster_factors)
 
 # First transition of the demo problem per framework, refined to
 # |beta * lambda2 - 1| <= 1e-9 on a 400-point sweep; pinned here as
@@ -144,6 +145,17 @@ class TestIbMatrices:
             np.testing.assert_allclose(q @ mats.c_xx, 0.0, atol=1e-12)
             np.testing.assert_allclose(dec @ mats.c_yy, 0.0, atol=1e-12)
             assert mats.lambda_min <= 1e-8
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_first_split_from_the_table_alone(self, seed):
+        """At the one-cluster state, ``q = p(x)``, lambda2 is the squared
+        second singular value of ``p(x, y) / sqrt(p(x) p(y))``
+        (Witsenhausen 1975), so the first ib split sits at
+        ``1 / sigma2**2``, a function of the table alone."""
+        problem = random_problem(np.random.default_rng(seed))
+        lam = build_matrices(problem, "ib", problem.p_x).second_eigenvalue()
+        assert abs(lam * ib_first_split_beta(problem) - 1.0) <= 1e-10
 
     def test_unnormalized_weights_warn(self, rng):
         # n_x > n_y so the raw label matrix is full rank: the only zero
@@ -471,6 +483,15 @@ class TestObservableWork:
         assert find_critical_points(problem, result)
         assert calls == []
 
+    def test_ib_never_forms_the_log_rule(self):
+        """An ib sweep and its critical points average the rule, so no
+        ib backend, stability row or observable forms the problem's
+        cached log-rule."""
+        problem = binary_overlap5()
+        result = sweep(problem, "ib", log_grid(0.25, 64.0, 40))
+        assert len(find_critical_points(problem, result)) >= 2
+        assert "log_rule" not in vars(problem)
+
 
 class TestCriticalPoints:
     @pytest.mark.parametrize("framework", ["ib", "dual"])
@@ -487,6 +508,9 @@ class TestCriticalPoints:
         assert point.beta == pytest.approx(FIRST_CRITICAL[framework],
                                            abs=1e-6)
         assert point.beta * point.lambda2 == pytest.approx(1.0, abs=1e-8)
+        if framework == "ib":
+            assert point.beta == pytest.approx(
+                ib_first_split_beta(problem), abs=1e-8)
 
     def test_refines_in_the_sweep_framework(self):
         """A dual sweep refines as dual: the framework is the sweep's own,
