@@ -43,6 +43,9 @@ from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, solve, state_observables
 from .stability import find_critical_points
 
 _LN2 = math.log(2.0)
+#: above this many inputs ``expfam --beta`` requires ``--n-clusters``: from
+#: the default, n_x clusters, each step works on n_x x n_x arrays
+_DEFAULT_START_MAX_X = 256
 
 #: documentation-only keys allowed in any problem file
 _DOC_KEYS = {"name", "description"}
@@ -220,7 +223,8 @@ class RunConfig:
         help="Monte-Carlo trials per point (default: 10000)")
     n_clusters: int | None = _setting(
         int, check=_AT_LEAST_ONE, help="cluster budget (default: n_x; each "
-        "step then works on n_x x n_x arrays: slow on large models)")
+        "step then works on n_x x n_x arrays, so expfam --beta requires it "
+        f"above {_DEFAULT_START_MAX_X} inputs)")
     g_tol: float | None = _setting(
         float, 1e-9, _POSITIVE, help="|beta * lambda2 - 1| refinement target")
     # split noise scales cells by 1 + eps * u, u in [-1, 1): from eps = 1
@@ -611,6 +615,13 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"cannot fit an exponential-family model to "
                     f"{config.problem_path}: {exc}") from exc
+        if (config.command == "expfam" and config.beta is not None
+                and config.n_clusters is None
+                and problem.n_x > _DEFAULT_START_MAX_X):
+            raise ValidationError(
+                f"expfam --beta on {problem.n_x} inputs requires "
+                f"--n-clusters: the default start, n_x clusters, is for at "
+                f"most {_DEFAULT_START_MAX_X} inputs")
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

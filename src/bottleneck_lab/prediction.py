@@ -385,6 +385,7 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
             decisions = _min_divergence_decisions(laws @ encoder, references)
             wrong += np.count_nonzero(
                 decisions.reshape(n_values.size, -1) != labels, axis=1)
+        del phats, laws  # free the chunk before the next one is drawn
 
     curves: list[ErrorCurve] = []
     for (framework, beta, *_), wrong in zip(trained, errors):

@@ -216,28 +216,24 @@ def prepare_encoder(n_x: int, n_clusters: int | None,
     return default_encoder(n_x, k)
 
 
-def statistic_rows(problem: JointDistribution, framework: str) -> np.ndarray:
-    """The rows ``W`` (n_x, n_y) whose cluster means a table backend of
-    ``framework`` averages: the rule for ib, the log-rule for dual."""
-    return problem.rule if framework == "ib" else problem.log_rule
-
-
 class TableBackend:
     """The statistics-table solver of one framework on one problem.
 
     A backend is ``p(x)``, the rows ``W`` whose cluster means are its
-    statistics (:func:`statistic_rows`) and ``V`` of :func:`_decode`, bound
-    by :meth:`_lay_out`.  It offers ``framework``, ``n_x``, ``n_y`` and
-    the triple ``derive(encoder, beta) -> state``, ``stepper(beta) ->
-    step`` and ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d],
-    functional)``; :func:`fixed_point` and ``annealing.run_sweep`` run any
-    backend.  A step returns a new array: the loop overwrites the encoder
-    it stepped from with the residual.
+    statistics (the rule for ib, the log-rule for dual; nothing else
+    picks them) and ``V`` of :func:`_decode`, bound by :meth:`_lay_out`.
+    It offers ``framework``, ``n_x``, ``n_y`` and the triple
+    ``derive(encoder, beta) -> state``, ``stepper(beta) -> step`` and
+    ``observables(state) -> (I(X;Xhat), I(Y;Xhat), E[d], functional)``;
+    :func:`fixed_point` and ``annealing.run_sweep`` run any backend.  A
+    step returns a new array: the loop overwrites the encoder it stepped
+    from with the residual.
     """
 
     def __init__(self, problem: JointDistribution, framework):
         self.framework = as_framework(framework)
-        self._lay_out(problem, statistic_rows(problem, self.framework), None)
+        self._lay_out(problem, problem.rule if self.framework == "ib"
+                      else problem.log_rule, None)
 
     def _lay_out(self, problem, w: np.ndarray, v: np.ndarray | None):
         """Bind ``problem``, ``w`` and ``v``, and form the statistics table

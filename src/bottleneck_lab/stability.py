@@ -40,7 +40,6 @@ from .solvers import (
     BottleneckState,
     TableBackend,
     _decode,
-    statistic_rows,
 )
 # Bisection runs the table backend's loop; it is bound as ``solve``, the
 # name perfbench/tracing.py wraps.
@@ -113,13 +112,13 @@ class StabilityMatrices:
         return float(lam.real)
 
 
-def cluster_factors(problem: JointDistribution, framework,
+def cluster_factors(backend: TableBackend,
                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
     with input row ``q = p(x|xhat)``, with ``c_xx = A @ B`` and
     ``c_yy = B @ A``, on the decoder row ``dec`` that ``_decode`` forms
-    from the statistics row ``[q @ W | 1]``, ``W`` the framework's
-    :func:`~bottleneck_lab.solvers.statistic_rows` (rule or log-rule):
+    from the statistics row ``[q @ W | 1]`` of a table backend's rows
+    ``W = backend.w`` (a reduced backend raises ``ValueError``):
 
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
       with ``dec = q @ rule`` the Bayes decoder row.
@@ -128,36 +127,38 @@ def cluster_factors(problem: JointDistribution, framework,
       ``exp(c - logsumexp(c))``; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
       with ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
-    rule = statistic_rows(problem, framework)
-    row = q @ rule
+    if backend.v is not None:
+        raise ValueError("a reduced backend's lambda2 needs the covariance "
+                         "form of ROADMAP item 15")
+    framework, w = backend.framework, backend.w
+    row = q @ w
     dec = _decode(framework, np.append(row, 1.0)[None, :])[0][0]
     if framework == "ib":
-        return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
-    a = (rule - row[None, :]) * dec[None, :]
-    b = (rule.T - (rule @ dec)[None, :]) * q[None, :]
+        return w - dec[None, :], (w * q[:, None]).T / dec[:, None]
+    a = (w - row[None, :]) * dec[None, :]
+    b = (w.T - (w @ dec)[None, :]) * q[None, :]
     return a, b
 
 
-def build_matrices(problem: JointDistribution, framework,
-                   q: np.ndarray) -> StabilityMatrices:
-    return StabilityMatrices(*cluster_factors(problem, framework, q))
+def build_matrices(backend: TableBackend, q: np.ndarray) -> StabilityMatrices:
+    return StabilityMatrices(*cluster_factors(backend, q))
 
 
-def _cluster_gap(problem: JointDistribution, state: BottleneckState,
+def _cluster_gap(backend: TableBackend, state: BottleneckState,
                  c: int) -> tuple[float, float]:
     """``(g, lambda2)`` of alive cluster ``c``, ``g = beta * lambda2 - 1``,
     from its input row ``q = p(x | xhat=c)``."""
-    q = state.encoder[:, c] * problem.p_x / state.marginal[c]
-    lam = build_matrices(problem, state.framework, q).second_eigenvalue()
+    q = state.encoder[:, c] * backend.problem.p_x / state.marginal[c]
+    lam = build_matrices(backend, q).second_eigenvalue()
     return state.beta * lam - 1.0, lam
 
 
-def stability_gaps(problem: JointDistribution,
+def stability_gaps(backend: TableBackend,
                    state: BottleneckState) -> np.ndarray:
     """``g = beta * lambda2 - 1`` per cluster; dead clusters give ``nan``."""
     gaps = np.full(state.n_clusters, np.nan)
     for c in np.flatnonzero(state.alive()):
-        gaps[c] = _cluster_gap(problem, state, c)[0]
+        gaps[c] = _cluster_gap(backend, state, c)[0]
     return gaps
 
 
@@ -205,10 +206,10 @@ def find_critical_points(problem: JointDistribution,
     for i in np.flatnonzero(np.diff(counts) > 0):
         parent = states[i]
         beta_lo, beta_hi = float(betas[i]), float(betas[i + 1])
-        gaps_lo = stability_gaps(problem, parent)
+        gaps_lo = stability_gaps(backend, parent)
         state_hi, _ = solve(backend, beta_hi, init_encoder=parent.encoder,
                             tol=tol, max_iter=max_iter)
-        gaps_hi = stability_gaps(problem, state_hi)
+        gaps_hi = stability_gaps(backend, state_hi)
         crossing = np.flatnonzero((gaps_lo < 0.0) & (gaps_hi >= 0.0))
         if crossing.size == 0:
             warnings.warn(
@@ -233,7 +234,7 @@ def _bisect_branch(backend, parent, cluster, beta_lo, beta_hi, tol,
         beta_mid = 0.5 * (lo + hi)
         warm, _ = solve(backend, beta_mid, init_encoder=warm.encoder,
                         tol=tol, max_iter=max_iter)
-        gap, lam = _cluster_gap(backend.problem, warm, cluster)
+        gap, lam = _cluster_gap(backend, warm, cluster)
         if abs(gap) <= g_tol:
             break
         if gap > 0.0:

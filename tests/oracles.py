@@ -5,10 +5,10 @@ the inverse encoder, direct sums of the cost, the textbook encoder update,
 the fixed-point loop with a full stopping test on every step, the
 statistics tables, the step and the stability factors with their logits
 and decoder rows formed per framework, the ib first split from the table
-(Witsenhausen), closed forms of the reduced solver, the
-exponential-family residual, the classification exponent bound, the
-whole-block misclassification experiment and a trace reader.  No command
-and no benchmark workload runs any of them.
+(Witsenhausen), a discretized Gaussian channel, closed forms of the
+reduced solver, the exponential-family residual, the classification
+exponent bound, the whole-block misclassification experiment and a trace
+reader.  No command and no benchmark workload runs any of them.
 """
 from __future__ import annotations
 
@@ -269,6 +269,22 @@ def ib_first_split_beta(problem: JointDistribution) -> float:
     joint = problem.p_x[:, None] * problem.rule
     q = joint / np.sqrt(np.outer(problem.p_x, joint.sum(axis=0)))
     return 1.0 / np.linalg.svd(q, compute_uv=False)[1] ** 2
+
+
+def gaussian_channel(snr: float) -> ExpFamilyModel:
+    """``Y = X + noise`` at signal-to-noise ratio ``snr``, discretized:
+    ``p(x)`` is N(0, 1) on 301 points in [-6, 6] and ``p(y|x)`` is
+    proportional to ``exp(-(y - x)**2 / (2 s**2))``, ``s = 1 / sqrt(snr)``,
+    on 401 points in [-6 - 8 s, 6 + 8 s].  As a model it has the features
+    ``[x, 1]`` and the params ``[-y / s**2, y**2 / (2 s**2)]``."""
+    s2 = 1.0 / snr
+    half = 6.0 + 8.0 * np.sqrt(s2)
+    x = np.linspace(-6.0, 6.0, 301)
+    y = np.linspace(-half, half, 401)
+    p_x = np.exp(-x**2 / 2.0)
+    return ExpFamilyModel(np.column_stack([x, np.ones_like(x)]),
+                          np.column_stack([-y / s2, y**2 / (2.0 * s2)]),
+                          p_x / p_x.sum())
 
 
 @dataclass

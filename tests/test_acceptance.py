@@ -68,8 +68,8 @@ from bottleneck_lab.prediction import (
     run_prediction_experiment,
 )
 from bottleneck_lab.probability import mutual_information
-from bottleneck_lab.solvers import (encoder_information, solve,
-                                    state_observables)
+from bottleneck_lab.solvers import (TableBackend, encoder_information,
+                                    solve, state_observables)
 from bottleneck_lab.stability import build_matrices, find_critical_points
 
 from conftest import random_encoder, random_problem
@@ -274,7 +274,8 @@ def test_criterion_3_stability_eigenstructure(identity_suite):
                 continue
             weights = inverse_encoder(state.encoder, problem.p_x)[1]
             for cluster in np.flatnonzero(state.alive()):
-                mats = build_matrices(problem, fw, weights[cluster])
+                mats = build_matrices(TableBackend(problem, fw),
+                                      weights[cluster])
                 eig_xx = np.linalg.eigvals(mats.c_xx)
                 eig_yy = np.linalg.eigvals(mats.c_yy)
                 worst_zero = max(worst_zero, mats.lambda_min,

@@ -184,9 +184,10 @@ def test_traced_dual_decoder_calls_the_one_logsumexp(framework,
 ])
 def test_traced_cli_commands_count_their_work(command, n_sweeps, bisects,
                                               tmp_path):
-    """Commands run through ``cli.main`` reach the sweep, solve and
-    bisection names the tracer wraps, so a traced benchmark run counts
-    their grid points and iterations."""
+    """Commands run through ``cli.main`` reach the sweep, solve,
+    bisection and stability-matrix names the tracer wraps, so a traced
+    benchmark run counts their grid points, iterations and matrix
+    builds."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
@@ -201,6 +202,8 @@ def test_traced_cli_commands_count_their_work(command, n_sweeps, bisects,
     assert tracer.counts["annealing.grid_points"] == n_sweeps * 6
     assert tracer.counts["solvers.iterations"] > 0
     assert (tracer.counts["stability.bisection_solves"] > 0) == bisects
+    builds = tracing.layer_metrics(tracer, 0)["stability.matrix_builds"]
+    assert (builds[0] > 0) == bisects
 
 
 def test_traced_error_experiment_samples_once_per_chunk(tmp_path):

@@ -733,6 +733,34 @@ class TestExpfamCommand:
         assert report["converged"]
         assert len(report["decoder"]) == 4
 
+    def test_large_model_requires_a_cluster_budget(self, tmp_path, capsys):
+        """Without ``--n-clusters`` a solve starts from n_x clusters, whose
+        steps cost 83 ms at n_x = 2000, where a solve never finished; so
+        ``--beta`` on that model exits 2 naming the flag, at once and
+        before it writes anything."""
+        rng = np.random.default_rng(1)
+        path = write_json(tmp_path / "large.json", {"exp_family": {
+            "features": rng.standard_normal((2000, 3)).tolist(),
+            "params": rng.standard_normal((200, 3)).tolist()}})
+        started = time.perf_counter()
+        assert_rejected(["expfam", "--problem", path, "--beta", "3.0"],
+                        "--n-clusters", tmp_path, capsys)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("n_x, code", [(256, 0), (257, 2)])
+    def test_default_start_up_to_256_inputs(self, tmp_path, capsys, n_x,
+                                            code):
+        """Models with at most 256 inputs still solve from the default."""
+        rng = np.random.default_rng(2)
+        path = write_json(tmp_path / "model.json", {"exp_family": {
+            "features": rng.standard_normal((n_x, 1)).tolist(),
+            "params": rng.standard_normal((2, 1)).tolist()}})
+        rc = main(["expfam", "--problem", path, "--beta", "2",
+                   "--max-iter", "3", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == code
+        assert (tmp_path / "run_config.json").exists() == (code == 0)
+
     @pytest.mark.parametrize("mode", [["--beta", "2"],
                                       ["--beta-grid", "log:0.25:2:8"]],
                              ids=["beta", "beta-grid"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -583,6 +584,24 @@ class TestPredictionExperiment:
             assert (got.framework, got.beta) == (want.framework, want.beta)
             assert_array_equal(got.p_err, want.p_err)
             assert_array_equal(got.ci_halfwidth, want.ci_halfwidth)
+
+    def test_no_chunk_outlives_the_next_draw(self, monkeypatch):
+        """Each chunk's laws are freed before the next chunk is drawn, so
+        the experiment holds one chunk of samples at a time."""
+        problem = ClassificationProblem(make_class_mixture(3, 8, seed=2))
+        chunks, alive = [], []
+        sampler = prediction._empirical_counts
+
+        def tracking(*args):
+            alive.append(sum(chunk() is not None for chunk in chunks))
+            phats = sampler(*args)
+            chunks.append(weakref.ref(phats))
+            return phats
+
+        monkeypatch.setattr(prediction, "_empirical_counts", tracking)
+        run_prediction_experiment(problem, "ib", beta_list=[2.0],
+                                  n_values=(1, 4096), trials=192, seed=3)
+        assert alive == [0, 0, 0]  # 64 trials a chunk at n = 4096
 
     @pytest.mark.parametrize("n_values, trials", [
         ((1, 2, 256), CHUNK - 1), ((1, 2, 256), CHUNK),

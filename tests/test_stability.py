@@ -21,8 +21,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from bottleneck_lab import solvers
+from bottleneck_lab import solvers, stability
 from bottleneck_lab.annealing import log_grid, sweep
+from bottleneck_lab.expfamily import ExpBackend, ExpFamilyModel
 from bottleneck_lab.probability import JointDistribution
 from bottleneck_lab.solvers import TableBackend, solve
 from bottleneck_lab.stability import (
@@ -36,7 +37,7 @@ from bottleneck_lab.stability import (
 
 from conftest import PROPERTY_SETTINGS, random_encoder, random_problem
 from oracles import (binary_overlap5, distortion_matrix, encoder_update,
-                     ib_first_split_beta, inverse_encoder,
+                     gaussian_channel, ib_first_split_beta, inverse_encoder,
                      own_row_cluster_factors)
 
 # First transition of the demo problem per framework, refined to
@@ -107,7 +108,7 @@ class TestIbMatrices:
         weights row, converged or not."""
         problem = random_problem(rng)
         q = rng.dirichlet(np.ones(problem.n_x))
-        mats = build_matrices(problem, "ib", q)
+        mats = build_matrices(TableBackend(problem, "ib"), q)
         dec = q @ problem.rule
         raw_xx = mats.c_xx + q[None, :]
         raw_yy = mats.c_yy + dec[None, :]
@@ -131,7 +132,7 @@ class TestIbMatrices:
                 sum(rule[x, y] * q[x] * rule[x, yp]
                     for x in range(problem.n_x)) / dec[y] - dec[yp]
                 for yp in range(problem.n_y)] for y in range(problem.n_y)])
-            mats = build_matrices(problem, "ib", q)
+            mats = build_matrices(TableBackend(problem, "ib"), q)
             np.testing.assert_allclose(mats.c_xx, c_xx, atol=1e-13)
             np.testing.assert_allclose(mats.c_yy, c_yy, atol=1e-13)
 
@@ -140,7 +141,7 @@ class TestIbMatrices:
         state = converged_state(problem, "ib", 2.5, 2, seed=4)
         for c in np.flatnonzero(state.alive()):
             q = weights_of(problem, state)[c]
-            mats = build_matrices(problem, "ib", q)
+            mats = build_matrices(TableBackend(problem, "ib"), q)
             dec = q @ problem.rule
             np.testing.assert_allclose(q @ mats.c_xx, 0.0, atol=1e-12)
             np.testing.assert_allclose(dec @ mats.c_yy, 0.0, atol=1e-12)
@@ -154,7 +155,8 @@ class TestIbMatrices:
         (Witsenhausen 1975), so the first ib split sits at
         ``1 / sigma2**2``, a function of the table alone."""
         problem = random_problem(np.random.default_rng(seed))
-        lam = build_matrices(problem, "ib", problem.p_x).second_eigenvalue()
+        lam = build_matrices(TableBackend(problem, "ib"),
+                             problem.p_x).second_eigenvalue()
         assert abs(lam * ib_first_split_beta(problem) - 1.0) <= 1e-10
 
     def test_unnormalized_weights_warn(self, rng):
@@ -164,7 +166,23 @@ class TestIbMatrices:
         state = converged_state(problem, "ib", 2.5, 1, seed=2)
         bad = weights_of(problem, state)[0] * 1.31
         with pytest.warns(UserWarning, match="structural zero"):
-            build_matrices(problem, "ib", bad)
+            build_matrices(TableBackend(problem, "ib"), bad)
+
+
+class TestGaussianAnchor:
+    @pytest.mark.parametrize("snr", [0.25, 1.0, 4.0])
+    def test_first_splits_are_one_apart(self, snr):
+        """On a discretized Gaussian channel the one-cluster state first
+        splits at ``1 + 1/snr`` for ib (``1/rho**2``, the Gaussian IB
+        threshold of Chechik et al.) and at ``1/snr`` for dual, so the
+        dual splits exactly one unit of beta earlier."""
+        table = gaussian_channel(snr).reconstruct()
+        beta0 = {fw: 1.0 / build_matrices(TableBackend(table, fw),
+                                          table.p_x).second_eigenvalue()
+                 for fw in ("ib", "dual")}
+        assert abs(beta0["ib"] - beta0["dual"] - 1.0) <= 1e-9
+        assert abs(beta0["ib"] - (1.0 + 1.0 / snr)) <= 1e-6
+        assert abs(beta0["dual"] - 1.0 / snr) <= 1e-6
 
 
 class TestDualMatrices:
@@ -186,10 +204,10 @@ class TestDualMatrices:
             b_loops = np.array([[(log_rule[x, y] - r[x]) * q[x]
                                  for x in range(problem.n_x)]
                                 for y in range(problem.n_y)])
-            a, b = cluster_factors(problem, "dual", q)
+            a, b = cluster_factors(TableBackend(problem, "dual"), q)
             np.testing.assert_allclose(a, a_loops, atol=1e-13)
             np.testing.assert_allclose(b, b_loops, atol=1e-13)
-            mats = build_matrices(problem, "dual", q)
+            mats = build_matrices(TableBackend(problem, "dual"), q)
             np.testing.assert_allclose(mats.c_xx, a @ b, atol=1e-14)
             np.testing.assert_allclose(mats.c_yy, b @ a, atol=1e-14)
 
@@ -199,8 +217,8 @@ class TestDualMatrices:
         for trial in range(5):
             problem = random_problem(rng)
             q = rng.dirichlet(np.ones(problem.n_x))
-            mats = build_matrices(problem, "dual", q)
-            a, b = cluster_factors(problem, "dual", q)
+            mats = build_matrices(TableBackend(problem, "dual"), q)
+            a, b = cluster_factors(TableBackend(problem, "dual"), q)
             log_unnorm = q @ problem.log_rule
             dec = np.exp(log_unnorm - log_unnorm.max())
             dec /= dec.sum()
@@ -212,7 +230,8 @@ class TestDualMatrices:
     def test_c_xx_rank_bounded_by_n_y(self, rng):
         problem = random_problem(rng, n_x=6, n_y=2)
         state = converged_state(problem, "dual", 2.0, 1, seed=9)
-        mats = build_matrices(problem, "dual", weights_of(problem, state)[0])
+        mats = build_matrices(TableBackend(problem, "dual"),
+                              weights_of(problem, state)[0])
         eigs = np.sort(np.abs(np.linalg.eigvals(mats.c_xx)))
         assert (eigs[:-2] < 1e-12).all()  # at most n_y nonzero eigenvalues
 
@@ -224,7 +243,7 @@ class TestSpectraAgree:
             problem = random_problem(rng)
             state = converged_state(problem, framework, 2.8, 2, seed=seed)
             for c in np.flatnonzero(state.alive()):
-                mats = build_matrices(problem, framework,
+                mats = build_matrices(TableBackend(problem, framework),
                                       weights_of(problem, state)[c])
                 assert_spectra_match(np.linalg.eigvals(mats.c_xx),
                                      np.linalg.eigvals(mats.c_yy),
@@ -246,7 +265,7 @@ class TestFactorForm:
         q = rng.dirichlet(np.ones(n_x))
         q[:min(holes, n_x - 1)] = 0.0
         q /= q.sum()
-        got = cluster_factors(problem, framework, q)
+        got = cluster_factors(TableBackend(problem, framework), q)
         want = own_row_cluster_factors(problem, framework, q)
         for value, reference in zip(got, want):
             assert np.array_equal(value, reference)
@@ -263,7 +282,7 @@ class TestFactorForm:
         problem = random_problem(rng)
         n_x, n_y = problem.n_x, problem.n_y
         q = rng.dirichlet(np.ones(n_x))
-        mats = build_matrices(problem, framework, q)
+        mats = build_matrices(TableBackend(problem, framework), q)
         xs, ys = range(n_x), range(n_y)
         if framework == "ib":
             rule = problem.rule
@@ -335,7 +354,7 @@ class TestBinaryClosedForms:
             b1 = d0 * delta * q
             c_yy_closed = np.array([[b0 @ a0, b0 @ a1],
                                     [b1 @ a0, b1 @ a1]])
-            mats = build_matrices(problem, "dual", q)
+            mats = build_matrices(TableBackend(problem, "dual"), q)
             np.testing.assert_allclose(mats.c_xx, c_xx_closed, atol=1e-12)
             np.testing.assert_allclose(mats.c_yy, c_yy_closed, atol=1e-12)
 
@@ -350,7 +369,7 @@ class TestBinaryClosedForms:
             dec = np.exp(c - c.max())
             dec /= dec.sum()
             var = q @ delta**2 - (q @ delta) ** 2
-            mats = build_matrices(problem, "dual", q)
+            mats = build_matrices(TableBackend(problem, "dual"), q)
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(dec[0] * dec[1] * var, abs=1e-12)
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-12)
@@ -360,7 +379,7 @@ class TestBinaryClosedForms:
         problem = random_problem(rng, n_y=2)
         state = converged_state(problem, "ib", 3.0, 2, seed=5)
         for ci in np.flatnonzero(state.alive()):
-            mats = build_matrices(problem, "ib",
+            mats = build_matrices(TableBackend(problem, "ib"),
                                   weights_of(problem, state)[ci])
             lam = mats.second_eigenvalue()
             assert lam == pytest.approx(np.trace(mats.c_yy), abs=1e-10)
@@ -411,13 +430,43 @@ class TestAgainstUpdateJacobian:
             alternating_update(problem, framework, beta, doubled), doubled,
             atol=5e-12)
         q = weights_of(problem, state)[0]
-        lam2 = build_matrices(problem, framework, q).second_eigenvalue()
+        lam2 = build_matrices(TableBackend(problem, framework),
+                              q).second_eigenvalue()
         eigs = np.linalg.eigvals(update_jacobian(problem, framework, beta,
                                                  doubled))
         assert np.abs(eigs.imag).max() < 1e-6
         top_two = np.sort(eigs.real)[-2:]
         assert top_two[1] == pytest.approx(1.0, abs=1e-6)
         assert top_two[0] == pytest.approx(beta * lam2, abs=1e-6)
+
+
+class TestBackendRows:
+    def test_reduced_backend_is_refused(self):
+        """A reduced backend holds a factor of its log-rule, not the rows
+        its lambda2 needs, so stability refuses it by name."""
+        model = ExpFamilyModel.from_conditional(binary_overlap5())
+        with pytest.raises(ValueError, match="item 15"):
+            build_matrices(ExpBackend(model), model.p_x)
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_critical_points_read_one_backend(self, framework,
+                                              monkeypatch):
+        """Every stability matrix of the gaps and the bisection reads the
+        one backend that ``find_critical_points`` solves with."""
+        backends = []
+        original = stability.build_matrices
+
+        def spying(backend, q):
+            backends.append(backend)
+            return original(backend, q)
+
+        monkeypatch.setattr(stability, "build_matrices", spying)
+        problem = binary_overlap5()
+        result = sweep(problem, framework, log_grid(2.0, 6.0, 25))
+        assert len(find_critical_points(problem, result)) == 1
+        assert len({id(backend) for backend in backends}) == 1
+        assert backends[0].framework == framework
+        assert backends[0].problem is problem
 
 
 class TestClusterEigenvalues:
@@ -429,7 +478,7 @@ class TestClusterEigenvalues:
         state, _ = solve(problem, 8.0, "ib", init_encoder=init)
         alive = state.alive()
         np.testing.assert_array_equal(alive, [True, True, False])
-        gaps = stability_gaps(problem, state)
+        gaps = stability_gaps(TableBackend(problem, "ib"), state)
         assert np.isnan(gaps[2])
         assert np.isfinite(gaps[:2]).all()
 
@@ -444,7 +493,8 @@ class TestMatrixWork:
         problem = random_problem(rng)
         state = converged_state(problem, framework, 3.0, 2, seed=5)
         q = weights_of(problem, state)[0]
-        lam = build_matrices(problem, framework, q).second_eigenvalue()
+        lam = build_matrices(TableBackend(problem, framework),
+                             q).second_eigenvalue()
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -453,11 +503,11 @@ class TestMatrixWork:
             return eigvals(matrix)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        mats = build_matrices(problem, framework, q)
+        mats = build_matrices(TableBackend(problem, framework), q)
         assert mats.second_eigenvalue() == lam
         assert calls == [(problem.n_y, problem.n_y)]
         assert "c_xx" not in vars(mats)
-        a, b = cluster_factors(problem, framework, q)
+        a, b = cluster_factors(TableBackend(problem, framework), q)
         np.testing.assert_array_equal(mats.c_xx, a @ b)
 
 
