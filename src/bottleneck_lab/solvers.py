@@ -21,9 +21,25 @@ whose marginal mass hits exactly zero freeze: their ``log p(xhat)`` term
 is ``-inf``, so the softmax encoder update keeps their column at zero
 without renormalizing them away — cluster indices stay stable for the
 whole run.
+
+A table step needs no max shift in that softmax.  Its logits are
+``log p(xhat) - beta * d[x, xhat]``, with ``d`` the cross-entropy of
+``p(y|x)`` against the Bayes decoder row (ib: the KL plus the entropy of
+``p(y|x)``) or ``KL(dec || p(y|x))`` (dual).  Both lie in ``[0, -log min
+p(y|x)]``: a Bayes decoder is a mixture of rule rows, so none of its
+cells is below ``min p(y|x)``, and a KL against ``p(y|x)`` is at most
+the cross-entropy ``-sum dec log p(y|x)``.  So every logit is at most 0,
+and each column's max, no lower than its value at the heaviest cluster
+(``p(xhat) >= 1/k``), is at least ``-log k + beta * log min p(y|x)``.
+While ``beta * -log min p(y|x)`` is at most
+:data:`SHIFT_FREE_LOGIT_BOUND`, ``exp`` of every column max is a normal
+double, so no column sum is zero.  Past the bound, with a zero rule cell
+and on the reduced backend, whose logits carry ``beta * log Z(x)`` with
+no bound known before the step, the softmax keeps the shift.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +52,12 @@ DEFAULT_MAX_ITER = 200_000
 # Clusters with marginal mass at or below this are dead: reported as
 # frozen, and dropped when a sweep merges clusters.
 DEAD_CLUSTER_MASS = 1e-12
+# A table step softmaxes without the max shift while beta * -log(min
+# p(y|x)) is at most this.  Its column maxima are then at least -600 -
+# log k, and e^-708 is about the smallest normal double (2.2e-308), so
+# exp of every column max stays normal for any log k below 108, that is
+# any k that fits in memory.
+SHIFT_FREE_LOGIT_BOUND = 600.0
 
 
 def as_framework(value) -> str:
@@ -135,12 +157,21 @@ def _decode(framework: str, stats: np.ndarray,
     return np.exp(log_decoder), log_decoder, log_z
 
 
-def _column_softmax(logits: np.ndarray) -> np.ndarray:
+def _column_softmax(logits: np.ndarray, shift: bool = True) -> np.ndarray:
     """Softmax down each column of cluster-major ``(k, n)`` logits, in
-    place, with a per-column max shift; ``-inf`` rows (dead clusters) give
-    exact zeros.  Not :func:`logsumexp`: the encoder needs no log, and
-    dividing by the column sums in place saves ``n`` logs per step."""
-    logits -= np.maximum.reduce(logits, axis=0)
+    place; ``-inf`` rows (dead clusters) give exact zeros.  Not
+    :func:`logsumexp`: the encoder needs no log, and dividing by the column
+    sums in place saves ``n`` logs per step.
+
+    With ``shift`` each column's max is subtracted first, so any finite
+    logits work.  Without it, which saves two of a small step's numpy
+    calls, no logit may exceed about 709 (``exp`` would overflow) and no
+    column's max may fall below about -708 (its ``exp`` would leave the
+    normal doubles, and the column sum could be zero): a table step's
+    logits stay in that range while ``beta * -log min p(y|x)`` is at most
+    :data:`SHIFT_FREE_LOGIT_BOUND` (see the module docstring)."""
+    if shift:
+        logits -= np.maximum.reduce(logits, axis=0)
     enc = np.exp(logits, out=logits)
     enc /= np.add.reduce(enc, axis=0)
     return enc
@@ -230,8 +261,14 @@ class TableBackend:
     from with the residual.
     """
 
+    #: The smallest rule cell ``min p(y|x)``, which bounds a table step's
+    #: logits (see :meth:`softmax_shift`).  The reduced backend keeps 0.0,
+    #: no bound: its logits carry ``beta * log Z(x)``.
+    rule_floor = 0.0
+
     def __init__(self, problem: JointDistribution, framework):
         self.framework = as_framework(framework)
+        self.rule_floor = float(problem.rule.min())
         self._lay_out(problem, problem.rule if self.framework == "ib"
                       else problem.log_rule, None)
 
@@ -265,9 +302,14 @@ class TableBackend:
         dec]``, written over ``S``, and ``[beta * W | 1].T``.  The logits are
         softmaxed down their contiguous columns (short rows reduce slowly),
         and the step returns the ``(n_x, k)`` transposed view; dead clusters
-        get ``-inf`` rows, so they stay at exactly zero.
+        get ``-inf`` rows, so they stay at exactly zero.  The softmax drops
+        its max shift when ``beta * -log min p(y|x)`` is at most
+        :data:`SHIFT_FREE_LOGIT_BOUND` (:meth:`softmax_shift`, decided once
+        per ``beta``): each column's max then lies in ``[-log k -
+        SHIFT_FREE_LOGIT_BOUND, 0]``, see the module docstring.
         """
         framework, table, w, v = self.framework, self.table, self.w, self.v
+        shift = self.softmax_shift(beta)
         ib = framework == "ib"
         last = 1.0 - beta * w.sum(axis=1) if ib else np.ones(self.n_x)
         coefficients_t = np.column_stack([beta * w, last]).T
@@ -282,9 +324,17 @@ class TableBackend:
             logits = np.dot(np.log(stats) if ib else stats, coefficients_t)
             if dead is not None:
                 logits[dead] = -np.inf
-            return _column_softmax(logits).T
+            return _column_softmax(logits, shift).T
 
         return step
+
+    def softmax_shift(self, beta: float) -> bool:
+        """Whether the step at ``beta`` keeps its softmax's max shift: unless
+        ``rule_floor`` is positive and ``beta * -log(rule_floor)`` is at
+        most :data:`SHIFT_FREE_LOGIT_BOUND`.  A zero rule cell and the
+        reduced backend always shift."""
+        return not (self.rule_floor > 0.0 and beta * -math.log(
+            self.rule_floor) <= SHIFT_FREE_LOGIT_BOUND)
 
     def observables(self, state: BottleneckState
                     ) -> tuple[float, float, float, float]:

@@ -220,8 +220,10 @@ def two_branch_stepper(backend, beta: float):
     framework: ``log(S) @ [beta * rule | 1 - beta * rowsum(rule)].T`` for
     ib, and for dual the product ``(dec @ V) @ (beta * W).T`` plus the
     per-cluster column ``log p(xhat) - beta * sum dec log dec`` added by
-    broadcast.  The package forms both as one product ``rows @ C``."""
+    broadcast.  The package forms both as one product ``rows @ C``.  The
+    softmax takes the backend's shift choice at ``beta``."""
     framework, table, v = backend.framework, backend.table, backend.v
+    shift = backend.softmax_shift(beta)
     if framework == "ib":
         rule = backend.problem.rule
         coefficients_t = np.column_stack(
@@ -240,7 +242,7 @@ def two_branch_stepper(backend, beta: float):
                 decoder * log_decoder, axis=1))[:, None]
         if dead is not None:
             logits[dead] = -np.inf
-        return _column_softmax(logits).T
+        return _column_softmax(logits, shift).T
 
     return step
 

@@ -1,6 +1,7 @@
 """Solver-level tests: update formulas, exact identities, optimality."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -643,6 +644,176 @@ class TestOneLogitsProduct:
             enc = new
 
 
+def bounded_table(framework: str, rng: np.random.Generator):
+    """``(backend, beta)``: a table backend on a random rule whose smallest
+    cell is about ``10**u`` for ``u`` uniform in [-9, -1], and a ``beta``
+    drawn uniformly below the shift-free bound of that cell."""
+    n_x, n_y = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    rows = rng.dirichlet(np.full(n_y, 0.5), size=n_x) + 10.0 ** rng.uniform(
+        -9.0, -1.0)
+    problem = JointDistribution.from_conditional(
+        rows / rows.sum(axis=1, keepdims=True),
+        p_x=rng.dirichlet(np.full(n_x, 2.0)), smoothing_epsilon=0.0)
+    backend = TableBackend(problem, framework)
+    return backend, rng.uniform() * solvers.SHIFT_FREE_LOGIT_BOUND / -math.log(
+        backend.rule_floor)
+
+
+def live_encoder(rng: np.random.Generator, n_x: int, k: int, dead: int):
+    """A random row-stochastic encoder with its first ``dead`` columns
+    (at most ``k - 1``) at zero."""
+    enc = random_encoder(rng, n_x, k)
+    enc[:, :min(dead, k - 1)] = 0.0
+    return enc / enc.sum(axis=1, keepdims=True)
+
+
+@contextlib.contextmanager
+def softmax_inputs():
+    """Record ``(logits, shift)`` of every softmax a step runs."""
+    seen = []
+    column_softmax = solvers._column_softmax
+
+    def recording(logits, shift=True):
+        seen.append((logits.copy(), shift))
+        return column_softmax(logits, shift)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_column_softmax", recording)
+        yield seen
+
+
+class TestShiftFreeSoftmax:
+    """A table step's logits are ``log p(xhat) - beta * d`` with ``0 <= d
+    <= -log min p(y|x)``, so its softmax skips the max shift while ``beta *
+    -log min p(y|x) <= SHIFT_FREE_LOGIT_BOUND``; past the bound, with a zero
+    rule cell and on the reduced backend it keeps the shift."""
+
+    @staticmethod
+    def assert_shifted_steps(backend, beta, k, n_steps=20):
+        """Steps from the broad ``k``-cluster encoder take the shifted
+        softmax, bit for bit, and stay finite."""
+        column_softmax = solvers._column_softmax
+        step = backend.stepper(beta)
+        enc = prepare_encoder(backend.n_x, k, None)
+        with softmax_inputs() as seen:
+            for _ in range(n_steps):
+                new = step(enc)
+                logits, shift = seen[-1]
+                assert shift
+                assert np.array_equal(new,
+                                      column_softmax(logits.copy(), True).T)
+                assert np.isfinite(new).all()
+                enc = new
+        return seen
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           dead=st.integers(0, 7))
+    def test_step_equals_the_shifted_softmax(self, framework, seed, k,
+                                             dead):
+        """Three shift-free steps from a random encoder with dead columns,
+        on random tables in both frameworks with beta inside the bound,
+        equal their logits through the shifted softmax within 1e-15 per
+        cell, raise no floating-point error and keep dead columns at
+        exactly zero."""
+        rng = np.random.default_rng(seed)
+        backend, beta = bounded_table(framework, rng)
+        assert not backend.softmax_shift(beta)
+        column_softmax = solvers._column_softmax
+        step = backend.stepper(beta)
+        enc = live_encoder(rng, backend.n_x, k, dead)
+        with softmax_inputs() as seen, warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            for _ in range(3):
+                new = step(enc)
+                logits, shift = seen[-1]
+                assert not shift
+                want = column_softmax(logits.copy(), True).T
+                assert np.max(np.abs(new - want)) <= 1e-15
+                assert not new[:, :min(dead, k - 1)].any()
+                enc = new
+
+    def test_table_logits_lie_in_the_bound(self):
+        """Over 3000 draws of a table, a framework, k = 1..8 clusters with
+        dead columns and beta inside the bound, every logit of a step is at
+        most 0, and each column's max is at least ``-log k + beta * log min
+        p(y|x)``."""
+        rng = np.random.default_rng(35)
+        with softmax_inputs() as seen:
+            for draw in range(3000):
+                backend, beta = bounded_table(("ib", "dual")[draw % 2], rng)
+                k = int(rng.integers(1, 9))
+                backend.stepper(beta)(live_encoder(
+                    rng, backend.n_x, k, int(rng.integers(0, k))))
+                logits, shift = seen[-1]
+                assert not shift
+                alive = logits[np.isfinite(logits[:, 0])]
+                assert (alive <= 0.0).all()
+                assert (alive.max(axis=0) >= -math.log(k) + beta * math.log(
+                    backend.rule_floor)).all()
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_golden_table_past_the_bound_keeps_the_shift(self, framework):
+        """At beta = 1e4 the golden table (min p(y|x) = 0.12) is far past
+        the bound: its steps take the shifted softmax and stay finite,
+        where the shift-free softmax of the same logits is not finite."""
+        backend = TableBackend(binary_overlap5(), framework)
+        assert backend.softmax_shift(1e4)
+        seen = self.assert_shifted_steps(backend, 1e4, 4)
+        with np.errstate(all="ignore"):
+            assert not all(np.isfinite(solvers._column_softmax(logits, False))
+                           .all() for logits, _ in seen)
+
+    def test_zero_rule_cell_keeps_the_shift(self):
+        """A rule with a zero cell bounds no logit: an ib backend on it
+        shifts at every beta, bit for bit, and stays finite while its
+        clusters stay soft.  (A dual table needs the log-rule, so a
+        positive rule.)"""
+        problem = JointDistribution(
+            p_x=np.array([0.2, 0.3, 0.5]),
+            rule=np.array([[0.0, 1.0], [0.5, 0.5], [0.9, 0.1]]))
+        backend = TableBackend(problem, "ib")
+        assert backend.rule_floor == 0.0
+        for beta in (0.0, 1.0, 2.0):
+            assert backend.softmax_shift(beta)
+            self.assert_shifted_steps(backend, beta, 3)
+
+    def test_reduced_backend_keeps_the_shift(self):
+        """The reduced logits carry ``beta * log Z(x)``, which has no bound
+        known before the step: a reduced backend shifts at every beta."""
+        backend = random_backend("reduced", np.random.default_rng(5))
+        for beta in (0.0, 2.0, 20.0):
+            assert backend.softmax_shift(beta)
+            self.assert_shifted_steps(backend, beta, 3)
+
+    @pytest.mark.parametrize("framework", ["ib", "dual"])
+    def test_sweep_across_the_bound_matches_the_shifted_sweep(
+            self, framework, monkeypatch):
+        """A golden sweep over log_grid(64, 8192, 29) crosses the bound at
+        beta = 600 / -log 0.12 = 283: it converges at every point, with the
+        cluster counts of a sweep forced onto the shift and its values and
+        decoders within 1e-12."""
+        problem, betas = binary_overlap5(), log_grid(64.0, 8192.0, 29)
+        shifts = [TableBackend(problem, framework).softmax_shift(beta)
+                  for beta in betas]
+        assert not shifts[0] and shifts[-1] and shifts == sorted(shifts)
+        trace, _ = sweep(problem, framework, betas, tol=1e-12)
+        monkeypatch.setattr(solvers, "SHIFT_FREE_LOGIT_BOUND", -1.0)
+        shifted, _ = sweep(problem, framework, betas, tol=1e-12)
+        assert trace.column("converged").all()
+        assert np.array_equal(trace.column("effective_clusters"),
+                              shifted.column("effective_clusters"))
+        for name in ("i_x", "i_y", "functional"):
+            np.testing.assert_allclose(trace.column(name),
+                                       shifted.column(name),
+                                       rtol=0, atol=1e-12)
+        for got, want in zip(trace.records, shifted.records):
+            np.testing.assert_allclose(got.decoder, want.decoder, rtol=0,
+                                       atol=1e-12)
+
+
 class TestStoppingTest:
     """``fixed_point`` forms the sup-norm move of a step only when its
     probe cell cannot show that the step is still above ``tol``; it must
@@ -679,13 +850,19 @@ class TestStoppingTest:
 
     @pytest.mark.parametrize("framework", ["ib", "dual", "reduced"])
     def test_exact_fixed_point_at_tol_zero(self, framework, rng):
-        """At ``beta = 0`` every row of a step is the marginal, so within a
-        few steps a step moves no cell at all: a probe that moved by
-        exactly ``tol = 0`` must run the full test, which converges."""
+        """A step that moves no cell at all: a probe that moved by exactly
+        ``tol = 0`` must run the full test, which converges.  At ``beta =
+        0`` every row of a reduced step is the marginal, and within a few
+        steps its rounding settles.  A table step without the max shift
+        need not settle there, so the table cases start from one alive
+        column plus dead ones, where a step returns exact ones and zeros
+        (``x / x = 1``) at any ``beta``, shifted or not."""
         for _ in range(5):
             backend = random_backend(framework, rng)
             enc = random_encoder(rng, backend.n_x, 4)
             enc[:, 0] = 0.0
+            if framework != "reduced":
+                enc[:, 2:] = 0.0
             _, report = solvers.fixed_point(backend, 0.0, init_encoder=enc,
                                             tol=0.0, max_iter=50)
             assert report.converged and report.encoder_delta == 0.0
