@@ -31,6 +31,7 @@ from .probability import (
     as_marginal,
     logsumexp,
     mutual_information,  # noqa: F401  (perfbench/tracing.py patches it)
+    softmax,
 )
 from .solvers import (
     DEFAULT_MAX_ITER,
@@ -118,16 +119,10 @@ class ExpFamilyModel:
             start = stop
 
     def _rule_blocks(self):
-        """Yield ``(rows, rule[rows])``: each log-rule block with its
-        log-normalizers shifted out, exponentiated and renormalized, all
-        row by row."""
-        # Not log_normalizers(): perfbench/tracing.py counts each call of
-        # it as a rebuild, and the vector is built once per model.
+        """Yield ``(rows, rule[rows])``: each log-rule block softmaxed in
+        place, row by row."""
         for rows, block in self._log_rule_blocks():
-            block -= self._log_normalizers[rows, None]
-            rule = np.exp(block, out=block)
-            rule /= rule.sum(axis=1, keepdims=True)
-            yield rows, rule
+            yield rows, softmax(block, 1, out=block)
 
     def log_normalizers(self) -> np.ndarray:
         """Per-input log-partition values (n_x,), built with the model."""

@@ -292,14 +292,11 @@ def _min_divergence_decisions(pushed: np.ndarray,
     when any of its scores is not finite.  The margin is far above the
     rounding of either sum (a few ulps per cluster, times the score plus
     ``log k``).  Duplicate reference rows always tie.  A one-cluster
-    encoder, whose references equal 1 within an ulp, would send every row
-    to the exact rule; it skips the scores and applies the exact rule
-    once per distinct pushed value instead, the same function of the
-    same floats.
+    encoder pushes every law and every class to 1, so all classes tie and
+    every row takes class 0, whatever ulps its encoder's rounding leaves.
     """
     if references.shape[1] == 1:
-        values, inverse = np.unique(pushed[:, 0], return_inverse=True)
-        return _divergence_argmin(values[:, None], references)[inverse]
+        return np.zeros(len(pushed), dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = -np.log(references) @ pushed.T  # (classes, trials)
         low = scores.min(axis=0)
@@ -333,7 +330,8 @@ def run_prediction_experiment(problem: ClassificationProblem, frameworks,
     one product per encoder and chunk of trials over every test size;
     rows whose best two scores nearly tie, or that hold a non-finite
     score, are decided by the exact ``rel_entr`` divergences instead, so
-    every decision is the exact rule's (:func:`_min_divergence_decisions`).
+    every decision is the exact rule's, and a one-cluster encoder, whose
+    classes all tie, takes class 0 (:func:`_min_divergence_decisions`).
 
     Every encoder is trained first; the trials are then sampled, pushed
     forward and classified one chunk at a time (:func:`_sample_stream`),

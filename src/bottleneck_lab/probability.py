@@ -138,14 +138,33 @@ def rel_entr(x, y) -> np.ndarray:
         return np.where((x == 0.0) & (y >= 0.0), 0.0, x * np.log(x / y))
 
 
+def softmax(a: np.ndarray, axis: int | None = None, *, shift: bool = True,
+            log: bool = False, out: np.ndarray | None = None):
+    """``exp(a)`` over its sums along ``axis`` (all cells for ``None``) into
+    ``out``, which may be ``a``: the one exp-normalize kernel of the
+    package.  With ``log`` the pair of it and ``log(sum(exp(a), axis))``.
+    ``shift`` subtracts the max along ``axis`` first, so any finite ``a``
+    works and ``-inf`` cells give exact zeros; without it no cell may
+    exceed about 709 and no slice's max fall below about -708 (see
+    :mod:`bottleneck_lab.solvers`)."""
+    if shift:
+        top = np.maximum.reduce(a, axis=axis, keepdims=True)
+        a = out = np.subtract(a, top, out=out)
+    normalized = np.exp(a, out=out)
+    total = np.add.reduce(normalized, axis=axis, keepdims=True)
+    normalized /= total
+    if not log:
+        return normalized
+    log_total = np.log(total) + top if shift else np.log(total)
+    return normalized, log_total.squeeze(axis=axis)
+
+
 def logsumexp(a, axis: int | None = None):
     """``log(sum(exp(a), axis))`` of finite ``a``, the one log-sum-exp of
-    the package, with the maximum shifted out so that no term overflows;
-    the shape is ``scipy.special.logsumexp``'s (0-d for ``axis=None``)."""
-    a = np.asarray(a, dtype=float)
-    shift = np.maximum.reduce(a, axis=axis, keepdims=True)
-    total = np.add.reduce(np.exp(a - shift), axis=axis, keepdims=True)
-    return (np.log(total) + shift).squeeze(axis=axis)[()]
+    the package, off the shifted :func:`softmax`; the shape is
+    ``scipy.special.logsumexp``'s (0-d for ``axis=None``)."""
+    a = np.array(a, dtype=float, ndmin=1)  # a copy the kernel may overwrite
+    return softmax(a, axis, log=True, out=a)[1][()]
 
 
 def smooth_rows(rows: np.ndarray, epsilon: float) -> np.ndarray:

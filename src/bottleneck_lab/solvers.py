@@ -9,7 +9,7 @@ label ``Y`` of a fixed rule ``p(y|x)``:
   of rule rows.
 * ``dual`` swaps the KL arguments: the cost is ``KL(dec(y|xhat) || p(y|x))``
   and the functional is ``I(X;Xhat) + beta * E[cost]``.  The optimal decoder
-  becomes the *geometric* mixture of rule rows, normalized by ``logsumexp``:
+  becomes the *geometric* mixture of rule rows, a row :func:`softmax`:
   it puts the emphasis on predicting the label rather than summarizing it.
 
 Matrix conventions (see :mod:`bottleneck_lab.probability`): encoders are
@@ -22,20 +22,24 @@ is ``-inf``, so the softmax encoder update keeps their column at zero
 without renormalizing them away — cluster indices stay stable for the
 whole run.
 
-A table step needs no max shift in that softmax.  Its logits are
-``log p(xhat) - beta * d[x, xhat]``, with ``d`` the cross-entropy of
-``p(y|x)`` against the Bayes decoder row (ib: the KL plus the entropy of
-``p(y|x)``) or ``KL(dec || p(y|x))`` (dual).  Both lie in ``[0, -log min
-p(y|x)]``: a Bayes decoder is a mixture of rule rows, so none of its
-cells is below ``min p(y|x)``, and a KL against ``p(y|x)`` is at most
-the cross-entropy ``-sum dec log p(y|x)``.  So every logit is at most 0,
-and each column's max, no lower than its value at the heaviest cluster
-(``p(xhat) >= 1/k``), is at least ``-log k + beta * log min p(y|x)``.
-While ``beta * -log min p(y|x)`` is at most
-:data:`SHIFT_FREE_LOGIT_BOUND`, ``exp`` of every column max is a normal
-double, so no column sum is zero.  Past the bound, with a zero rule cell
-and on the reduced backend, whose logits carry ``beta * log Z(x)`` with
-no bound known before the step, the softmax keeps the shift.
+A table step's two softmaxes need no max shift while ``m = -log min
+p(y|x)`` is small.  The encoder logits are ``log p(xhat) - beta * d[x,
+xhat]``, with ``d`` the cross-entropy of ``p(y|x)`` against the Bayes
+decoder row (ib: the KL plus the entropy of ``p(y|x)``) or ``KL(dec ||
+p(y|x))`` (dual).  Both lie in ``[0, m]``: a Bayes decoder is a mixture
+of rule rows, so none of its cells is below ``min p(y|x)``, and a KL
+against ``p(y|x)`` is at most the cross-entropy ``-sum dec log p(y|x)``.
+So every logit is at most 0, and each column's max, no lower than its
+value at the heaviest cluster (``p(xhat) >= 1/k``), is at least ``-log k
+- beta * m``.  The dual decoder softmaxes ``E[log p(y|x) | xhat]``, a
+mean of log-rule rows, in ``[-m, 0]``.  e^-708 is about the smallest
+normal double, so while ``beta * m`` (encoder, decided once per
+``beta``) or ``m`` (decoder, once per backend) is at most
+:data:`SHIFT_FREE_LOGIT_BOUND`, ``exp`` of every max is normal for any
+``log k`` below 108 and no sum is zero.  Past the bound, with a zero rule
+cell and on the reduced backend, whose logits carry ``beta * log Z(x)``
+and whose decoder softmaxes ``E[features] @ -params``, neither bounded
+before the step, both keep the shift.
 """
 from __future__ import annotations
 
@@ -44,19 +48,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ``logsumexp`` is not read here: perfbench/tracing.py patches it.
 from .probability import (DistributionError, JointDistribution, logsumexp,
-                          mutual_information, rel_entr)
+                          mutual_information, rel_entr, softmax)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 # Clusters with marginal mass at or below this are dead: reported as
 # frozen, and dropped when a sweep merges clusters.
 DEAD_CLUSTER_MASS = 1e-12
-# A table step softmaxes without the max shift while beta * -log(min
-# p(y|x)) is at most this.  Its column maxima are then at least -600 -
-# log k, and e^-708 is about the smallest normal double (2.2e-308), so
-# exp of every column max stays normal for any log k below 108, that is
-# any k that fits in memory.
+# The largest beta * -log(min p(y|x)) at which a table step softmaxes
+# without the max shift (see the module docstring).
 SHIFT_FREE_LOGIT_BOUND = 600.0
 
 
@@ -138,43 +140,22 @@ def _cluster_statistics(encoder: np.ndarray, table: np.ndarray):
     return marginal, stats, dead
 
 
-def _decode(framework: str, stats: np.ndarray,
-            v: np.ndarray | None = None):
-    """``(decoder, log_decoder, log_z)`` from cluster statistics: for ib the
-    Bayes mixture of rule rows (no logs: ``None``, ``None``), for dual the
-    normalized geometric mixture ``exp(E[W | xhat] @ V.T - log_z)``, with
-    ``log_z`` the row :func:`~bottleneck_lab.probability.logsumexp`, where
-    the log-rule is ``W @ V.T`` up to a per-input constant, ``W`` is in the
-    table and ``v`` is ``V`` (``None``, the identity, for the table's
-    ``W = log p(y|x)``)."""
+def _decode(framework: str, stats: np.ndarray, v: np.ndarray | None,
+            shift: bool):
+    """``(decoder, ratio, log_z)`` from cluster statistics: for ib the
+    Bayes mixture ``E[W | xhat]`` of rule rows (``None``, ``None``), for
+    dual the normalized geometric mixture ``exp(ratio - log_z)``, the row
+    :func:`softmax` (shifted as the backend's ``decoder_shift`` says) of
+    ``ratio = E[W | xhat] @ V.T``, where the log-rule is ``W @ V.T`` up to a
+    per-input constant, ``W`` is in the table and ``v`` is ``V`` (``None``,
+    the identity, for the table's ``W = log p(y|x)``)."""
     ratio = stats[:, :-1] / stats[:, -1:]
     if framework == "ib":
         return ratio, None, None
     if v is not None:
         ratio = ratio @ v.T
-    log_z = logsumexp(ratio, axis=1)
-    log_decoder = ratio - log_z[:, None]
-    return np.exp(log_decoder), log_decoder, log_z
-
-
-def _column_softmax(logits: np.ndarray, shift: bool = True) -> np.ndarray:
-    """Softmax down each column of cluster-major ``(k, n)`` logits, in
-    place; ``-inf`` rows (dead clusters) give exact zeros.  Not
-    :func:`logsumexp`: the encoder needs no log, and dividing by the column
-    sums in place saves ``n`` logs per step.
-
-    With ``shift`` each column's max is subtracted first, so any finite
-    logits work.  Without it, which saves two of a small step's numpy
-    calls, no logit may exceed about 709 (``exp`` would overflow) and no
-    column's max may fall below about -708 (its ``exp`` would leave the
-    normal doubles, and the column sum could be zero): a table step's
-    logits stay in that range while ``beta * -log min p(y|x)`` is at most
-    :data:`SHIFT_FREE_LOGIT_BOUND` (see the module docstring)."""
-    if shift:
-        logits -= np.maximum.reduce(logits, axis=0)
-    enc = np.exp(logits, out=logits)
-    enc /= np.add.reduce(enc, axis=0)
-    return enc
+    decoder, log_z = softmax(ratio, 1, shift=shift, log=True)
+    return decoder, ratio, log_z
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +243,8 @@ class TableBackend:
     """
 
     #: The smallest rule cell ``min p(y|x)``, which bounds a table step's
-    #: logits (see :meth:`softmax_shift`).  The reduced backend keeps 0.0,
-    #: no bound: its logits carry ``beta * log Z(x)``.
+    #: logits and decoder (see :meth:`softmax_shift`).  The reduced backend
+    #: keeps 0.0, no bound.
     rule_floor = 0.0
 
     def __init__(self, problem: JointDistribution, framework):
@@ -273,17 +254,20 @@ class TableBackend:
                       else problem.log_rule, None)
 
     def _lay_out(self, problem, w: np.ndarray, v: np.ndarray | None):
-        """Bind ``problem``, ``w`` and ``v``, and form the statistics table
-        ``[p(x) W | p(x)]``, the one place a table is formed."""
+        """Bind ``problem``, ``w``, ``v`` and the decoder's shift choice
+        ``decoder_shift``, and form the statistics table ``[p(x) W |
+        p(x)]``, the one place a table is formed."""
         self.problem, self.w, self.v = problem, w, v
         self.n_x, self.n_y = problem.n_x, problem.n_y
         self.table = np.column_stack([problem.p_x[:, None] * w, problem.p_x])
+        self.decoder_shift = self.softmax_shift(1.0)
 
     def derive(self, encoder: np.ndarray, beta: float) -> BottleneckState:
         """The state implied by an encoder: the marginal of its cluster
         statistics and the framework decoder."""
         marginal, stats, _ = _cluster_statistics(encoder, self.table)
-        decoder, _, log_z = _decode(self.framework, stats, self.v)
+        decoder, _, log_z = _decode(self.framework, stats, self.v,
+                                    self.decoder_shift)
         return BottleneckState(
             framework=self.framework, beta=float(beta), encoder=encoder,
             marginal=marginal, decoder=decoder, log_z=log_z)
@@ -299,17 +283,15 @@ class TableBackend:
         affine in ``beta``.  For ib they are ``log S`` and ``[beta * rule |
         1 - beta * rowsum(rule)].T``; for dual, on the log-rule ``W @ V.T``
         of :func:`_decode`, ``[dec @ V | log p(xhat) - beta * sum dec log
-        dec]``, written over ``S``, and ``[beta * W | 1].T``.  The logits are
-        softmaxed down their contiguous columns (short rows reduce slowly),
-        and the step returns the ``(n_x, k)`` transposed view; dead clusters
-        get ``-inf`` rows, so they stay at exactly zero.  The softmax drops
-        its max shift when ``beta * -log min p(y|x)`` is at most
-        :data:`SHIFT_FREE_LOGIT_BOUND` (:meth:`softmax_shift`, decided once
-        per ``beta``): each column's max then lies in ``[-log k -
-        SHIFT_FREE_LOGIT_BOUND, 0]``, see the module docstring.
+        dec]``, written over ``S``, with ``sum dec log dec = dec . ratio -
+        log_z``, and ``[beta * W | 1].T``.  The logits are softmaxed in place
+        down their contiguous columns (short rows reduce slowly), with the
+        shift choice of :meth:`softmax_shift` at ``beta``, and the step
+        returns the ``(n_x, k)`` transposed view; dead clusters get ``-inf``
+        rows, so they stay at exactly zero.
         """
         framework, table, w, v = self.framework, self.table, self.w, self.v
-        shift = self.softmax_shift(beta)
+        shift, decoder_shift = self.softmax_shift(beta), self.decoder_shift
         ib = framework == "ib"
         last = 1.0 - beta * w.sum(axis=1) if ib else np.ones(self.n_x)
         coefficients_t = np.column_stack([beta * w, last]).T
@@ -317,22 +299,23 @@ class TableBackend:
         def step(encoder):
             _, stats, dead = _cluster_statistics(encoder, table)
             if not ib:  # the dual rows overwrite the statistics
-                decoder, log_decoder, _ = _decode(framework, stats, v)
-                stats[:, -1] = np.log(stats[:, -1]) - beta * np.add.reduce(
-                    decoder * log_decoder, axis=1)
+                decoder, ratio, log_z = _decode(framework, stats, v,
+                                                decoder_shift)
+                stats[:, -1] = np.log(stats[:, -1]) - beta * (np.add.reduce(
+                    decoder * ratio, axis=1) - log_z)
                 stats[:, :-1] = decoder if v is None else decoder @ v
             logits = np.dot(np.log(stats) if ib else stats, coefficients_t)
             if dead is not None:
                 logits[dead] = -np.inf
-            return _column_softmax(logits, shift).T
+            return softmax(logits, 0, shift=shift, out=logits).T
 
         return step
 
     def softmax_shift(self, beta: float) -> bool:
-        """Whether the step at ``beta`` keeps its softmax's max shift: unless
-        ``rule_floor`` is positive and ``beta * -log(rule_floor)`` is at
-        most :data:`SHIFT_FREE_LOGIT_BOUND`.  A zero rule cell and the
-        reduced backend always shift."""
+        """Whether the encoder softmax at ``beta`` keeps its max shift:
+        unless ``rule_floor`` is positive and ``beta * -log(rule_floor)`` is
+        at most :data:`SHIFT_FREE_LOGIT_BOUND`.  The decoder's choice is the
+        one at ``beta = 1``."""
         return not (self.rule_floor > 0.0 and beta * -math.log(
             self.rule_floor) <= SHIFT_FREE_LOGIT_BOUND)
 

@@ -116,15 +116,16 @@ def cluster_factors(backend: TableBackend,
                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank factors ``A`` (n_x, n_y) and ``B`` (n_y, n_x) of the cluster
     with input row ``q = p(x|xhat)``, with ``c_xx = A @ B`` and
-    ``c_yy = B @ A``, on the decoder row ``dec`` that ``_decode`` forms
-    from the statistics row ``[q @ W | 1]`` of a table backend's rows
-    ``W = backend.w`` (a reduced backend raises ``ValueError``):
+    ``c_yy = B @ A``, on the decoder row ``dec`` that ``_decode`` forms,
+    with the backend's ``decoder_shift`` as its steps do, from the
+    statistics row ``[q @ W | 1]`` of a table backend's rows ``W =
+    backend.w`` (a reduced backend raises ``ValueError``):
 
     * ``ib``: ``A = rule - dec`` and ``B[y, x] = rule[x, y] q[x] / dec[y]``,
       with ``dec = q @ rule`` the Bayes decoder row.
     * ``dual``: ``A[x, y] = (log rule[x, y] - c[y]) * dec[y]`` with
-      ``c = q @ log rule`` and ``dec`` the geometric decoder row
-      ``exp(c - logsumexp(c))``; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
+      ``c = q @ log rule`` and ``dec`` the geometric decoder row, the
+      softmax of ``c``; ``B[y, x] = (log rule[x, y] - r[x]) * q[x]``
       with ``r[x] = sum_y dec[y] log rule[x, y]``, so ``dec @ B = 0``.
     """
     if backend.v is not None:
@@ -132,7 +133,8 @@ def cluster_factors(backend: TableBackend,
                          "form of ROADMAP item 15")
     framework, w = backend.framework, backend.w
     row = q @ w
-    dec = _decode(framework, np.append(row, 1.0)[None, :])[0][0]
+    dec = _decode(framework, np.append(row, 1.0)[None, :], None,
+                  backend.decoder_shift)[0][0]
     if framework == "ib":
         return w - dec[None, :], (w * q[:, None]).T / dec[:, None]
     a = (w - row[None, :]) * dec[None, :]

@@ -34,11 +34,12 @@ from bottleneck_lab.probability import (
     logsumexp,
     mutual_information,
     rel_entr,
+    softmax,
 )
 from bottleneck_lab.solvers import (
     BottleneckState,
+    TableBackend,
     _cluster_statistics,
-    _column_softmax,
     _decode,
     prepare_encoder,
     state_observables,
@@ -172,13 +173,13 @@ def encoder_update(marginal: np.ndarray, distortion: np.ndarray,
                    beta: float) -> np.ndarray:
     """Softmax re-estimation ``p(xhat|x) ∝ p(xhat) * exp(-beta * d[x, xhat])``.
 
-    Computed in log space by :func:`_column_softmax` on the transposed
-    logits; zero-mass clusters give ``log p(xhat) = -inf`` and therefore
-    stay at exactly zero.
+    Computed in log space by the shifted :func:`softmax` down the columns
+    of the transposed logits; zero-mass clusters give ``log p(xhat) =
+    -inf`` and therefore stay at exactly zero.
     """
     with np.errstate(divide="ignore"):
         log_marginal = np.log(marginal)
-    return _column_softmax(log_marginal[:, None] - beta * distortion.T).T
+    return softmax(log_marginal[:, None] - beta * distortion.T, 0).T
 
 
 def full_test_fixed_point(backend, beta: float, *, n_clusters=None,
@@ -220,8 +221,10 @@ def two_branch_stepper(backend, beta: float):
     framework: ``log(S) @ [beta * rule | 1 - beta * rowsum(rule)].T`` for
     ib, and for dual the product ``(dec @ V) @ (beta * W).T`` plus the
     per-cluster column ``log p(xhat) - beta * sum dec log dec`` added by
-    broadcast.  The package forms both as one product ``rows @ C``.  The
-    softmax takes the backend's shift choice at ``beta``."""
+    broadcast, with ``sum dec log dec = dec . ratio - log_z`` off
+    :func:`_decode`.  The package forms both as one product ``rows @ C``.
+    The decoder and the encoder softmax take the backend's shift choices
+    (at ``beta`` for the encoder)."""
     framework, table, v = backend.framework, backend.table, backend.v
     shift = backend.softmax_shift(beta)
     if framework == "ib":
@@ -236,13 +239,14 @@ def two_branch_stepper(backend, beta: float):
         if framework == "ib":
             logits = np.dot(np.log(stats), coefficients_t)
         else:
-            decoder, log_decoder, _ = _decode(framework, stats, v)
+            decoder, ratio, log_z = _decode(framework, stats, v,
+                                            backend.decoder_shift)
             logits = (decoder if v is None else decoder @ v) @ beta_w.T
-            logits += (np.log(stats[:, -1]) - beta * np.add.reduce(
-                decoder * log_decoder, axis=1))[:, None]
+            logits += (np.log(stats[:, -1]) - beta * (np.add.reduce(
+                decoder * ratio, axis=1) - log_z))[:, None]
         if dead is not None:
             logits[dead] = -np.inf
-        return _column_softmax(logits, shift).T
+        return softmax(logits, 0, shift=shift, out=logits).T
 
     return step
 
@@ -250,15 +254,17 @@ def two_branch_stepper(backend, beta: float):
 def own_row_cluster_factors(problem: JointDistribution, framework: str,
                             q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``stability.cluster_factors`` with its decoder row formed in place:
-    the Bayes row ``q @ rule`` for ib, and the geometric row
-    ``exp(c - logsumexp(c))`` with ``c = q @ log rule`` for dual."""
+    the Bayes row ``q @ rule`` for ib, and the geometric row, the
+    :func:`softmax` of ``c = q @ log rule`` with the table backend's
+    decoder shift, for dual."""
     if framework == "ib":
         rule = problem.rule
         dec = q @ rule
         return rule - dec[None, :], (rule * q[:, None]).T / dec[:, None]
     log_rule = problem.log_rule
     log_unnorm = q @ log_rule
-    dec = np.exp(log_unnorm - logsumexp(log_unnorm))
+    dec = softmax(log_unnorm,
+                  shift=TableBackend(problem, framework).decoder_shift)
     a = (log_rule - log_unnorm[None, :]) * dec[None, :]
     b = (log_rule.T - (log_rule @ dec)[None, :]) * q[None, :]
     return a, b
@@ -462,7 +468,10 @@ def one_block_counts(problem, n_values, trials: int, seed: int):
 
 def exact_decisions(pushed, references):
     """Minimum ``rel_entr`` divergence per row, first class on ties: the
-    classifier's defining rule."""
+    classifier's defining rule.  A one-cluster encoder pushes every law and
+    every class to 1, so in exact arithmetic every class ties: class 0."""
+    if references.shape[1] == 1:
+        return np.zeros(len(pushed), dtype=np.intp)
     divergences = np.stack(
         [rel_entr(pushed, references[i][None, :]).sum(axis=1)
          for i in range(references.shape[0])], axis=1)

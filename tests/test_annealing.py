@@ -255,9 +255,9 @@ class TestStateWork:
         calls = []
         original = solvers._decode
 
-        def counting(framework, stats, v=None):
+        def counting(framework, *args):
             calls.append(framework)
-            return original(framework, stats, v)
+            return original(framework, *args)
 
         monkeypatch.setattr(solvers, "_decode", counting)
         trace, _ = sweep(binary_overlap5(), "dual", self.BETAS)

@@ -21,9 +21,8 @@ from bottleneck_lab.expfamily import (
 )
 from bottleneck_lab.probability import (
     DistributionError,
-    logsumexp,
     mutual_information,
-    smooth_rows,
+    softmax,
 )
 from bottleneck_lab.solvers import TableBackend, solve, state_observables
 
@@ -45,12 +44,10 @@ def generic_model(rng, n_x=4, n_y=3, d=2):
 
 
 def full_matrix_rule(model):
-    """The rule rows and log-normalizers from one ``(n_x, n_y)`` interaction
-    matrix: the construction the model's row blocks replace."""
-    log_rule = -model.features @ model.params.T
-    log_normalizers = logsumexp(log_rule, axis=1)
-    log_rule -= log_normalizers[:, None]
-    return smooth_rows(np.exp(log_rule, out=log_rule), 0.0), log_normalizers
+    """The rule rows and log-normalizers from one :func:`softmax` of the
+    whole ``(n_x, n_y)`` interaction matrix: the construction the model's
+    row blocks replace."""
+    return softmax(-model.features @ model.params.T, 1, log=True)
 
 
 #: Rows in one block at n_y = 200.

@@ -428,7 +428,8 @@ class TestMinDivergenceDecisions:
         problem and encoder: soft and hard encoders, empirical rows with
         zero cells, duplicate references (the lowest index wins), a
         reference with a zero cell, and one-cluster encoders, whose
-        references and rows equal 1 within a few ulps."""
+        references and rows equal 1 within a few ulps, so that in exact
+        arithmetic every class ties and class 0 wins."""
         local = np.random.default_rng(seed)
         cond = mixed_conditionals(local, n_classes, n_x)
         if duplicate:
@@ -445,7 +446,7 @@ class TestMinDivergenceDecisions:
             pushed += 2.0**-53 * local.integers(-4, 5, size=pushed.shape)
             references += 2.0**-53 * local.integers(-4, 5, size=n_classes)[
                 :, None]
-        if zero_reference:
+        if zero_reference and k > 1:
             references[-1, 0] = 0.0
         assert_array_equal(_min_divergence_decisions(pushed, references),
                            exact_decisions(pushed, references))
@@ -467,34 +468,26 @@ class TestMinDivergenceDecisions:
         assert_array_equal(_min_divergence_decisions(pushed, references),
                            exact_decisions(pushed, references))
 
-    def test_one_cluster_rounding_is_reproduced(self):
-        """References a few ulps under 1: the exact divergences of rows
-        near 1 tie or part by rounding alone, and the decisions follow."""
-        pushed = (1.0 + 2.0**-53 * np.arange(-4, 5))[:, None]
-        references = np.array([[0.9999999999999996], [0.9999999999999998],
-                               [0.9999999999999999]])
-        want = exact_decisions(pushed, references)
-        assert np.unique(want).size > 1
-        assert_array_equal(_min_divergence_decisions(pushed, references),
-                           want)
-
-    def test_one_cluster_equals_the_exact_rule_row_by_row(self):
-        """A one-cluster encoder is decided once per distinct pushed value:
-        repeated values one ulp apart around 1.0, against references a few
-        ulps under 1 whose quotients with them round to ties (and one
-        duplicate pair, which always ties), get
-        :func:`_divergence_argmin`'s decision row for row."""
-        ulp = 2.0**-53  # below 1.0; it doubles above
-        values = np.concatenate([1.0 - ulp * np.arange(4, 0, -1),
-                                 1.0 + 2.0 * ulp * np.arange(5)])
-        pushed = np.random.default_rng(3).choice(values, size=(200, 1))
-        references = 1.0 - ulp * np.array([[4.0], [2.0], [1.0], [2.0],
-                                           [3.0]])
-        want = prediction._divergence_argmin(pushed, references)
-        assert np.unique(want).size > 1
-        assert 3 not in want  # the duplicate of class 1 never wins
-        assert_array_equal(_min_divergence_decisions(pushed, references),
-                           want)
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 6),
+           n_x=st.integers(2, 8), n=st.sampled_from((1, 2, 3, 16)),
+           ulps=st.integers(1, 8))
+    def test_one_cluster_ignores_ulp_perturbations(self, seed, n_classes,
+                                                   n_x, n, ulps):
+        """A one-cluster encoder pushes every law and every class to 1, so
+        every class ties and every row takes class 0: the decisions do not
+        change when each encoder cell moves by up to ``ulps`` ulps, which
+        moves the pushed values and the references off 1 by rounding."""
+        local = np.random.default_rng(seed)
+        cond = mixed_conditionals(local, n_classes, n_x)
+        laws = sampled_rows(local, cond, n)
+        exact = np.ones((n_x, 1))
+        perturbed = exact + np.spacing(1.0) * local.integers(
+            -ulps, ulps + 1, size=(n_x, 1))
+        want = _min_divergence_decisions(laws @ exact, cond @ exact)
+        got = _min_divergence_decisions(laws @ perturbed, cond @ perturbed)
+        assert_array_equal(got, want)
+        assert not want.any()
 
     def test_one_distinct_reference_takes_the_first_class(self):
         references = np.tile([[0.25, 0.75]], (3, 1))

@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import re
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -404,22 +405,38 @@ class TestLogSumExp:
         assert got == expected == a
 
     def test_one_log_sum_exp_in_the_package(self):
-        """One log-sum-exp, which the one dual decoder reads, one decoder,
-        which the stability row reads, and no scipy import anywhere in the
+        """One normalizer: ``softmax`` is the package's only ``exp``, and
+        the encoder step, the one dual decoder, the model's rule blocks and
+        ``logsumexp`` all read it; only ``solvers`` forms decoders, as the
+        stability row reads ``_decode``; no scipy import anywhere in the
         package (numpy is its only runtime dependency)."""
         for module in (solvers, expfamily, prediction):
             assert module.logsumexp is probability.logsumexp
+        for module in (solvers, expfamily):
+            assert module.softmax is probability.softmax
         assert not hasattr(stability, "logsumexp")
-        for function, name in ((solvers._decode, "logsumexp"),
+        assert not hasattr(stability, "softmax")
+        for function, name in ((probability.logsumexp, "softmax"),
+                               (solvers._decode, "softmax"),
+                               (solvers.TableBackend.stepper, "softmax"),
+                               (expfamily.ExpFamilyModel._rule_blocks,
+                                "softmax"),
                                (stability.cluster_factors, "_decode")):
-            tree = ast.parse(inspect.getsource(function))
+            tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
             assert name in {node.id for node in ast.walk(tree)
                             if isinstance(node, ast.Name)
                             and isinstance(node.ctx, ast.Load)}
         assert prediction.rel_entr is probability.rel_entr
+        exps = []
         src = Path(bottleneck_lab.__file__).parent
         for path in sorted(src.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    exps += [(path.name, function.name)
+                             for node in ast.walk(function)
+                             if isinstance(node, ast.Attribute)
+                             and node.attr in ("exp", "logaddexp")]
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
                     assert not (node.module or "").startswith("scipy"), \
@@ -429,7 +446,9 @@ class TestLogSumExp:
                                    for alias in node.names), path.name
                 # no ``<module>.logsumexp(...)`` besides the package's own
                 assert not (isinstance(node, ast.Attribute)
-                            and node.attr == "logsumexp"), path.name
+                            and node.attr in ("logsumexp", "softmax")), \
+                    path.name
+        assert exps == [("probability.py", "softmax")]
 
 
 class TestEntropyKernels:
@@ -493,9 +512,11 @@ class TestEntropyKernels:
 
 
 #: Imported and never read on purpose: the benchmark tracer patches
-#: ``mutual_information`` in ``annealing`` and ``expfamily`` by name.
+#: ``mutual_information`` in ``annealing`` and ``expfamily``, and
+#: ``logsumexp`` in ``solvers``, by name.
 KEPT_IMPORTS = {("annealing.py", "mutual_information"),
-                ("expfamily.py", "mutual_information")}
+                ("expfamily.py", "mutual_information"),
+                ("solvers.py", "logsumexp")}
 
 
 def _private_definitions(tree):

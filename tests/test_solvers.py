@@ -26,7 +26,7 @@ from bottleneck_lab.expfamily import (ExpBackend, ExpFamilyModel, exp_solve,
 from bottleneck_lab.prediction import (ClassificationProblem,
                                        run_prediction_experiment)
 from bottleneck_lab.probability import (DistributionError, JointDistribution,
-                                       logsumexp)
+                                       logsumexp, softmax)
 from bottleneck_lab.solvers import (
     as_framework,
     default_encoder,
@@ -56,37 +56,56 @@ class TestElementarySteps:
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
            n_y=st.integers(1, 5), dead=st.integers(0, 5),
+           inputs=st.sampled_from(["table", "shift-free", "floor",
+                                   "reduced"]),
            level=st.sampled_from([0.0, 800.0]),
            spread=st.sampled_from([0.0, 30.0, 1000.0]))
     def test_dual_decode_matches_log_sum_exp(self, seed, k, n_y, dead,
-                                             level, spread):
-        """The dual decoder, a max-shifted row softmax, is the
-        ``logsumexp`` formula ``exp(ratio - log_z)`` within 1e-13, without
-        warnings, on statistics tables with one cluster, with dead clusters
-        (the table's column sums), with every ``exp(ratio)`` underflowing
-        (``level``) and with rows spread wider than ``exp``'s range
-        (``spread``), whose far cells are exact zeros with finite logs."""
+                                             inputs, level, spread):
+        """The dual decoder, the kernel's row softmax, is the
+        ``logsumexp`` formula ``exp(ratio - log_z)`` within 1e-13, with its
+        ``ratio`` and ``log_z``, without warnings, on statistics tables
+        with one cluster and with dead clusters (the table's column sums),
+        under the shift choice of the backend the table comes from:
+
+        * ``table``: the shifted decoder, with every ``exp(ratio)``
+          underflowing (``level``) and with rows spread wider than
+          ``exp``'s range (``spread``), whose far cells are exact zeros;
+        * ``shift-free``: a table backend within the bound, whose smallest
+          rule cell is about ``10**u`` for ``u`` in [-9, -1];
+        * ``floor``: a table backend whose rule floor is at or just inside
+          e^-600, still shift-free;
+        * ``reduced``: a reduced backend, which always shifts, with ratios
+          past ``exp``'s range when ``spread`` is not 0."""
         rng = np.random.default_rng(seed)
-        n_x = int(rng.integers(1, 7))
-        log_rule = -5.0 * rng.random((n_x, n_y)) - level
-        log_rule[:, 0] -= spread
-        p_x = rng.dirichlet(np.ones(n_x))
-        table = np.column_stack([p_x[:, None] * log_rule, p_x])
+        v, shift = None, True
+        if inputs == "table":
+            n_x = int(rng.integers(1, 7))
+            log_rule = -5.0 * rng.random((n_x, n_y)) - level
+            log_rule[:, 0] -= spread
+            p_x = rng.dirichlet(np.ones(n_x))
+            table = np.column_stack([p_x[:, None] * log_rule, p_x])
+        else:
+            backend = (bounded_table("dual", rng)[0] if inputs == "shift-free"
+                       else decoder_backend(inputs, rng, n_y, spread))
+            table, v, shift = backend.table, backend.v, backend.decoder_shift
+            assert shift == (inputs == "reduced")
+            n_x = backend.n_x
         enc = random_encoder(rng, n_x, k)
         enc[:, :min(dead, k - 1)] = 0.0
         _, stats, _ = solvers._cluster_statistics(
             enc / enc.sum(axis=1, keepdims=True), table)
         ratio = stats[:, :-1] / stats[:, -1:]
+        if v is not None:
+            ratio = ratio @ v.T
         log_z = logsumexp(ratio, axis=1)
-        log_decoder = ratio - log_z[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solvers._decode("dual", stats)
-        for value, want in zip(got, (np.exp(log_decoder), log_decoder,
+            got = solvers._decode("dual", stats, v, shift)
+        for value, want in zip(got, (np.exp(ratio - log_z[:, None]), ratio,
                                      log_z)):
             np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-13)
-        assert np.isfinite(got[1]).all()
-        if spread > 745.0 and n_y > 1:
+        if inputs == "table" and spread > 745.0 and n_y > 1:
             assert not got[0][:, 0].any()
 
     @PROPERTY_SETTINGS
@@ -107,7 +126,7 @@ class TestElementarySteps:
         with warnings.catch_warnings(), np.errstate(all="raise",
                                                     under="ignore"):
             warnings.simplefilter("error")
-            got = solvers._column_softmax(logits.copy())
+            got = softmax(logits.copy(), 0)
         assert not got[dead_rows].any()
         assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-15 * k
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -439,9 +458,9 @@ class TestSolve:
         calls = []
         original = solvers._decode
 
-        def counting(framework, stats, v=None):
+        def counting(framework, *args):
             calls.append(framework)
-            return original(framework, stats, v)
+            return original(framework, *args)
 
         monkeypatch.setattr(solvers, "_decode", counting)
         problem = random_problem(rng)
@@ -659,6 +678,33 @@ def bounded_table(framework: str, rng: np.random.Generator):
         backend.rule_floor)
 
 
+def decoder_backend(inputs: str, rng: np.random.Generator, n_y: int,
+                    spread: float):
+    """A dual backend on ``n_y`` labels whose decoder softmax is bounded
+    or not: a table whose rule has cells at a floor at or just inside
+    e^-600 (``inputs == "floor"``), or a one-feature model whose ratios
+    reach 639..750, past ``exp``'s range, when ``spread`` is not 0."""
+    n_x = int(rng.integers(1, 7))
+    p_x = rng.dirichlet(np.ones(n_x))
+    if inputs == "reduced":
+        params = (-rng.uniform(710.0, 750.0, (n_y, 1)) if spread
+                  else rng.normal(size=(n_y, 1)))
+        return ExpBackend(ExpFamilyModel(
+            features=rng.uniform(0.9, 1.0, (n_x, 1)), params=params, p_x=p_x))
+    rule = rng.dirichlet(np.full(n_y, 0.5), size=n_x) + 0.01
+    rule /= rule.sum(axis=1, keepdims=True)
+    if n_y > 1:
+        floor = math.exp(-600.0 + rng.choice([0.0, 1e-9, 0.5]))
+        while -math.log(floor) > solvers.SHIFT_FREE_LOGIT_BOUND:
+            floor = np.nextafter(floor, 1.0)
+        rows = rng.random(n_x) < 0.5
+        rows[0] = True
+        rule[rows, 0] = floor  # each such row still sums to 1.0
+        rule[rows, 1:] = rng.dirichlet(np.ones(n_y - 1), size=rows.sum())
+        assert -math.log(rule.min()) > 599.0
+    return TableBackend(JointDistribution(p_x=p_x, rule=rule), "dual")
+
+
 def live_encoder(rng: np.random.Generator, n_x: int, k: int, dead: int):
     """A random row-stochastic encoder with its first ``dead`` columns
     (at most ``k - 1``) at zero."""
@@ -669,16 +715,18 @@ def live_encoder(rng: np.random.Generator, n_x: int, k: int, dead: int):
 
 @contextlib.contextmanager
 def softmax_inputs():
-    """Record ``(logits, shift)`` of every softmax a step runs."""
+    """Record ``(logits, shift)`` of every encoder softmax a step runs; the
+    decoder's, which asks for its log, is not recorded."""
     seen = []
-    column_softmax = solvers._column_softmax
+    kernel = solvers.softmax
 
-    def recording(logits, shift=True):
-        seen.append((logits.copy(), shift))
-        return column_softmax(logits, shift)
+    def recording(a, axis=None, *, shift=True, log=False, out=None):
+        if not log:
+            seen.append((a.copy(), shift))
+        return kernel(a, axis, shift=shift, log=log, out=out)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_column_softmax", recording)
+        patch.setattr(solvers, "softmax", recording)
         yield seen
 
 
@@ -692,7 +740,6 @@ class TestShiftFreeSoftmax:
     def assert_shifted_steps(backend, beta, k, n_steps=20):
         """Steps from the broad ``k``-cluster encoder take the shifted
         softmax, bit for bit, and stay finite."""
-        column_softmax = solvers._column_softmax
         step = backend.stepper(beta)
         enc = prepare_encoder(backend.n_x, k, None)
         with softmax_inputs() as seen:
@@ -700,8 +747,7 @@ class TestShiftFreeSoftmax:
                 new = step(enc)
                 logits, shift = seen[-1]
                 assert shift
-                assert np.array_equal(new,
-                                      column_softmax(logits.copy(), True).T)
+                assert np.array_equal(new, softmax(logits.copy(), 0).T)
                 assert np.isfinite(new).all()
                 enc = new
         return seen
@@ -720,7 +766,6 @@ class TestShiftFreeSoftmax:
         rng = np.random.default_rng(seed)
         backend, beta = bounded_table(framework, rng)
         assert not backend.softmax_shift(beta)
-        column_softmax = solvers._column_softmax
         step = backend.stepper(beta)
         enc = live_encoder(rng, backend.n_x, k, dead)
         with softmax_inputs() as seen, warnings.catch_warnings(), \
@@ -730,7 +775,7 @@ class TestShiftFreeSoftmax:
                 new = step(enc)
                 logits, shift = seen[-1]
                 assert not shift
-                want = column_softmax(logits.copy(), True).T
+                want = softmax(logits.copy(), 0).T
                 assert np.max(np.abs(new - want)) <= 1e-15
                 assert not new[:, :min(dead, k - 1)].any()
                 enc = new
@@ -758,12 +803,14 @@ class TestShiftFreeSoftmax:
     def test_golden_table_past_the_bound_keeps_the_shift(self, framework):
         """At beta = 1e4 the golden table (min p(y|x) = 0.12) is far past
         the bound: its steps take the shifted softmax and stay finite,
-        where the shift-free softmax of the same logits is not finite."""
+        where the shift-free softmax of the same logits is not finite.  Its
+        decoder, whose bound does not depend on beta, stays shift-free."""
         backend = TableBackend(binary_overlap5(), framework)
         assert backend.softmax_shift(1e4)
+        assert not backend.decoder_shift
         seen = self.assert_shifted_steps(backend, 1e4, 4)
         with np.errstate(all="ignore"):
-            assert not all(np.isfinite(solvers._column_softmax(logits, False))
+            assert not all(np.isfinite(softmax(logits, 0, shift=False))
                            .all() for logits, _ in seen)
 
     def test_zero_rule_cell_keeps_the_shift(self):
@@ -782,8 +829,10 @@ class TestShiftFreeSoftmax:
 
     def test_reduced_backend_keeps_the_shift(self):
         """The reduced logits carry ``beta * log Z(x)``, which has no bound
-        known before the step: a reduced backend shifts at every beta."""
+        known before the step: a reduced backend shifts at every beta, and
+        so does its decoder."""
         backend = random_backend("reduced", np.random.default_rng(5))
+        assert backend.decoder_shift
         for beta in (0.0, 2.0, 20.0):
             assert backend.softmax_shift(beta)
             self.assert_shifted_steps(backend, beta, 3)
